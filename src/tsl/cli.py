@@ -84,7 +84,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--p", type=str, default="2", help="comma list, e.g. 1,2,inf")
     p.add_argument("--grid", type=str, default="dyadic", help="'dyadic[:J]' or comma list of radii")
-    p.add_argument("--quadrature-size", type=int, default=None)
+    p.add_argument(
+        "--quadrature-size", type=int, default=None,
+        help="FFT points per p != 2 row; at least 4*(degree+1), 8*(degree+1) for p = inf "
+        "(default: per radius, the next power of two above that floor on the effective "
+        "degree, the last index j with r**j >= 2**-60)",
+    )
     p.add_argument("--out", type=str, default="means.csv")
 
     p = sub.add_parser("fit", parents=[common], help="growth exponent fit")

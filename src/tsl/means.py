@@ -1,9 +1,16 @@
 """Radial integral means, circle norms, and growth-exponent fits.
 
-For p = 2 the mean comes straight from the coefficients (Parseval); for
-other finite p the circle is sampled by an FFT of the dilated
-coefficient vector with at least 4*(degree+1) samples, and p = infinity
-is a sampled sup with an 8x floor (a documented lower estimate).
+For p = 2 the mean comes straight from the coefficients (Parseval).  For
+other finite p, and for p = infinity, the circle is sampled by
+`circle_samples`, the one circle sampler of the package.  On a circle of
+radius r it keeps only the coefficients up to the effective degree D,
+the last index with r**D >= 2**-60, and by default samples at the next
+power of two above 4*(D+1) points (8*(D+1) for p = infinity, whose
+sampled sup is a documented lower estimate).  So the FFT of a radius
+well inside the disc is sized on the degree that radius can see, not on
+the full degree; at r = 1 - 2**-j the effective degree is about
+41.6 * 2**j.  A quadrature size given explicitly must still clear the
+oversampling floor on the full degree.
 
 `dyadic_mean2` evaluates the L^2 mean of a *planned* block construction
 at radii 1 - 2**-j without materializing coefficients, so schedules
@@ -20,23 +27,29 @@ import mpmath as mp
 import numpy as np
 
 from tsl._util import fmt17, map_ordered
-from tsl.constructor import BlockLedger, Regime
+from tsl.constructor import BlockLedger
 from tsl.errors import DomainError
 from tsl.polybank import TargetEnumeration, index_weighted
 from tsl.series import CoefficientSeries
 
 _LN2 = math.log(2.0)
 _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
+_TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
+_PHASES = 8  # most phase-shifted FFTs one circle sampling is split into
+
+
+def _check_p(p: float) -> None:
+    if p != math.inf and (not math.isfinite(p) or p < 1.0):
+        raise DomainError("p must lie in [1, infinity]")
 
 
 def conjugate_exponent(p: float) -> float:
     """q with 1/p + 1/q = 1; q = infinity when p = 1."""
+    _check_p(p)
     if p == 1.0:
         return math.inf
     if p == math.inf:
         return 1.0
-    if p < 1.0:
-        raise DomainError("p must be >= 1")
     return p / (p - 1.0)
 
 
@@ -110,18 +123,67 @@ class GrowthFit:
             raise DomainError("residual must be nonnegative")
 
 
-def _oversampling_floor(max_degree: int, p: float) -> int:
+def _oversampling_floor(degree: int, p: float) -> int:
     factor = 8 if p == math.inf else 4
-    return factor * (max_degree + 1)
-
-
-def _circle_samples(coeffs: np.ndarray, size: int) -> np.ndarray:
-    """|values| of the polynomial at `size` equispaced points of the unit circle."""
-    return np.abs(np.fft.ifft(coeffs, n=size)) * size
+    return factor * (degree + 1)
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
+
+
+def effective_degree(r: float, degree: int) -> int:
+    """Last index j <= degree with r**j >= 2**-_TAIL_BITS (0**0 counts as 1).
+
+    Past it every dilated coefficient is below 2**-60 times its modulus;
+    at r = 1 - 2**-j this index is about 41.6 * 2**j.
+    """
+    if not (0.0 <= r <= 1.0):
+        raise DomainError("radius must lie in [0, 1]")
+    if degree < 0:
+        raise DomainError("degree must be >= 0")
+    if r == 1.0:
+        return degree
+    if r == 0.0:
+        return 0
+    return min(degree, int(_TAIL_BITS / -math.log2(r)))
+
+
+def circle_samples(coeffs: np.ndarray, r: float, size: int | None = None) -> np.ndarray:
+    """Polynomial values at `size` equispaced points of the circle of radius r.
+
+    Value k is taken at r * exp(2 pi i k / size).  Only coefficients
+    0 .. effective_degree(r) are dilated and sampled; the dropped tail is
+    below 2**-60 * max|c| / (1 - r) in modulus.  The default size is the
+    next power of two above 4 * (D + 1).  A size below the window length
+    folds the window modulo `size`, which is exact at the sample points.
+    A size that is a multiple of the FFT length m (the larger of the
+    window's next power of two and size / _PHASES) is reached by
+    interleaving size / m phase-shifted m-point FFTs, which are the
+    zero-padded size-point FFT without its size-long work buffers.
+    """
+    degree = effective_degree(r, len(coeffs) - 1)
+    if size is None:
+        size = _next_pow2(_oversampling_floor(degree, 2.0))
+    if size < 1:
+        raise DomainError("sample count must be >= 1")
+    window = np.asarray(coeffs[: degree + 1], dtype=np.complex128)
+    if 0.0 < r < 1.0:
+        window = window * np.exp(np.arange(degree + 1, dtype=np.float64) * math.log(r))
+    m = max(_next_pow2(len(window)), size // _PHASES)
+    if m >= size or size % m:
+        if len(window) > size:
+            pad = (-len(window)) % size
+            window = np.concatenate([window, np.zeros(pad, dtype=np.complex128)])
+            window = window.reshape(-1, size).sum(axis=0)
+        return np.fft.ifft(window, n=size, norm="forward")
+    phases = size // m
+    out = np.empty((m, phases), dtype=np.complex128)
+    step = np.exp(2j * math.pi / size * np.arange(len(window)))
+    for a in range(phases):  # out[t, a] is the value at index t * phases + a
+        out[:, a] = np.fft.ifft(window, n=m, norm="forward")
+        window = window * step
+    return out.reshape(-1)
 
 
 def _mean_from_samples(samples: np.ndarray, p: float) -> float:
@@ -130,9 +192,36 @@ def _mean_from_samples(samples: np.ndarray, p: float) -> float:
     return float(np.mean(samples**p) ** (1.0 / p))
 
 
-def _check_p(p: float) -> None:
-    if p != math.inf and (not math.isfinite(p) or p < 1.0):
-        raise DomainError("p must lie in [1, infinity]")
+def _resolve_quadrature(max_degree: int, p: float, r: float, requested: int | None) -> int:
+    """FFT size for one (p, r): sized on the effective degree unless given."""
+    if requested is None:
+        return _next_pow2(_oversampling_floor(effective_degree(r, max_degree), p))
+    floor = _oversampling_floor(max_degree, p)
+    if requested < floor:
+        raise DomainError(
+            f"quadrature_size {requested} below the oversampling floor; need >= {floor}"
+        )
+    return requested
+
+
+def _check_radius(r: float) -> None:
+    if not (0.0 < r < 1.0):
+        raise DomainError("radius must lie in (0, 1)")
+
+
+def _mean_row(
+    series: CoefficientSeries, p: float, r: float, quadrature_size: int | None
+) -> MeanRow:
+    """One (p, r) row: Parseval at p = 2, otherwise the circle sampler."""
+    _check_p(p)
+    a = series.coefficients
+    if p == 2.0:
+        j = np.arange(len(a), dtype=np.float64)
+        dilated = a * np.exp(j * math.log(r))
+        return MeanRow(p, r, math.sqrt(float(np.sum(np.abs(dilated) ** 2))), 0)
+    size = _resolve_quadrature(series.max_degree, p, r, quadrature_size)
+    value = _mean_from_samples(np.abs(circle_samples(a, r, size)), p)
+    return MeanRow(p, r, value, size)
 
 
 def mean_p(
@@ -142,39 +231,15 @@ def mean_p(
     quadrature_size: int | None = None,
 ) -> float:
     """Radial L^p mean of the series on the circle of radius r in (0, 1)."""
-    _check_p(p)
-    if not (0.0 < r < 1.0):
-        raise DomainError("radius must lie in (0, 1)")
-    a = series.coefficients
-    j = np.arange(len(a), dtype=np.float64)
-    dilated = a * np.exp(j * math.log(r))
-    if p == 2.0:
-        return math.sqrt(float(np.sum(np.abs(dilated) ** 2)))
-    size = _resolve_quadrature(series.max_degree, p, quadrature_size)
-    return _mean_from_samples(_circle_samples(dilated, size), p)
+    _check_radius(r)
+    return _mean_row(series, p, r, quadrature_size).value
 
 
 def circle_norm(
     series: CoefficientSeries, p: float, quadrature_size: int | None = None
 ) -> float:
     """L^p norm on the unit circle itself (the r = 1 limit of mean_p)."""
-    _check_p(p)
-    a = series.coefficients
-    if p == 2.0:
-        return math.sqrt(float(np.sum(np.abs(a) ** 2)))
-    size = _resolve_quadrature(series.max_degree, p, quadrature_size)
-    return _mean_from_samples(_circle_samples(a, size), p)
-
-
-def _resolve_quadrature(max_degree: int, p: float, requested: int | None) -> int:
-    floor = _oversampling_floor(max_degree, p)
-    if requested is None:
-        return _next_pow2(floor)
-    if requested < floor:
-        raise DomainError(
-            f"quadrature_size {requested} below the oversampling floor; need >= {floor}"
-        )
-    return requested
+    return _mean_row(series, p, 1.0, quadrature_size).value
 
 
 def means_table(
@@ -183,23 +248,28 @@ def means_table(
     r_grid: list[float],
     quadrature_size: int | None = None,
 ) -> RadialMeansTable:
-    """One row per (p, r), computed independently, assembled in sorted order."""
+    """One row per (p, r), computed independently, assembled in sorted order.
+
+    Without `quadrature_size` each row's FFT size follows its own radius,
+    so the `quadrature_size` column varies along the grid.
+    """
     if not p_list or not r_grid:
         raise DomainError("p_list and r_grid must be nonempty")
+    for r in r_grid:
+        _check_radius(r)
     pairs = sorted(
         ((p, r) for p in set(p_list) for r in set(r_grid)),
         key=lambda t: (t[0] == math.inf, t[0], t[1]),
     )
-    def one(pair: tuple[float, float]) -> MeanRow:
-        p, r = pair
-        value = mean_p(series, p, r, quadrature_size)
-        size = 0 if p == 2.0 else _resolve_quadrature(series.max_degree, p, quadrature_size)
-        return MeanRow(p=p, r=r, value=value, quadrature_size=size)
-    return RadialMeansTable(tuple(map_ordered(one, pairs)))
+    return RadialMeansTable(
+        tuple(map_ordered(lambda pair: _mean_row(series, *pair, quadrature_size), pairs))
+    )
 
 
 def dyadic_radii(max_degree: int) -> list[float]:
     """Default radius grid 1 - 2**-j, j = 1 .. floor(log2(max_degree)) - 1."""
+    if max_degree < 1:
+        raise DomainError("the dyadic radius grid needs max_degree >= 1")
     top = max(1, int(math.floor(math.log2(max_degree))) - 1)
     return [1.0 - 2.0**-j for j in range(1, top + 1)]
 
@@ -244,10 +314,9 @@ def dyadic_mean2(
     targets: TargetEnumeration,
     alpha: float,
     j_exp: int,
-    regime: Regime = Regime.RS,
     exact_cap: int = 1 << 16,
 ) -> float:
-    """L^2 mean at r = 1 - 2**-j of a planned sign-family construction.
+    """L^2 mean at r = 1 - 2**-j of a planned construction (sign-family ledgers only).
 
     Works from the ledger alone: the squared coefficient magnitudes of a
     sign-family block do not depend on the signs, so
@@ -262,8 +331,6 @@ def dyadic_mean2(
     error is far below each radius step's increment, so monotonicity in
     j survives the approximation.
     """
-    if regime is not Regime.RS:
-        raise DomainError("structured means are defined for the sign-family regime only")
     ln_eps = _ln_eps(j_exp)
     ln_cap = math.log(exact_cap)
     total = 0.0
@@ -335,11 +402,10 @@ def dyadic_mean2_profile(
     targets: TargetEnumeration,
     alpha: float,
     j_list: list[int],
-    regime: Regime = Regime.RS,
     exact_cap: int = 1 << 16,
 ) -> list[tuple[int, float]]:
-    """(j, M_2 at 1 - 2**-j) rows over a dyadic exponent grid."""
+    """(j, M_2 at 1 - 2**-j) rows over a dyadic exponent grid (sign-family ledgers only)."""
     vals = map_ordered(
-        lambda j: dyadic_mean2(ledger, targets, alpha, j, regime, exact_cap), list(j_list)
+        lambda j: dyadic_mean2(ledger, targets, alpha, j, exact_cap), list(j_list)
     )
     return list(zip(j_list, vals))

@@ -27,6 +27,7 @@ from tsl.densities import PrefixSet, prefix_density, separating_set
 from tsl.means import (
     RadialMeansTable,
     circle_norm,
+    circle_samples,
     critical_exponent,
     dyadic_mean2_profile,
     dyadic_radii,
@@ -156,10 +157,8 @@ def check_shift_telescoping(seed: int = DEFAULT_SEED) -> dict[str, Any]:
 
 
 def _mean2_quadrature(series: CoefficientSeries, r: float) -> float:
-    j = np.arange(len(series.coefficients), dtype=np.float64)
-    dilated = series.coefficients * r**j
-    size = 1 << max(3, (4 * len(dilated) - 1).bit_length())
-    samples = np.abs(np.fft.ifft(dilated, n=size)) * size
+    size = 1 << max(3, (4 * len(series.coefficients) - 1).bit_length())
+    samples = np.abs(circle_samples(series.coefficients, r, size))
     return float(np.sqrt(np.mean(samples**2)))
 
 

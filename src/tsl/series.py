@@ -91,23 +91,28 @@ def apply_shift(series: CoefficientSeries, params: ShiftParams) -> CoefficientSe
 
 
 def apply_shift_power(
-    series: CoefficientSeries, n: int, params: ShiftParams
+    series: CoefficientSeries, n: int, params: ShiftParams, length: int | None = None
 ) -> CoefficientSeries:
     """n-th shift power via the telescoped weight ((j+n+1)/(j+1))**alpha.
 
     The closed form avoids accumulating n rounding errors; n = 0 returns
-    the input unchanged.
+    the input unchanged.  `length` keeps only the first `length`
+    coefficients of the result, so a window of a long orbit costs only
+    its own length.
     """
     if n < 0:
         raise DomainError("shift power must be >= 0")
-    if n == 0:
-        return series
+    if length is not None and length < 1:
+        raise DomainError("length must be >= 1")
     a = series.coefficients
     if n >= len(a):
         return CoefficientSeries.zero(0)
-    j = np.arange(len(a) - n, dtype=np.float64)
+    stop = len(a) if length is None else min(len(a), n + length)
+    if n == 0:
+        return series if stop == len(a) else CoefficientSeries(a[:stop])
+    j = np.arange(stop - n, dtype=np.float64)
     w = ((j + n + 1.0) / (j + 1.0)) ** params.alpha
-    return CoefficientSeries(a[n:] * w)
+    return CoefficientSeries(a[n:stop] * w)
 
 
 def evaluate(series: CoefficientSeries, z: complex) -> complex:

@@ -25,6 +25,7 @@ from tsl.constructor import (
     visit_set,
 )
 from tsl.errors import DomainError
+from tsl.means import circle_samples, effective_degree
 from tsl.polybank import TargetEnumeration, index_weighted
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
 
@@ -175,58 +176,57 @@ def lacunary_sum_ratio(probe: AsymptoticProbe, r: float) -> float:
     return total / denom
 
 
-def _sample_circle(coeffs: np.ndarray, radius: float, size: int) -> np.ndarray:
-    """Polynomial values at `size` equispaced points of the radius-`radius` circle."""
-    j = np.arange(len(coeffs), dtype=np.float64)
-    if radius == 0.0:
-        return np.full(size, coeffs[0])
-    dilated = coeffs * np.exp(j * math.log(radius))
-    pad = (-len(dilated)) % size
-    folded = np.concatenate([dilated, np.zeros(pad, dtype=np.complex128)])
-    folded = folded.reshape(-1, size).sum(axis=0)
-    return np.fft.ifft(folded) * size
-
-
 def truncation_tail_bound(
     spec: ConstructionSpec,
     targets: TargetEnumeration,
     s: int,
     radius: float,
     max_degree: int,
+    cut: int,
 ) -> float:
-    """Bound on the orbit coordinates lost to truncation at max_degree.
+    """Bound on the orbit coordinates the sampled window [s, cut) misses.
 
-    Sums, over blocks the truncation dropped, an envelope bound
-    max|c| * (i - s + 1)**(-alpha) * radius**(i - s) across the block's
-    occupied indices i; blocks beyond the radius' reach add hard zeros
-    and stop the scan.
+    With cut = max_degree + 1 the window is everything the series holds.
+    Two parts of the planned function fall outside it: coefficients of
+    built blocks at indices >= cut, and blocks the truncation at
+    max_degree dropped whole, from index s on.  For each such block the
+    bound is an envelope max|c| * (i - s + 1)**(-alpha) * radius**(i - s)
+    over the block's occupied indices i; blocks beyond the radius' reach
+    add hard zeros and stop the scan.  The scan is O(blocks): it never
+    reads the series' coefficients.
     """
+    if not s < cut <= max_degree + 1:
+        raise DomainError("cut must lie in (s, max_degree + 1]")
     if radius == 0.0:
         return 0.0
     log_rho = math.log(radius)
     total = 0.0
     for rec in iter_plan(spec, targets):
         gap = min(rec.lo - s, 1 << 60)  # clamp before the int -> float product
-        if rec.lo > max_degree and gap * log_rho < -745.0:
+        if rec.lo >= cut and gap * log_rho < -745.0:
             break
-        if not rec.built or rec.hi <= max_degree:
+        if not rec.built:
             continue
         assert rec.k is not None and rec.gate is not None and rec.budget is not None
         entry = targets.entry(rec.k)
+        span_end = rec.lo + rec.gate * (rec.budget - 1) + entry.degree
+        # a block the series holds is missed from the cut on; a dropped one
+        # from s on (its coefficients below max_degree are zeros in the series)
+        start = max(rec.lo, s) if rec.hi > max_degree else max(rec.lo, cut)
+        if start > span_end:
+            continue
         weighted = index_weighted(entry.series, spec.alpha).coefficients
         c_max = float(np.max(np.abs(weighted))) if len(weighted) else 0.0
         if c_max == 0.0:
             continue
-        start = max(rec.lo, max_degree + 1)
-        if start <= s:
-            continue
-        head = (start - s) * log_rho
+        # row t >= 1 of the gate-strided support after the one holding
+        # `start` begins at least gate*t - degree past it (exactly gate*t
+        # when start is the block's first index)
+        head = (start - s - (entry.degree if start > rec.lo else 0)) * log_rho
         if head < -745.0:
             continue
-        # geometric tail over the gate-strided support, envelope at the worst index
         x = math.exp(min(0.0, rec.gate * log_rho))
         geo = min(float(rec.budget), 1.0 / (1.0 - x)) if x < 1.0 else float(rec.budget)
-        span_end = rec.lo + rec.gate * (rec.budget - 1) + entry.degree
         if spec.alpha >= 0:
             env = (start - s + 1.0) ** (-spec.alpha)
         else:
@@ -244,9 +244,14 @@ def check_visit(
 ) -> float:
     """Sup distance of the s-th orbit point from target k on its test circle.
 
-    Applies the closed-form shift power, samples |orbit - target| on 4096
-    equispaced points of the circle of radius 1 - 1/l_k, and returns the
-    sampled maximum plus the truncation-tail bound.
+    The test circle has radius 1 - 1/l_k.  Only the shift window
+    [s, s + D] of f enters, D the effective degree of that radius
+    (`means.effective_degree`): its closed-form shift power and the
+    target are sampled by `means.circle_samples` on 4096 equispaced
+    points, folded when the window is longer.  The result is the sampled
+    maximum of |orbit - target| plus `truncation_tail_bound` from
+    min(s + D + 1, max_degree + 1) on, which covers both the coefficients
+    past the window and the blocks the truncation dropped.
     """
     if s > f.max_degree:
         raise DomainError("visit time exceeds the series degree")
@@ -254,11 +259,12 @@ def check_visit(
         raise DomainError("visit time must be >= 0")
     entry = targets.entry(k)
     radius = 1.0 - 1.0 / entry.l_bound
-    orbit = apply_shift_power(f, s, ShiftParams(spec.alpha))
-    g_samples = _sample_circle(orbit.coefficients, radius, _VISIT_SAMPLES)
-    q_samples = _sample_circle(entry.series.coefficients, radius, _VISIT_SAMPLES)
+    window = effective_degree(radius, f.max_degree - s) + 1
+    orbit = apply_shift_power(f, s, ShiftParams(spec.alpha), length=window)
+    g_samples = circle_samples(orbit.coefficients, radius, _VISIT_SAMPLES)
+    q_samples = circle_samples(entry.series.coefficients, radius, _VISIT_SAMPLES)
     err = float(np.max(np.abs(g_samples - q_samples)))
-    return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree)
+    return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree, s + window)
 
 
 def visit_report(

@@ -1,0 +1,195 @@
+import json
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tsl.cli import main
+from tsl.errors import DomainError
+from tsl.means import (
+    RadialMeansTable,
+    circle_norm,
+    circle_samples,
+    conjugate_exponent,
+    critical_exponent,
+    dyadic_radii,
+    effective_degree,
+    mean_p,
+    means_table,
+)
+from tsl.series import CoefficientSeries
+
+RADII = (0.5, 1.0 - 2.0**-4, 1.0 - 2.0**-8, 0.999)
+
+
+def random_series(degree, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return CoefficientSeries(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+
+
+def next_pow2(n):
+    return 1 << (n - 1).bit_length()
+
+
+class TestEffectiveDegree:
+    @pytest.mark.parametrize("r", RADII + (0.1, 0.9, 1.0 - 2.0**-20))
+    def test_last_index_above_cutoff(self, r):
+        d = effective_degree(r, 1 << 40)
+        assert r**d >= 2.0**-60 > r ** (d + 1)
+
+    def test_half(self):
+        assert effective_degree(0.5, 1000) == 60
+
+    @pytest.mark.parametrize("j", (4, 8, 12, 17))
+    def test_dyadic_radius_scale(self, j):
+        d = effective_degree(1.0 - 2.0**-j, 1 << 40)
+        assert d == pytest.approx(60.0 * math.log(2.0) * 2.0**j, rel=2.0**-j)
+
+    def test_capped_and_endpoints(self):
+        assert effective_degree(0.999, 100) == 100
+        assert effective_degree(1.0, 77) == 77
+        assert effective_degree(0.0, 77) == 0
+
+    @pytest.mark.parametrize("r", (-0.1, 1.5, math.nan))
+    def test_rejects_radius(self, r):
+        with pytest.raises(DomainError):
+            effective_degree(r, 10)
+
+
+def _horner(coeffs, z):
+    acc = mp.mpc(0)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+class TestCircleSamples:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        degree=st.integers(0, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        r=st.sampled_from(RADII),
+        fold=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_high_precision_horner(self, degree, seed, r, fold, data):
+        coeffs = random_series(degree, seed).coefficients
+        d = effective_degree(r, degree)
+        if fold and d > 0:
+            size = data.draw(st.integers(1, d), label="size")
+        else:
+            top = 1 << (d + 1 - 1).bit_length()  # phase-split at powers of two
+            sizes = st.integers(d + 1, 3 * (d + 1)) | st.sampled_from([top << i for i in range(5)])
+            size = data.draw(sizes, label="size")
+        values = circle_samples(coeffs, r, size)
+        assert values.shape == (size,)
+        tol = 1e-12 * float(np.sum(np.abs(coeffs) * r ** np.arange(degree + 1)))
+        with mp.workdps(40):
+            exact = [mp.mpc(float(c.real), float(c.imag)) for c in coeffs]
+            for k in data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3), label="k"):
+                z = mp.mpf(r) * mp.expjpi(mp.mpf(2 * k) / size)
+                assert abs(_horner(exact, z) - mp.mpc(values[k])) <= tol
+
+    def test_default_size(self):
+        coeffs = random_series(1000, 1).coefficients
+        assert len(circle_samples(coeffs, 0.5)) == next_pow2(4 * 61)
+        assert len(circle_samples(coeffs, 0.999)) == next_pow2(4 * 1001)
+
+    def test_radius_zero_is_constant_term(self):
+        coeffs = random_series(50, 2).coefficients
+        assert np.all(circle_samples(coeffs, 0.0, 16) == coeffs[0])
+
+    def test_rejects_empty_size(self):
+        with pytest.raises(DomainError):
+            circle_samples(np.ones(4, dtype=np.complex128), 0.5, 0)
+
+
+class TestMeanRows:
+    def test_p2_rows_are_parseval(self):
+        series = random_series(3000, 3)
+        a = series.coefficients
+        j = np.arange(len(a), dtype=np.float64)
+        table = means_table(series, [2.0], list(RADII))
+        for row in table.rows:
+            parseval = math.sqrt(float(np.sum(np.abs(a * np.exp(j * math.log(row.r))) ** 2)))
+            assert row.value == parseval
+            assert row.quadrature_size == 0
+        assert circle_norm(series, 2.0) == math.sqrt(float(np.sum(np.abs(a) ** 2)))
+
+    def test_default_size_follows_radius(self):
+        series = random_series(3000, 4)
+        table = means_table(series, [1.0, math.inf], list(RADII))
+        for row in table.rows:
+            factor = 8 if row.p == math.inf else 4
+            d = effective_degree(row.r, series.max_degree)
+            assert row.quadrature_size == next_pow2(factor * (d + 1))
+        sizes = [row.quadrature_size for row in table.at_p(1.0)]
+        assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, math.inf))
+    def test_explicit_size_honoured(self, p):
+        series = random_series(300, 5)
+        size = 8 * 301 + 5
+        table = means_table(series, [p], [0.5, 0.9], quadrature_size=size)
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        for row in table.rows:
+            assert row.quadrature_size == size
+            vals = np.abs(np.polyval(series.coefficients[::-1], row.r * z))
+            ref = vals.max() if p == math.inf else np.mean(vals**p) ** (1.0 / p)
+            assert row.value == pytest.approx(ref, rel=1e-12)
+
+    def test_size_below_full_degree_floor_rejected(self):
+        series = random_series(1000, 6)
+        # enough for the effective degree at r = 1/2 (60), not for the degree
+        with pytest.raises(DomainError, match="oversampling floor; need >= 4004"):
+            mean_p(series, 1.0, 0.5, quadrature_size=1024)
+        with pytest.raises(DomainError, match="need >= 8008"):
+            means_table(series, [math.inf], [0.5], quadrature_size=4004)
+
+    def test_rejects_radius_outside_disc(self):
+        series = random_series(10, 7)
+        for r in (0.0, 1.0, -0.5):
+            with pytest.raises(DomainError):
+                means_table(series, [1.0], [0.5, r])
+
+    def test_csv_round_trip(self):
+        series = random_series(500, 8)
+        table = means_table(series, [1.0, 2.0, math.inf], [0.3, 0.5, 0.99])
+        again = RadialMeansTable.from_csv(table.to_csv())
+        assert again == table
+        assert table.to_csv().splitlines()[0] == "p,r,value,quadrature_size"
+
+
+class TestExponents:
+    def test_nan_p_rejected(self):
+        with pytest.raises(DomainError):
+            conjugate_exponent(math.nan)
+        with pytest.raises(DomainError):
+            critical_exponent(math.nan, 0.5)
+
+    def test_values(self):
+        assert conjugate_exponent(1.0) == math.inf
+        assert conjugate_exponent(math.inf) == 1.0
+        assert critical_exponent(2.0, 0.5) == 0.25
+        assert critical_exponent(1.0, 0.5) == 0.0
+        with pytest.raises(DomainError):
+            conjugate_exponent(0.5)
+
+
+class TestDegreeZero:
+    def test_dyadic_radii_rejects_degree_zero(self):
+        with pytest.raises(DomainError):
+            dyadic_radii(0)
+        assert dyadic_radii(1) == [0.5]
+
+    def test_cli_means_on_constant_series(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(CoefficientSeries.zero(0).to_json_obj()))
+        code = main(["means", "--in", str(path), "--out", str(tmp_path / "means.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "means.csv").exists()

@@ -188,3 +188,17 @@ class TestInvariantsAndJson:
     def test_json_rejects_degree_mismatch(self):
         with pytest.raises(DomainError):
             CoefficientSeries.from_json_obj({"max_degree": 5, "coefficients": [[1, 0]]})
+
+
+class TestShiftPowerWindow:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("n, length", [(0, 3), (0, 50), (2, 1), (5, 4), (5, 100), (9, 1)])
+    def test_window_is_prefix_of_full_power(self, alpha, n, length):
+        s = CoefficientSeries(np.arange(1, 11, dtype=np.complex128) * (1 - 0.5j))
+        full = apply_shift_power(s, n, ShiftParams(alpha)).coefficients
+        window = apply_shift_power(s, n, ShiftParams(alpha), length=length).coefficients
+        assert np.array_equal(window, full[:length])
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(DomainError):
+            apply_shift_power(series_of(1, 2, 3), 1, ShiftParams(0.0), length=0)
