@@ -1,15 +1,10 @@
-"""Small shared helpers: atomic output, float formatting, bounded parallelism."""
+"""Small shared helpers: atomic output and float formatting."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def fmt17(x: float) -> str:
@@ -30,21 +25,3 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def thread_cap() -> int:
-    """Worker cap from TSL_THREADS; 1 (serial) when unset or invalid."""
-    raw = os.environ.get("TSL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_ordered(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Apply `fn` over `items`, possibly in threads, preserving input order."""
-    workers = thread_cap()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -40,14 +40,15 @@ from tsl.means import (
 from tsl.polybank import TargetEnumeration, enumerate_targets
 from tsl.repro import DEFAULT_SEED, REGISTRY, run_named
 from tsl.series import CoefficientSeries
-from tsl.verify import (
-    lacunary_sum_ratio,
-    run_abel_suite,
-    run_power_sum_suite,
-    unit_quadratic_probe,
-)
 
 USAGE_EXIT = 64
+# each verify suite is a list of named repro checks
+VERIFY_SUITES = {
+    "lemmas": ("lemma-oracles",),
+    "visits": ("orbit-visits",),
+    "asymptotic": ("lemma-oracles",),
+    "all": ("lemma-oracles", "orbit-visits"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,8 +107,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=1 << 22)
     p.add_argument("--out", type=str, default="density.csv")
 
-    p = sub.add_parser("verify", parents=[common], help="oracle suites")
-    p.add_argument("--suite", choices=["lemmas", "visits", "asymptotic", "all"], default="all")
+    p = sub.add_parser("verify", parents=[common], help="oracle suites (named repro checks)")
+    p.add_argument("--suite", choices=list(VERIFY_SUITES), default="all")
     p.add_argument("--report", type=str, default="report.json")
 
     p = sub.add_parser("repro", parents=[common], help="named acceptance checks")
@@ -120,15 +121,19 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     """Config file supplies defaults; explicit flags win."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        conf = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(conf, dict):
         raise DomainError("config file must hold a JSON object")
+    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}  # --flag=value too
     for key, value in conf.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise DomainError(f"config key {key!r} is not a flag of this subcommand")
-        if f"--{key}" in argv or f"--{attr.replace('_', '-')}" in argv:
+        if f"--{attr.replace('_', '-')}" in given:
             continue
         setattr(args, attr, value)
 
@@ -186,7 +191,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _read_series(path: str) -> CoefficientSeries:
     if not Path(path).exists():
         raise DomainError(f"input series not found: {path}")
-    return CoefficientSeries.from_json_obj(json.loads(Path(path).read_text()))
+    try:
+        obj = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"input series is not JSON: {exc}") from exc
+    return CoefficientSeries.from_json_obj(obj)
 
 
 def _cmd_means(args: argparse.Namespace) -> int:
@@ -235,30 +244,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks: list[dict] = []
-    if args.suite in ("lemmas", "all"):
-        power = run_power_sum_suite(1000, args.seed)
-        abel = run_abel_suite(1000, args.seed + 1)
-        checks.append(
-            {"check": "power-sum", "passed": all(v.holds for v in power),
-             "violations": sum(1 for v in power if not v.holds),
-             "min_margin": min(v.margin for v in power), "seed": args.seed}
-        )
-        checks.append(
-            {"check": "abel", "passed": all(v.holds for v in abel),
-             "violations": sum(1 for v in abel if not v.holds),
-             "min_margin": min(v.margin for v in abel), "seed": args.seed + 1}
-        )
-    if args.suite in ("asymptotic", "all"):
-        probe = unit_quadratic_probe()
-        ratios = [lacunary_sum_ratio(probe, 1.0 - 2.0**-j) for j in (16, 25, 36)]
-        checks.append(
-            {"check": "lacunary-asymptotic", "passed": all(0.75 <= x <= 1.25 for x in ratios),
-             "ratios": ratios}
-        )
-    if args.suite in ("visits", "all"):
-        visits = run_named("orbit-visits", args.seed)[0]
-        checks.append({"check": "orbit-visits", "passed": visits["passed"], "detail": visits})
+    checks = [rep for name in VERIFY_SUITES[args.suite] for rep in run_named(name, args.seed)]
     report = {"suite": args.suite, "seed": args.seed, "checks": checks,
               "passed": all(c["passed"] for c in checks)}
     atomic_write_text(args.report, json.dumps(report, sort_keys=True, default=float) + "\n")

@@ -379,7 +379,7 @@ def visit_set(
     visit of that block (a finite-horizon stand-in for the upper density
     along the block subsequence).
     """
-    from tsl.densities import PrefixSet, prefix_density
+    from tsl.densities import PrefixSet, prefix_density_profile
 
     entry = targets.entry(k)
     visits: list[int] = []
@@ -398,7 +398,7 @@ def visit_set(
         return VisitReport(k=k, visits=(), radius=radius, density_estimate=0.0)
     arr = np.array(sorted(visits), dtype=np.int64)
     prefix = PrefixSet(arr, int(arr[-1]))
-    density = max(prefix_density(prefix, spec.gamma, end) for end in block_ends)
+    density = max(row[1] for row in prefix_density_profile(prefix, spec.gamma, block_ends))
     return VisitReport(
         k=k, visits=tuple(int(v) for v in arr), radius=radius, density_estimate=density
     )

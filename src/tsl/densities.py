@@ -5,6 +5,11 @@ doubles near n = 700 already for gamma = 1, while the quantities of
 interest (prefix ratios) live entirely in exponent differences.  The
 limsup itself is not computable; callers report maxima of prefix ratios
 along dyadic horizons and label them as such.
+
+Every such sum comes from one engine, `_log_masses`, in one pass over
+the terms, so a whole profile of horizons costs one pass over the
+integers and one over the members; `log_weight_sum` and
+`prefix_density` are its one-cut cases.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ from tsl.errors import DomainError
 _CHUNK = 1 << 22
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (0.0 <= gamma <= 1.0):
+        raise DomainError("gamma must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class DensitySpec:
     """Weight exponent gamma; gamma = 0 reproduces the natural density."""
@@ -26,8 +36,7 @@ class DensitySpec:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.gamma <= 1.0):
-            raise DomainError("gamma must lie in [0, 1]")
+        _check_gamma(self.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,63 +60,70 @@ class PrefixSet:
         object.__setattr__(self, "members", arr)
 
 
-def _log_sum_exp_weights(values: np.ndarray, gamma: float) -> float:
-    """log sum of exp(k**gamma) over the given integers, streamed in chunks."""
-    if values.size == 0:
-        return -math.inf
+def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
+    """log of the sum of exp(x**gamma) over the first c terms x, for each cut c.
+
+    The terms are the integers 1, 2, ... or the sorted members.  They are
+    split into pieces at the cuts (any order, repeats allowed) and at
+    _CHUNK edges; each piece is shifted by its own maximum, never a global
+    one (at gamma = 1 the weights span e**(2**22)), and the pieces are
+    chained by a running logaddexp (the online-normalizer trick).
+    """
+    cuts = np.asarray(cuts, dtype=np.int64)
+    top = int(cuts.max()) if cuts.size else 0
+    edges = sorted({0, *range(_CHUNK, top, _CHUNK), *cuts.tolist()})
+    masses = np.full(len(edges), -math.inf)
     total = -math.inf
-    for lo in range(0, values.size, _CHUNK):
-        chunk = values[lo : lo + _CHUNK].astype(np.float64)
-        w = np.power(chunk, gamma)
+    for i in range(1, len(edges)):
+        lo, hi = edges[i - 1], edges[i]
+        if members is None:
+            w = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        else:
+            w = members[lo:hi].astype(np.float64)
+        np.power(w, gamma, out=w)
         m = float(w.max())
-        total = float(np.logaddexp(total, m + math.log(float(np.exp(w - m).sum()))))
-    return total
+        w -= m
+        np.exp(w, out=w)
+        total = float(np.logaddexp(total, m + math.log(float(w.sum()))))
+        masses[i] = total
+    return masses[np.searchsorted(edges, cuts)]
 
 
 def log_weight_sum(n: int, gamma: float) -> float:
     """log of sum_{k=1..n} exp(k**gamma), never materialized in linear scale."""
     if n < 1:
         raise DomainError("prefix length must be >= 1")
-    if not (0.0 <= gamma <= 1.0):
-        raise DomainError("gamma must lie in [0, 1]")
-    total = -math.inf
-    for lo in range(1, n + 1, _CHUNK):
-        hi = min(n, lo + _CHUNK - 1)
-        w = np.power(np.arange(lo, hi + 1, dtype=np.float64), gamma)
-        m = float(w.max())
-        total = float(np.logaddexp(total, m + math.log(float(np.exp(w - m).sum()))))
-    return total
+    _check_gamma(gamma)
+    return float(_log_masses(gamma, [n])[0])
 
 
 def prefix_density(prefix_set: PrefixSet, gamma: float, n: int) -> float:
     """Weighted mass of the set inside [1, n] over the full weighted mass."""
-    if n > prefix_set.n_max:
-        raise DomainError(f"horizon {n} exceeds the set's n_max {prefix_set.n_max}")
-    if n < 1:
-        raise DomainError("horizon must be >= 1")
-    members = prefix_set.members
-    members = members[members <= n]
-    log_num = _log_sum_exp_weights(members, gamma)
-    if log_num == -math.inf:
-        return 0.0
-    log_den = log_weight_sum(n, gamma)
-    return min(1.0, math.exp(log_num - log_den))
+    return prefix_density_profile(prefix_set, gamma, [n])[0][1]
 
 
 def prefix_density_profile(
     prefix_set: PrefixSet, gamma: float, horizons: list[int]
 ) -> list[tuple[int, float, float, float]]:
-    """Rows (N, ratio, log_num, log_den) for each horizon, one weight pass each."""
-    out = []
-    for n in horizons:
+    """Rows (N, ratio, log_num, log_den) for each horizon, in input order.
+
+    One engine pass over the integers gives every denominator, one pass
+    over the members, cut at the member counts, every numerator.
+    """
+    _check_gamma(gamma)
+    h = np.asarray(horizons, dtype=np.int64)
+    for n in h:
         if n > prefix_set.n_max:
             raise DomainError(f"horizon {n} exceeds the set's n_max {prefix_set.n_max}")
-        members = prefix_set.members
-        members = members[members <= n]
-        log_num = _log_sum_exp_weights(members, gamma)
-        log_den = log_weight_sum(n, gamma)
-        ratio = 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
-        out.append((n, ratio, log_num, log_den))
+        if n < 1:
+            raise DomainError("horizon must be >= 1")
+    members = prefix_set.members
+    log_den = _log_masses(gamma, h)
+    log_num = _log_masses(gamma, np.searchsorted(members, h, "right"), members)
+    out = []
+    for n, num, den in zip(h.tolist(), log_num.tolist(), log_den.tolist()):
+        ratio = 0.0 if num == -math.inf else min(1.0, math.exp(num - den))
+        out.append((n, ratio, num, den))
     return out
 
 
@@ -129,6 +145,8 @@ def separating_set(gamma: float, n_max: int) -> PrefixSet:
             powers.append(p)
             p <<= 1
         return PrefixSet(np.array(powers, dtype=np.int64), n_max)
+    if 1.0 / gamma >= int(n_max).bit_length():  # every interval starts past n_max
+        return PrefixSet(np.array([], dtype=np.int64), n_max)
     pieces = []
     n = int(1.0 / gamma) + 1
     while True:

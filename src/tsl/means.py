@@ -10,7 +10,8 @@ sampled sup is a documented lower estimate).  So the FFT of a radius
 well inside the disc is sized on the degree that radius can see, not on
 the full degree; at r = 1 - 2**-j the effective degree is about
 41.6 * 2**j.  A quadrature size given explicitly must still clear the
-oversampling floor on the full degree.
+oversampling floor on the full degree.  A mean reduces the sampler's
+phase blocks one at a time, so it never holds all samples at once.
 
 `dyadic_mean2` evaluates the L^2 mean of a *planned* block construction
 at radii 1 - 2**-j without materializing coefficients, so schedules
@@ -22,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from io import StringIO
+from typing import Iterator
 
 import mpmath as mp
 import numpy as np
 
-from tsl._util import fmt17, map_ordered
+from tsl._util import fmt17
 from tsl.constructor import BlockLedger
 from tsl.errors import DomainError
 from tsl.polybank import TargetEnumeration, index_weighted
@@ -149,18 +151,11 @@ def effective_degree(r: float, degree: int) -> int:
     return min(degree, int(_TAIL_BITS / -math.log2(r)))
 
 
-def circle_samples(coeffs: np.ndarray, r: float, size: int | None = None) -> np.ndarray:
-    """Polynomial values at `size` equispaced points of the circle of radius r.
+def _phase_blocks(coeffs: np.ndarray, r: float, size: int | None = None) -> Iterator[np.ndarray]:
+    """`circle_samples`' values in blocks, computed one block at a time.
 
-    Value k is taken at r * exp(2 pi i k / size).  Only coefficients
-    0 .. effective_degree(r) are dilated and sampled; the dropped tail is
-    below 2**-60 * max|c| / (1 - r) in modulus.  The default size is the
-    next power of two above 4 * (D + 1).  A size below the window length
-    folds the window modulo `size`, which is exact at the sample points.
-    A size that is a multiple of the FFT length m (the larger of the
-    window's next power of two and size / _PHASES) is reached by
-    interleaving size / m phase-shifted m-point FFTs, which are the
-    zero-padded size-point FFT without its size-long work buffers.
+    Of `count` blocks, block a holds the values at indices t * count + a;
+    a single block holds them all in order.
     """
     degree = effective_degree(r, len(coeffs) - 1)
     if size is None:
@@ -176,20 +171,28 @@ def circle_samples(coeffs: np.ndarray, r: float, size: int | None = None) -> np.
             pad = (-len(window)) % size
             window = np.concatenate([window, np.zeros(pad, dtype=np.complex128)])
             window = window.reshape(-1, size).sum(axis=0)
-        return np.fft.ifft(window, n=size, norm="forward")
-    phases = size // m
-    out = np.empty((m, phases), dtype=np.complex128)
+        yield np.fft.ifft(window, n=size, norm="forward")
+        return
     step = np.exp(2j * math.pi / size * np.arange(len(window)))
-    for a in range(phases):  # out[t, a] is the value at index t * phases + a
-        out[:, a] = np.fft.ifft(window, n=m, norm="forward")
+    for _ in range(size // m):
+        yield np.fft.ifft(window, n=m, norm="forward")
         window = window * step
-    return out.reshape(-1)
 
 
-def _mean_from_samples(samples: np.ndarray, p: float) -> float:
-    if p == math.inf:
-        return float(samples.max())
-    return float(np.mean(samples**p) ** (1.0 / p))
+def circle_samples(coeffs: np.ndarray, r: float, size: int | None = None) -> np.ndarray:
+    """Polynomial values at `size` equispaced points of the circle of radius r.
+
+    Value k is taken at r * exp(2 pi i k / size).  Only coefficients
+    0 .. effective_degree(r) are dilated and sampled; the dropped tail is
+    below 2**-60 * max|c| / (1 - r) in modulus.  The default size is the
+    next power of two above 4 * (D + 1).  A size below the window length
+    folds the window modulo `size`, which is exact at the sample points.
+    A size that is a multiple of the FFT length m (the larger of the
+    window's next power of two and size / _PHASES) is reached by
+    interleaving size / m phase-shifted m-point FFTs, which are the
+    zero-padded size-point FFT without its size-long work buffers.
+    """
+    return np.column_stack(list(_phase_blocks(coeffs, r, size))).reshape(-1)
 
 
 def _resolve_quadrature(max_degree: int, p: float, r: float, requested: int | None) -> int:
@@ -220,7 +223,12 @@ def _mean_row(
         dilated = a * np.exp(j * math.log(r))
         return MeanRow(p, r, math.sqrt(float(np.sum(np.abs(dilated) ** 2))), 0)
     size = _resolve_quadrature(series.max_degree, p, r, quadrature_size)
-    value = _mean_from_samples(np.abs(circle_samples(a, r, size)), p)
+    # reduce each phase block as it arrives; the samples are never all held
+    if p == math.inf:
+        value = max(float(np.abs(block).max()) for block in _phase_blocks(a, r, size))
+    else:
+        power_sum = sum(float(np.sum(np.abs(block) ** p)) for block in _phase_blocks(a, r, size))
+        value = (power_sum / size) ** (1.0 / p)
     return MeanRow(p, r, value, size)
 
 
@@ -261,9 +269,7 @@ def means_table(
         ((p, r) for p in set(p_list) for r in set(r_grid)),
         key=lambda t: (t[0] == math.inf, t[0], t[1]),
     )
-    return RadialMeansTable(
-        tuple(map_ordered(lambda pair: _mean_row(series, *pair, quadrature_size), pairs))
-    )
+    return RadialMeansTable(tuple(_mean_row(series, p, r, quadrature_size) for p, r in pairs))
 
 
 def dyadic_radii(max_degree: int) -> list[float]:
@@ -405,7 +411,4 @@ def dyadic_mean2_profile(
     exact_cap: int = 1 << 16,
 ) -> list[tuple[int, float]]:
     """(j, M_2 at 1 - 2**-j) rows over a dyadic exponent grid (sign-family ledgers only)."""
-    vals = map_ordered(
-        lambda j: dyadic_mean2(ledger, targets, alpha, j, exact_cap), list(j_list)
-    )
-    return list(zip(j_list, vals))
+    return [(j, dyadic_mean2(ledger, targets, alpha, j, exact_cap)) for j in j_list]

@@ -23,7 +23,7 @@ from tsl.constructor import (
     quadratic_schedule,
     visit_set,
 )
-from tsl.densities import PrefixSet, prefix_density, separating_set
+from tsl.densities import prefix_density, prefix_density_profile, separating_set
 from tsl.means import (
     RadialMeansTable,
     circle_norm,
@@ -182,14 +182,15 @@ def check_density_separation(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Dyadic-tail sets reach density 1 - e^-gamma and vanish at gamma/2."""
     t0 = time.perf_counter()
     horizon = 1 << 22
+    dyadic_horizons = [1 << m for m in range(14, horizon.bit_length())]  # up to `horizon`
     passed = True
     rows = []
     for gamma in (0.3, 0.5, 0.8):
         ds = separating_set(gamma, horizon)
         ratio = prefix_density(ds, gamma, horizon)
         target = 1.0 - math.exp(-gamma)
-        low = prefix_density(ds, gamma / 2.0, horizon)
-        dyadic = [prefix_density(ds, gamma / 2.0, 1 << m) for m in range(14, 23)]
+        dyadic = [row[1] for row in prefix_density_profile(ds, gamma / 2.0, dyadic_horizons)]
+        low = dyadic[-1]
         decreasing = all(b <= a + 1e-12 for a, b in zip(dyadic, dyadic[1:]))
         ok = abs(ratio - target) < 0.05 and low <= 0.05 and decreasing
         passed = passed and ok
@@ -341,7 +342,8 @@ def _fast_pipeline_artifacts(seed: int) -> dict[str, Any]:
     table = means_table(series, [1.0, 2.0], dyadic_radii(spec.max_degree))
     fit = fit_growth_exponent(table, 2.0)
     ds = separating_set(0.5, 1 << 16)
-    profile = [(1 << m, prefix_density(ds, 0.5, 1 << m)) for m in range(10, 17)]
+    rows = prefix_density_profile(ds, 0.5, [1 << m for m in range(10, 17)])
+    profile = [(n, ratio) for n, ratio, _, _ in rows]
     power = run_power_sum_suite(50, seed)
     abel = run_abel_suite(50, seed)
     return {

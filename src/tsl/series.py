@@ -65,10 +65,17 @@ class CoefficientSeries:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict[str, Any]) -> "CoefficientSeries":
-        coeffs = np.array([complex(re, im) for re, im in obj["coefficients"]])
+    def from_json_obj(cls, obj: Any) -> "CoefficientSeries":
+        """Inverse of `to_json_obj`; any other shape raises DomainError."""
+        if not isinstance(obj, dict):
+            raise DomainError("a series must be a JSON object")
+        try:
+            max_degree = int(obj["max_degree"])
+            coeffs = np.array([complex(re, im) for re, im in obj["coefficients"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError("a series needs max_degree and [re, im] coefficient pairs") from exc
         out = cls(coeffs)
-        if out.max_degree != int(obj["max_degree"]):
+        if out.max_degree != max_degree:
             raise DomainError("max_degree does not match coefficient count")
         return out
 

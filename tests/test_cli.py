@@ -1,0 +1,136 @@
+import json
+
+import pytest
+
+from tsl import repro
+from tsl.cli import USAGE_EXIT, VERIFY_SUITES, main
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def _density_rows(path):
+    return path.read_text().splitlines()[1:]
+
+
+class TestExitCodes:
+    def test_success(self, tmp_path):
+        out = tmp_path / "density.csv"
+        assert main(["density", "--gamma", "0.5", "--n-max", "4096", "--out", str(out)]) == 0
+        rows = _density_rows(out)
+        assert [row.split(",")[0] for row in rows] == ["1024", "2048", "4096"]
+
+    def test_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "density.csv"
+        assert main(["density", "--gamma", "1.5", "--out", str(out)]) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"max_degree": 0}', "[[1.0, 0.0]]", '{"max_degree": 0, "coefficients": [1.0]}', "{"],
+    )
+    def test_malformed_series_is_a_domain_error(self, tmp_path, capsys, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert main(["means", "--in", str(path), "--out", str(tmp_path / "m.csv")]) == 1
+        assert _single_error_line(capsys)
+
+    def test_verification_failure(self, tmp_path, monkeypatch, capsys):
+        def failing(seed):
+            return {"name": "orbit-visits", "passed": False, "seconds": 0.0}
+
+        monkeypatch.setitem(repro.REGISTRY, "orbit-visits", failing)
+        report = tmp_path / "report.json"
+        assert main(["verify", "--suite", "visits", "--report", str(report)]) == 2
+        assert str(report) in capsys.readouterr().out
+        assert json.loads(report.read_text())["passed"] is False
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["no-such-command"], ["density"], ["verify", "--suite", "nope"]]
+    )
+    def test_usage(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == USAGE_EXIT == 64
+
+
+class TestTinyGammaDensity:
+    def test_empty_separating_set_profiles_to_zero(self, tmp_path):
+        out = tmp_path / "density.csv"
+        assert main(["density", "--gamma", "1e-5", "--n-max", "4096", "--out", str(out)]) == 0
+        assert all(float(row.split(",")[2]) == 0.0 for row in _density_rows(out))
+
+
+class TestVerifyRouting:
+    @pytest.mark.parametrize(
+        "suite,expected",
+        [
+            ("lemmas", ["lemma-oracles"]),
+            ("asymptotic", ["lemma-oracles"]),
+            ("visits", ["orbit-visits"]),
+            ("all", ["lemma-oracles", "orbit-visits"]),
+        ],
+    )
+    def test_suite_runs_registry_checks_once(self, tmp_path, monkeypatch, suite, expected):
+        calls = []
+
+        def recorder(name):
+            def check(seed):
+                calls.append((name, seed))
+                return {"name": name, "passed": True, "seconds": 0.0}
+
+            return check
+
+        for name in ("lemma-oracles", "orbit-visits"):
+            monkeypatch.setitem(repro.REGISTRY, name, recorder(name))
+        report = tmp_path / "report.json"
+        assert main(["verify", "--suite", suite, "--seed", "7", "--report", str(report)]) == 0
+        assert calls == [(name, 7) for name in expected]
+        payload = json.loads(report.read_text())
+        assert payload["suite"] == suite and payload["passed"] is True
+        assert [check["name"] for check in payload["checks"]] == expected
+
+    def test_every_suite_names_registry_checks(self):
+        assert set(VERIFY_SUITES) == {"lemmas", "visits", "asymptotic", "all"}
+        for names in VERIFY_SUITES.values():
+            assert set(names) <= set(repro.REGISTRY)
+
+
+class TestConfig:
+    def test_explicit_flag_beats_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n-max": 2048, "weight-gamma": 0.25}))
+        out = tmp_path / "density.csv"
+        argv = ["density", "--gamma", "0.5", "--n-max", "4096", "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = _density_rows(out)
+        assert len(rows) == 3  # the flag's n_max, 2**10 .. 2**12
+        assert all(row.split(",")[1] == "0.25" for row in rows)  # the config's default
+
+    def test_explicit_flag_with_equals_beats_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n-max": 2048}))
+        out = tmp_path / "density.csv"
+        argv = ["density", "--gamma=0.5", "--n-max=4096", "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(_density_rows(out)) == 3
+
+    def test_config_fills_unset_flag(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n-max": 2048}))
+        out = tmp_path / "density.csv"
+        argv = ["density", "--gamma", "0.5", "--config", str(config), "--out", str(out)]
+        assert main(argv) == 0
+        assert len(_density_rows(out)) == 2
+
+    @pytest.mark.parametrize("text", ['{"no-such-flag": 1}', "[1, 2]", "{", None])
+    def test_bad_config_is_a_domain_error(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        if text is not None:  # None: the file is missing
+            config.write_text(text)
+        argv = ["density", "--gamma", "0.5", "--config", str(config)]
+        assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 1
+        assert _single_error_line(capsys)

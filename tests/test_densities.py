@@ -1,8 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tsl import densities
 from tsl.densities import (
     PrefixSet,
     log_weight_sum,
@@ -94,6 +98,13 @@ class TestSeparatingSet:
         profile = [prefix_density(s, 0.25, 1 << m) for m in range(12, 21)]
         assert all(b <= a + 1e-12 for a, b in zip(profile, profile[1:]))
 
+    @pytest.mark.parametrize("gamma", (1e-5, 0.04, 5e-324))
+    def test_tiny_gamma_is_empty_below_first_interval(self, gamma):
+        # the first exponent int(1/gamma) + 1 is past the bit length of n_max
+        s = separating_set(gamma, 100)
+        assert s.members.size == 0 and s.n_max == 100
+        assert prefix_density(s, gamma, 100) == 0.0
+
     def test_members_hug_dyadic_tails(self):
         s = separating_set(0.5, 1 << 12)
         n = 10
@@ -180,3 +191,62 @@ class TestPrefixSetInvariants:
             PrefixSet(np.array([0, 3]), 10)
         with pytest.raises(DomainError):
             PrefixSet(np.array([3, 11]), 10)
+
+
+def _mp_log_mass(weights):
+    """log of the sum of exp(w) over the given high-precision exponents."""
+    return mp.log(mp.fsum(mp.e**w for w in weights)) if weights else mp.ninf
+
+
+class TestEngine:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(1, 2000),
+        gamma=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_profile_matches_high_precision_sums(self, n_max, gamma, seed, fill, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        members = (np.nonzero(rng.random(n_max) < fill)[0] + 1).tolist()
+        horizons = data.draw(
+            st.lists(st.integers(1, n_max), min_size=1, max_size=8), label="horizons"
+        )  # unsorted, repeats allowed
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(densities, "_CHUNK", 64)  # pieces cross chunk edges
+            rows = prefix_density_profile(PrefixSet(np.array(members), n_max), gamma, horizons)
+        assert [row[0] for row in rows] == horizons
+        with mp.workdps(60):
+            weights = [mp.mpf(k) ** mp.mpf(gamma) for k in range(1, max(horizons) + 1)]
+            for n, ratio, log_num, log_den in rows:
+                den = _mp_log_mass(weights[:n])
+                num = _mp_log_mass([weights[k - 1] for k in members if k <= n])
+                assert abs(log_den - float(den)) <= 1e-13 * max(1.0, abs(float(den)))
+                if num == mp.ninf:
+                    assert log_num == -math.inf and ratio == 0.0
+                    continue
+                assert abs(log_num - float(num)) <= 1e-13 * max(1.0, abs(float(num)))
+                assert abs(ratio - float(min(1, mp.e ** (num - den)))) <= 1e-12
+
+    def test_one_cut_cases_match_profile(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        n_max = 1 << 16
+        s = PrefixSet(np.nonzero(rng.random(n_max) < 0.1)[0] + 1, n_max)
+        horizons = [1 << m for m in range(4, 17)] + [777, 5]
+        for gamma in (0.0, 0.3, 1.0):
+            for n, ratio, _, log_den in prefix_density_profile(s, gamma, horizons):
+                assert prefix_density(s, gamma, n) == pytest.approx(ratio, abs=1e-12)
+                assert log_weight_sum(n, gamma) == pytest.approx(log_den, rel=1e-12)
+
+    def test_empty_horizon_list(self):
+        assert prefix_density_profile(PrefixSet(np.array([3]), 10), 0.5, []) == []
+
+    def test_profile_rejects_bad_args(self):
+        s = PrefixSet(np.array([1, 2]), 10)
+        with pytest.raises(DomainError):
+            prefix_density_profile(s, 1.5, [4])
+        with pytest.raises(DomainError):
+            prefix_density_profile(s, 0.5, [4, 0])
+        with pytest.raises(DomainError):
+            prefix_density_profile(s, 0.5, [11, 4])

@@ -141,6 +141,18 @@ class TestMeanRows:
             ref = vals.max() if p == math.inf else np.mean(vals**p) ** (1.0 / p)
             assert row.value == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("p", (1.0, 1.5, math.inf))
+    def test_phase_blocks_reduce_like_the_stacked_samples(self, p):
+        # 2**14 points over a 301-long window: eight phase-shifted FFTs
+        series = random_series(300, 9)
+        size = 1 << 14
+        for row in means_table(series, [p], [0.5, 0.99], quadrature_size=size).rows:
+            vals = np.abs(circle_samples(series.coefficients, row.r, size))
+            if p == math.inf:
+                assert row.value == vals.max()
+            else:
+                assert row.value == pytest.approx(np.mean(vals**p) ** (1.0 / p), rel=1e-12)
+
     def test_size_below_full_degree_floor_rejected(self):
         series = random_series(1000, 6)
         # enough for the effective degree at r = 1/2 (60), not for the degree

@@ -189,6 +189,24 @@ class TestInvariantsAndJson:
         with pytest.raises(DomainError):
             CoefficientSeries.from_json_obj({"max_degree": 5, "coefficients": [[1, 0]]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"max_degree": 0},
+            {"coefficients": [[1.0, 0.0]]},
+            {"max_degree": 0, "coefficients": [1.0]},
+            {"max_degree": 0, "coefficients": [[1.0]]},
+            {"max_degree": 0, "coefficients": [[1.0, 0.0, 2.0]]},
+            {"max_degree": 0, "coefficients": [["a", 0.0]]},
+            {"max_degree": "one", "coefficients": [[1.0, 0.0]]},
+            [[1.0, 0.0]],
+            None,
+        ],
+    )
+    def test_json_rejects_malformed_shape(self, obj):
+        with pytest.raises(DomainError):
+            CoefficientSeries.from_json_obj(obj)
+
 
 class TestShiftPowerWindow:
     @pytest.mark.parametrize("alpha", ALPHAS)
