@@ -58,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = _Parser(prog="tsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -114,13 +115,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("repro", parents=[common], help="named acceptance checks")
     p.add_argument("--theorem", type=str, default="all", help=f"one of {', '.join(REGISTRY)} or all")
     p.add_argument("--out", type=str, default="repro.json")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Config file supplies defaults; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
+def _read_config(args: argparse.Namespace) -> dict[str, object]:
+    """The config file's keys as parser defaults of this subcommand."""
     try:
         with open(args.config) as fh:
             conf = json.load(fh)
@@ -128,14 +127,10 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         raise DomainError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(conf, dict):
         raise DomainError("config file must hold a JSON object")
-    given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}  # --flag=value too
-    for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+    for key in conf:
+        if key == "command" or not hasattr(args, key.replace("-", "_")):
             raise DomainError(f"config key {key!r} is not a flag of this subcommand")
-        if f"--{attr.replace('_', '-')}" in given:
-            continue
-        setattr(args, attr, value)
+    return {key.replace("-", "_"): value for key, value in conf.items()}
 
 
 def _load_targets(path: str | None, count: int = 64) -> TargetEnumeration:
@@ -285,10 +280,13 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        if args.config:
+            # the config becomes parser defaults, so a flag given in any spelling wins
+            commands[args.command].set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
     except (DomainError, ConstructionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -29,16 +29,6 @@ def _check_gamma(gamma: float) -> None:
         raise DomainError("gamma must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class DensitySpec:
-    """Weight exponent gamma; gamma = 0 reproduces the natural density."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        _check_gamma(self.gamma)
-
-
 @dataclass(frozen=True, eq=False)
 class PrefixSet:
     """Finite surrogate of an integer set: sorted members inside [1, n_max]."""

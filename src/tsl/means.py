@@ -13,9 +13,15 @@ the full degree; at r = 1 - 2**-j the effective degree is about
 oversampling floor on the full degree.  A mean reduces the sampler's
 phase blocks one at a time, so it never holds all samples at once.
 
-`dyadic_mean2` evaluates the L^2 mean of a *planned* block construction
-at radii 1 - 2**-j without materializing coefficients, so schedules
-whose blocks live at astronomically large degrees remain measurable.
+`dyadic_mean2_profile` is the one planned-mean entry: it evaluates the
+L^2 mean of a *planned* block construction at radii 1 - 2**-j without
+materializing coefficients, so schedules whose blocks live at
+astronomically large degrees remain measurable.  It makes one pass over
+the blocks, each block answering the whole j grid.  A position sum runs
+exactly while few terms matter and is otherwise a midpoint
+incomplete-gamma integral, whose precision grows with the digits the
+block's width cancels.  Radii past a block's flat point, where every
+r**(2v) of the block rounds to 1, are clamped to that point.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ _LN2 = math.log(2.0)
 _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
 _TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
 _PHASES = 8  # most phase-shifted FFTs one circle sampling is split into
+_EXACT_TERMS = 1 << 16  # position sums with more terms that matter go to the integral
 
 
 def _check_p(p: float) -> None:
@@ -315,81 +322,91 @@ def _ln_eps(j_exp: int) -> float:
     return -j_exp * _LN2
 
 
-def dyadic_mean2(
+def dyadic_mean2_profile(
     ledger: BlockLedger,
     targets: TargetEnumeration,
     alpha: float,
-    j_exp: int,
-    exact_cap: int = 1 << 16,
-) -> float:
-    """L^2 mean at r = 1 - 2**-j of a planned construction (sign-family ledgers only).
+    j_list: list[int],
+) -> list[tuple[int, float]]:
+    """(j, M_2 at r = 1 - 2**-j) rows of a planned construction, in input order.
 
-    Works from the ledger alone: the squared coefficient magnitudes of a
-    sign-family block do not depend on the signs, so
+    Works from the ledger alone (sign-family ledgers only): the squared
+    coefficient magnitudes of a sign-family block do not depend on the
+    signs, so
 
         M_2^2 = sum over blocks, target coefficients j0, positions m of
                 |b_j0|^2 (j0+1)^(2a) (lo + gate*m + j0 + 1)^(-2a)
                 * r^(2 (lo + gate*m + j0)).
 
-    Position sums run exactly while they fit below `exact_cap` terms;
-    past that the sum is replaced by its midpoint integral, evaluated as
-    an incomplete-gamma difference in high precision.  The crossover
-    error is far below each radius step's increment, so monotonicity in
-    j survives the approximation.
+    One pass over the built blocks and their nonzero weighted
+    coefficients; each pair contributes its position sums over the whole
+    j grid at once (`_position_sums`).  Repeated j are allowed.
     """
-    ln_eps = _ln_eps(j_exp)
-    ln_cap = math.log(exact_cap)
-    total = 0.0
+    ln_eps = [_ln_eps(j) for j in j_list]
+    total = np.zeros(len(j_list))
     for rec in ledger.built():
         assert rec.gate is not None and rec.budget is not None and rec.k is not None
-        e = rec.lo.bit_length() - 1
-        ln_sw = _LN2 + ln_eps + e * _LN2  # ln(2 * eps * lo)
-        if ln_sw > math.log(_EXP_FLOOR):
-            continue
-        entry = targets.entry(rec.k)
-        weighted = index_weighted(entry.series, alpha).coefficients
-        gate, budget = rec.gate, rec.budget
-        ln_delta = _LN2 + ln_eps + math.log(gate)
-        ln_budget = math.log(budget)
-        ln_mcut = math.log(_EXP_FLOOR) - ln_delta
-        sw = math.exp(ln_sw)
-        for j0 in range(entry.degree + 1):
+        weighted = index_weighted(targets.entry(rec.k).series, alpha).coefficients
+        for j0 in np.flatnonzero(weighted):
             wsq = abs(weighted[j0]) ** 2
-            if wsq == 0.0:
-                continue
-            if min(ln_budget, ln_mcut) <= ln_cap:
-                m_count = budget if ln_mcut >= ln_budget else min(
-                    budget, int(math.exp(ln_mcut)) + 2
-                )
-                total += wsq * _exact_position_sum(
-                    e, gate, j0, m_count, alpha, sw, ln_eps
-                )
-            else:
-                total += wsq * _integral_position_sum(
-                    rec.lo, gate, j0, budget, alpha, ln_eps
-                )
-    return math.sqrt(total)
+            total += wsq * _position_sums(rec.lo, rec.gate, rec.budget, int(j0), alpha, ln_eps)
+    return [(j, math.sqrt(t)) for j, t in zip(j_list, total.tolist())]
 
 
-def _exact_position_sum(
-    e: int, gate: int, j0: int, m_count: int, alpha: float, sw: float, ln_eps: float
-) -> float:
-    m = np.arange(m_count, dtype=np.float64)
-    ln_lo = e * _LN2
-    if e < 900:
-        lnv = ln_lo + np.log1p((gate * m + j0 + 1.0) / float(1 << e))
-    else:
-        lnv = np.full(m_count, ln_lo)
-    two_eps = math.exp(_LN2 + ln_eps)
-    expo = -2.0 * alpha * lnv - sw - two_eps * (gate * m + j0)
-    return float(np.exp(expo).sum())
+def _position_sums(
+    lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: list[float]
+) -> np.ndarray:
+    """sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at every ln(eps).
+
+    A radius whose eps puts the block beyond exp(-_EXP_FLOOR) gives 0.  A
+    radius past the block's flat point, 2*eps*v_hi < 2**-_TAIL_BITS, is
+    clamped to that point, where every r**(2(v-1)) already rounds to 1;
+    each distinct clamped eps is evaluated once.
+    """
+    e = lo.bit_length() - 1
+    ln_reach = math.log(_EXP_FLOOR) - _LN2 - e * _LN2  # largest ln(eps) with 2*eps*lo in reach
+    ln_flat = -(_TAIL_BITS + 1) * _LN2 - math.log(lo + j0 + 1 + gate * budget)
+    out = np.zeros(len(ln_eps))
+    seen: dict[float, float] = {}
+    for i, x in enumerate(ln_eps):
+        if x > ln_reach:
+            continue
+        x = max(x, ln_flat)
+        if x not in seen:
+            seen[x] = _position_sum(lo, gate, budget, j0, alpha, x)
+        out[i] = seen[x]
+    return out
 
 
-def _integral_position_sum(
-    lo: int, gate: int, j0: int, budget: int, alpha: float, ln_eps: float
-) -> float:
-    """Midpoint integral of the position sum as an incomplete-gamma difference."""
-    with mp.workdps(40):
+def _position_sum(lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: float) -> float:
+    """One position sum at eps = exp(ln_eps): exact or midpoint integral.
+
+    The terms decay by exp(-2*eps*gate) per position, so only the first
+    _EXP_FLOOR / (2*eps*gate) of them matter.  While those number at most
+    _EXACT_TERMS they are summed in doubles.  Past that the sum is its
+    midpoint integral, exp(2 eps) / gate * (2 eps)**(2a-1) times the
+    incomplete-gamma difference Gamma(1-2a, 2 eps v_lo) - Gamma(1-2a,
+    2 eps v_hi).  The two values agree to about the block's width
+    2*eps*gate*budget, so the evaluation carries that many digits on top
+    of 40 guard digits.
+    """
+    ln_two_eps = _LN2 + ln_eps
+    ln_delta = ln_two_eps + math.log(gate)
+    ln_budget = math.log(budget)
+    ln_mcut = math.log(_EXP_FLOOR) - ln_delta
+    if min(ln_budget, ln_mcut) <= math.log(_EXACT_TERMS):
+        m_count = budget if ln_mcut >= ln_budget else min(budget, int(math.exp(ln_mcut)) + 2)
+        m = np.arange(m_count, dtype=np.float64)
+        e = lo.bit_length() - 1
+        if e < 900:
+            lnv = e * _LN2 + np.log1p((gate * m + j0 + 1.0) / float(1 << e))
+        else:
+            lnv = np.full(m_count, e * _LN2)
+        two_eps = math.exp(ln_two_eps)
+        expo = -2.0 * alpha * lnv - math.exp(ln_two_eps + e * _LN2) - two_eps * (gate * m + j0)
+        return float(np.exp(expo).sum())
+    extra = max(0, math.ceil(-(ln_delta + ln_budget) / math.log(10.0)))
+    with mp.workdps(40 + extra):
         eps = mp.e ** mp.mpf(ln_eps)
         lam = 2 * eps
         v_base = mp.mpf(lo) + j0 + 1
@@ -399,16 +416,4 @@ def _integral_position_sum(
         g = mp.gammainc(z, a=lam * v_lo, b=mp.inf)
         if lam * v_hi < 1e6:
             g -= mp.gammainc(z, a=lam * v_hi, b=mp.inf)
-        value = mp.e ** (2 * eps) / gate * lam ** (2 * alpha - 1) * g
-        return max(0.0, float(value))
-
-
-def dyadic_mean2_profile(
-    ledger: BlockLedger,
-    targets: TargetEnumeration,
-    alpha: float,
-    j_list: list[int],
-    exact_cap: int = 1 << 16,
-) -> list[tuple[int, float]]:
-    """(j, M_2 at 1 - 2**-j) rows over a dyadic exponent grid (sign-family ledgers only)."""
-    return [(j, dyadic_mean2(ledger, targets, alpha, j, exact_cap)) for j in j_list]
+        return float(mp.e ** (2 * eps) / gate * lam ** (2 * alpha - 1) * g)

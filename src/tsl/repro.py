@@ -157,8 +157,7 @@ def check_shift_telescoping(seed: int = DEFAULT_SEED) -> dict[str, Any]:
 
 
 def _mean2_quadrature(series: CoefficientSeries, r: float) -> float:
-    size = 1 << max(3, (4 * len(series.coefficients) - 1).bit_length())
-    samples = np.abs(circle_samples(series.coefficients, r, size))
+    samples = np.abs(circle_samples(series.coefficients, r))
     return float(np.sqrt(np.mean(samples**2)))
 
 

@@ -110,11 +110,14 @@ class TestConfig:
         assert len(rows) == 3  # the flag's n_max, 2**10 .. 2**12
         assert all(row.split(",")[1] == "0.25" for row in rows)  # the config's default
 
-    def test_explicit_flag_with_equals_beats_config(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag", [["--n-max=4096"], ["--n-m", "4096"]], ids=["--n-max=4096", "--n-m 4096"]
+    )
+    def test_explicit_flag_with_equals_beats_config(self, tmp_path, flag):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"n-max": 2048}))
         out = tmp_path / "density.csv"
-        argv = ["density", "--gamma=0.5", "--n-max=4096", "--config", str(config)]
+        argv = ["density", "--gamma=0.5", *flag, "--config", str(config)]
         assert main(argv + ["--out", str(out)]) == 0
         assert len(_density_rows(out)) == 3
 
@@ -126,7 +129,9 @@ class TestConfig:
         assert main(argv) == 0
         assert len(_density_rows(out)) == 2
 
-    @pytest.mark.parametrize("text", ['{"no-such-flag": 1}', "[1, 2]", "{", None])
+    @pytest.mark.parametrize(
+        "text", ['{"no-such-flag": 1}', '{"command": "targets"}', "[1, 2]", "{", None]
+    )
     def test_bad_config_is_a_domain_error(self, tmp_path, capsys, text):
         config = tmp_path / "config.json"
         if text is not None:  # None: the file is missing

@@ -8,18 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsl.cli import main
+from tsl.constructor import ConstructionSpec, Regime, Schedule, plan_blocks
 from tsl.errors import DomainError
 from tsl.means import (
     RadialMeansTable,
+    _ln_eps,
+    _position_sums,
     circle_norm,
     circle_samples,
     conjugate_exponent,
     critical_exponent,
+    dyadic_mean2_profile,
     dyadic_radii,
     effective_degree,
     mean_p,
     means_table,
 )
+from tsl.polybank import index_weighted
+from tsl.repro import uniform_unit_targets
 from tsl.series import CoefficientSeries
 
 RADII = (0.5, 1.0 - 2.0**-4, 1.0 - 2.0**-8, 0.999)
@@ -205,3 +211,106 @@ class TestDegreeZero:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "means.csv").exists()
+
+
+def _oracle_position_sum(lo, gate, budget, j0, alpha, eps):
+    """The engine's position sum from mpmath, on the engine's route.
+
+    While at most 2**16 terms matter (those above exp(-760) of the
+    first), every term down to exp(-100) of the first is summed with
+    `mp.fsum`; at alpha = 0 the terms form a geometric series, summed in
+    closed form.  Otherwise it is the midpoint integral at 400 digits.
+    """
+    with mp.workdps(400):
+        lam = 2 * eps
+        v0 = mp.mpf(lo) + j0 + 1
+        if min(budget, 760 / (lam * gate)) <= 1 << 16:
+            q = mp.exp(-lam * gate)
+            if alpha == 0.0:
+                return mp.exp(-lam * (v0 - 1)) * -mp.expm1(-lam * gate * budget) / (1 - q)
+            count = min(budget, int(100 / (lam * gate)) + 1)
+            with mp.workdps(40):
+                power = mp.mpf(-2 * alpha)
+                g, terms = mp.exp(-lam * (v0 - 1)), []
+                for m in range(count):
+                    terms.append(g * (v0 + gate * m) ** power)
+                    g *= q
+                return mp.fsum(terms)
+        v_lo = v0 - mp.mpf(gate) / 2
+        v_hi = v0 + gate * (mp.mpf(budget) - mp.mpf(1) / 2)
+        z = 1 - 2 * mp.mpf(alpha)
+        diff = mp.gammainc(z, lam * v_lo, mp.inf) - mp.gammainc(z, lam * v_hi, mp.inf)
+        return mp.exp(lam) / gate * lam ** (2 * mp.mpf(alpha) - 1) * diff
+
+
+def _dyadic_plan(alpha, count, blocks):
+    spec = ConstructionSpec(
+        alpha=alpha, gamma=0.5, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 20
+    )
+    targets = uniform_unit_targets(count)
+    return plan_blocks(spec, targets, blocks), targets
+
+
+class TestPlannedMean:
+    # (log2 lo, gate, budget, j0, alpha, j): summed cases, then integral cases
+    CASES = [
+        (24, 4, 1 << 16, 0, 0.0, 20),  # every term matters: the last summed size
+        (18, 6, 1 << 30, 1, 0.25, 10),  # about 64,850 terms matter
+        (300, 28, 4000, 2, 0.5, 296),
+        (498, 5, 2000, 0, 0.25, 500),
+        (20, 4, 1000, 0, 0.0, 200),  # past the flat point
+        (30, 7, 3000, 1, 0.5, 120),  # past the flat point
+        (24, 4, (1 << 16) + 1, 0, 0.0, 20),  # the first integral size
+        (24, 4, (1 << 16) + 1, 1, 0.25, 20),
+        (24, 4, (1 << 16) + 1, 2, 0.5, 20),
+        (300, 4, 1 << 100, 0, 0.0, 296),  # width 2**-194: cancels at 40 digits
+        (495, 5, 1 << 200, 0, 0.25, 500),
+        (400, 28, 1 << 390, 1, 0.5, 398),
+        (30, 4, 1 << 20, 0, 0.25, 100),  # past the flat point
+        (60, 4, 1 << 40, 0, 0.0, 200),  # past the flat point
+    ]
+
+    @pytest.mark.parametrize(
+        "e, gate, budget, j0, alpha, j", CASES,
+        ids=[f"lo2^{c[0]}-a{c[4]}-j{c[5]}-{'sum' if i < 6 else 'integral'}" for i, c in enumerate(CASES)],
+    )
+    def test_position_sum_matches_mpmath(self, e, gate, budget, j0, alpha, j):
+        lo = 1 << e
+        (value,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, mp.exp(mp.mpf(_ln_eps(j))))
+        assert value > 0.0
+        assert abs(value - exact) <= 1e-12 * exact
+
+    def test_unreachable_block_gives_zero(self):
+        # 2 eps lo = 2**21 at j = 20: every term is below exp(-760)
+        assert _position_sums(1 << 40, 4, 100, 0, 0.0, [_ln_eps(20), _ln_eps(40)])[0] == 0.0
+
+    def test_deep_radius_matches_400_digits(self):
+        ledger, targets = _dyadic_plan(0.0, 64, 400)
+        for j, value in dyadic_mean2_profile(ledger, targets, 0.0, [150, 270]):
+            eps = mp.exp(mp.mpf(_ln_eps(j)))
+            total = mp.mpf(0)
+            for rec in ledger.built():
+                weighted = index_weighted(targets.entry(rec.k).series, 0.0).coefficients
+                for j0 in np.flatnonzero(weighted):
+                    if 2 * eps * rec.lo <= 760:
+                        s = _oracle_position_sum(rec.lo, rec.gate, rec.budget, int(j0), 0.0, eps)
+                        total += abs(weighted[j0]) ** 2 * s
+            assert abs(value - mp.sqrt(total)) <= 1e-12 * mp.sqrt(total)
+
+    def test_profile_monotone_at_deep_radii(self):
+        ledger, targets = _dyadic_plan(0.0, 8, 300)
+        values = [v for _, v in dyadic_mean2_profile(ledger, targets, 0.0, list(range(260, 291)))]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_rows_in_input_order(self):
+        ledger, targets = _dyadic_plan(0.5, 8, 60)
+        j_list = [7, 3, 30, 7, 1, 45, 12, 3]
+        reference = dict(dyadic_mean2_profile(ledger, targets, 0.5, sorted(set(j_list))))
+        rows = dyadic_mean2_profile(ledger, targets, 0.5, j_list)
+        assert rows == [(j, reference[j]) for j in j_list]
+
+    def test_rejects_exponent_below_one(self):
+        ledger, targets = _dyadic_plan(0.0, 8, 20)
+        with pytest.raises(DomainError):
+            dyadic_mean2_profile(ledger, targets, 0.0, [3, 0])
