@@ -1,17 +1,21 @@
 """Radial integral means, circle norms, and growth-exponent fits.
 
-For p = 2 the mean comes straight from the coefficients (Parseval).  For
-other finite p, and for p = infinity, the circle is sampled by
-`circle_samples`, the one circle sampler of the package.  On a circle of
-radius r it keeps only the coefficients up to the effective degree D,
-the last index with r**D >= 2**-60, and by default samples at the next
-power of two above 4*(D+1) points (8*(D+1) for p = infinity, whose
-sampled sup is a documented lower estimate).  So the FFT of a radius
-well inside the disc is sized on the degree that radius can see, not on
-the full degree; at r = 1 - 2**-j the effective degree is about
-41.6 * 2**j.  A quadrature size given explicitly must still clear the
-oversampling floor on the full degree.  A mean reduces the sampler's
-phase blocks one at a time, so it never holds all samples at once.
+Both routes work on the series' support, the indices of its nonzero
+coefficients.  For p = 2 the mean comes straight from those coefficients
+(Parseval).  For other finite p, and for p = infinity, the circle is
+sampled by `circle_samples`, the one circle sampler of the package.  Its
+degree is the last nonzero index (0 for the zero series), not the length
+of the coefficient array.  On a circle of radius r it keeps only the
+coefficients up to the effective degree D of that degree, the last index
+with r**D >= 2**-60, and by default samples at the next power of two
+above 4*(D+1) points (8*(D+1) for p = infinity, whose sampled sup is a
+documented lower estimate).  So the FFT of a radius well inside the disc
+is sized on the degree that radius can see, not on the full degree; at
+r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  A quadrature
+size given explicitly must still clear the oversampling floor on the
+full `max_degree`, trailing zeros included.  A mean reduces the
+sampler's phase blocks one at a time, so it never holds all samples at
+once.
 
 `dyadic_mean2_profile` is the one planned-mean entry: it evaluates the
 L^2 mean of a *planned* block construction at radii 1 - 2**-j without
@@ -27,6 +31,7 @@ r**(2v) of the block rounds to 1, are clamped to that point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterator
@@ -158,13 +163,22 @@ def effective_degree(r: float, degree: int) -> int:
     return min(degree, int(_TAIL_BITS / -math.log2(r)))
 
 
-def _phase_blocks(coeffs: np.ndarray, r: float, size: int | None = None) -> Iterator[np.ndarray]:
+def _support(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Indices of the nonzero coefficients, and the last of them (0 if none)."""
+    support = np.flatnonzero(coeffs)
+    return support, int(support[-1]) if support.size else 0
+
+
+def _phase_blocks(
+    coeffs: np.ndarray, r: float, size: int | None, last: int
+) -> Iterator[np.ndarray]:
     """`circle_samples`' values in blocks, computed one block at a time.
 
-    Of `count` blocks, block a holds the values at indices t * count + a;
-    a single block holds them all in order.
+    `last` is the last nonzero index of `coeffs`.  Of `count` blocks,
+    block a holds the values at indices t * count + a; a single block
+    holds them all in order.
     """
-    degree = effective_degree(r, len(coeffs) - 1)
+    degree = effective_degree(r, last)
     if size is None:
         size = _next_pow2(_oversampling_floor(degree, 2.0))
     if size < 1:
@@ -189,23 +203,32 @@ def _phase_blocks(coeffs: np.ndarray, r: float, size: int | None = None) -> Iter
 def circle_samples(coeffs: np.ndarray, r: float, size: int | None = None) -> np.ndarray:
     """Polynomial values at `size` equispaced points of the circle of radius r.
 
-    Value k is taken at r * exp(2 pi i k / size).  Only coefficients
-    0 .. effective_degree(r) are dilated and sampled; the dropped tail is
-    below 2**-60 * max|c| / (1 - r) in modulus.  The default size is the
-    next power of two above 4 * (D + 1).  A size below the window length
-    folds the window modulo `size`, which is exact at the sample points.
-    A size that is a multiple of the FFT length m (the larger of the
-    window's next power of two and size / _PHASES) is reached by
-    interleaving size / m phase-shifted m-point FFTs, which are the
-    zero-padded size-point FFT without its size-long work buffers.
+    Value k is taken at r * exp(2 pi i k / size).  The degree is the last
+    nonzero index, so trailing zero coefficients cost nothing.  Only
+    coefficients 0 .. D = effective_degree(r, degree) are dilated and
+    sampled; the dropped tail is below 2**-60 * max|c| / (1 - r) in
+    modulus.  The default size is the next power of two above
+    4 * (D + 1).  A size below the window length folds the window modulo
+    `size`, which is exact at the sample points.  A size that is a
+    multiple of the FFT length m (the larger of the window's next power
+    of two and size / _PHASES) is reached by interleaving size / m
+    phase-shifted m-point FFTs, which are the zero-padded size-point FFT
+    without its size-long work buffers.
     """
-    return np.column_stack(list(_phase_blocks(coeffs, r, size))).reshape(-1)
+    _, last = _support(coeffs)
+    return np.column_stack(list(_phase_blocks(coeffs, r, size, last))).reshape(-1)
 
 
-def _resolve_quadrature(max_degree: int, p: float, r: float, requested: int | None) -> int:
-    """FFT size for one (p, r): sized on the effective degree unless given."""
+def _resolve_quadrature(
+    last: int, max_degree: int, p: float, r: float, requested: int | None
+) -> int:
+    """FFT size for one (p, r).
+
+    By default it is sized on the effective degree of the last nonzero
+    index; a requested size must clear the floor on the full max_degree.
+    """
     if requested is None:
-        return _next_pow2(_oversampling_floor(effective_degree(r, max_degree), p))
+        return _next_pow2(_oversampling_floor(effective_degree(r, last), p))
     floor = _oversampling_floor(max_degree, p)
     if requested < floor:
         raise DomainError(
@@ -220,21 +243,26 @@ def _check_radius(r: float) -> None:
 
 
 def _mean_row(
-    series: CoefficientSeries, p: float, r: float, quadrature_size: int | None
+    series: CoefficientSeries,
+    support: tuple[np.ndarray, int],
+    p: float,
+    r: float,
+    quadrature_size: int | None,
 ) -> MeanRow:
-    """One (p, r) row: Parseval at p = 2, otherwise the circle sampler."""
+    """One (p, r) row from the series' `_support`: Parseval at p = 2, else sampled."""
     _check_p(p)
     a = series.coefficients
+    nonzero, last = support
     if p == 2.0:
-        j = np.arange(len(a), dtype=np.float64)
-        dilated = a * np.exp(j * math.log(r))
+        dilated = a[nonzero] * np.exp(nonzero * math.log(r))
         return MeanRow(p, r, math.sqrt(float(np.sum(np.abs(dilated) ** 2))), 0)
-    size = _resolve_quadrature(series.max_degree, p, r, quadrature_size)
+    size = _resolve_quadrature(last, series.max_degree, p, r, quadrature_size)
+    blocks = _phase_blocks(a, r, size, last)
     # reduce each phase block as it arrives; the samples are never all held
     if p == math.inf:
-        value = max(float(np.abs(block).max()) for block in _phase_blocks(a, r, size))
+        value = max(float(np.abs(block).max()) for block in blocks)
     else:
-        power_sum = sum(float(np.sum(np.abs(block) ** p)) for block in _phase_blocks(a, r, size))
+        power_sum = sum(float(np.sum(np.abs(block) ** p)) for block in blocks)
         value = (power_sum / size) ** (1.0 / p)
     return MeanRow(p, r, value, size)
 
@@ -247,14 +275,14 @@ def mean_p(
 ) -> float:
     """Radial L^p mean of the series on the circle of radius r in (0, 1)."""
     _check_radius(r)
-    return _mean_row(series, p, r, quadrature_size).value
+    return _mean_row(series, _support(series.coefficients), p, r, quadrature_size).value
 
 
 def circle_norm(
     series: CoefficientSeries, p: float, quadrature_size: int | None = None
 ) -> float:
     """L^p norm on the unit circle itself (the r = 1 limit of mean_p)."""
-    return _mean_row(series, p, 1.0, quadrature_size).value
+    return _mean_row(series, _support(series.coefficients), p, 1.0, quadrature_size).value
 
 
 def means_table(
@@ -276,7 +304,9 @@ def means_table(
         ((p, r) for p in set(p_list) for r in set(r_grid)),
         key=lambda t: (t[0] == math.inf, t[0], t[1]),
     )
-    return RadialMeansTable(tuple(_mean_row(series, p, r, quadrature_size) for p, r in pairs))
+    support = _support(series.coefficients)
+    rows = (_mean_row(series, support, p, r, quadrature_size) for p, r in pairs)
+    return RadialMeansTable(tuple(rows))
 
 
 def dyadic_radii(max_degree: int) -> list[float]:
@@ -403,7 +433,12 @@ def _position_sum(lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps
         else:
             lnv = np.full(m_count, e * _LN2)
         two_eps = math.exp(ln_two_eps)
-        expo = -2.0 * alpha * lnv - math.exp(ln_two_eps + e * _LN2) - two_eps * (gate * m + j0)
+        # 2*eps*lo: scaling by 2**e is exact while 2*eps is a normal double
+        if two_eps >= sys.float_info.min:
+            two_eps_lo = math.ldexp(two_eps, e)
+        else:
+            two_eps_lo = math.exp(ln_two_eps + e * _LN2)
+        expo = -2.0 * alpha * lnv - two_eps_lo - two_eps * (gate * m + j0)
         return float(np.exp(expo).sum())
     extra = max(0, math.ceil(-(ln_delta + ln_budget) / math.log(10.0)))
     with mp.workdps(40 + extra):

@@ -173,6 +173,53 @@ class TestMeanRows:
             with pytest.raises(DomainError):
                 means_table(series, [1.0], [0.5, r])
 
+    def test_trailing_zeros_do_not_change_the_rows(self):
+        trimmed = random_series(700, 10)
+        padded = CoefficientSeries(np.concatenate([trimmed.coefficients, np.zeros(1300)]))
+        radii = [0.5, 0.99, 0.999, 0.9999]
+        rows = means_table(trimmed, [1.0, 2.0, math.inf], radii).rows
+        again = means_table(padded, [1.0, 2.0, math.inf], radii).rows
+        for row, other in zip(rows, again):
+            assert (row.p, row.r, row.quadrature_size) == (other.p, other.r, other.quadrature_size)
+            assert other.value == pytest.approx(row.value, rel=1e-12)
+        assert len(circle_samples(padded.coefficients, 0.9999)) == next_pow2(4 * 701)
+
+    @pytest.mark.parametrize("p", (1.0, 2.0, math.inf))
+    def test_zero_series_means_zero(self, p):
+        series = CoefficientSeries.zero(500)
+        for row in means_table(series, [p], [0.5, 0.999]).rows:
+            assert row.value == 0.0
+        assert circle_norm(series, p) == 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        degree=st.integers(0, 5000),
+        density=st.sampled_from([0.0, 0.001, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+        r=st.sampled_from(RADII),
+    )
+    def test_sparse_p2_rows_match_dense_parseval(self, degree, density, seed, r):
+        mask = np.random.Generator(np.random.PCG64([seed, 1])).random(degree + 1) < density
+        a = random_series(degree, seed).coefficients * mask
+        series = CoefficientSeries(a)
+        j = np.arange(len(a), dtype=np.float64)
+        for radius, value in ((r, mean_p(series, 2.0, r)), (1.0, circle_norm(series, 2.0))):
+            dense = math.sqrt(float(np.sum(np.abs(a * np.exp(j * math.log(radius))) ** 2)))
+            assert abs(value - dense) <= 1e-15 * dense
+
+    @pytest.mark.parametrize("r", (0.5, 0.99, 0.999))
+    def test_sampled_sup_within_bernstein_factor(self, r):
+        # degree-D polynomial sampled at N points: sup <= max / (1 - pi D / N)
+        a = random_series(2000, 11).coefficients.copy()
+        a[1000:] = 0.0
+        series = CoefficientSeries(a)
+        (row,) = means_table(series, [math.inf], [r]).rows
+        d = effective_degree(r, 999)
+        assert row.quadrature_size == next_pow2(8 * (d + 1))
+        dense = float(np.abs(circle_samples(a, r, 4 * row.quadrature_size)).max())
+        assert row.value <= dense * (1.0 + 1e-12)
+        assert row.value >= (1.0 - math.pi * d / row.quadrature_size) * dense
+
     def test_csv_round_trip(self):
         series = random_series(500, 8)
         table = means_table(series, [1.0, 2.0, math.inf], [0.3, 0.5, 0.99])
@@ -280,6 +327,17 @@ class TestPlannedMean:
         exact = _oracle_position_sum(lo, gate, budget, j0, alpha, mp.exp(mp.mpf(_ln_eps(j))))
         assert value > 0.0
         assert abs(value - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize(
+        "e, gate, budget, j0, alpha, j", CASES[:6],
+        ids=[f"lo2^{c[0]}-a{c[4]}-j{c[5]}" for c in CASES[:6]],
+    )
+    def test_summed_position_sum_within_1e13(self, e, gate, budget, j0, alpha, j):
+        # 2*eps*lo is formed by an exact power-of-two scaling, not exp(ln 2 + ln eps + e ln 2)
+        lo = 1 << e
+        (value,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, mp.exp(mp.mpf(_ln_eps(j))))
+        assert abs(value - exact) <= 1e-13 * exact
 
     def test_unreachable_block_gives_zero(self):
         # 2 eps lo = 2**21 at j = 20: every term is below exp(-760)
