@@ -79,7 +79,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--q", type=float, default=math.inf, help="conjugate exponent for the star gate")
     p.add_argument("--max-degree", type=int, default=1 << 20)
     p.add_argument("--targets", type=str, default=None, help="targets.json (default: enumerate 64)")
-    p.add_argument("--out", type=str, default="f.json")
+    p.add_argument(
+        "--out", type=str, default="f.json",
+        help='series file, {"max_degree": N, "terms": [[j, re, im], ...]} over the nonzero '
+        "coefficients",
+    )
     p.add_argument("--ledger", type=str, default="ledger.csv")
 
     p = sub.add_parser("means", parents=[common], help="radial means table")

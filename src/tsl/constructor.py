@@ -34,6 +34,7 @@ from enum import Enum
 from io import StringIO
 from typing import Callable, Optional
 
+import mpmath as mp
 import numpy as np
 
 from tsl.errors import ConstructionError, DomainError
@@ -238,15 +239,26 @@ def _effective_gate(spec: ConstructionSpec, l: int, d: int) -> int:
 
 
 def _budget(spec: ConstructionSpec, n: int, gate: int) -> int:
-    """floor(base**(1-gamma) / gate) as an exact integer, base = 2**base_exponent."""
-    e = spec.base_exponent(n)
-    x = e * (1.0 - spec.gamma)
-    ix = int(math.floor(x))
-    frac = x - ix
-    # floor(2**x / gate) with 2**x split into integer and fractional parts;
-    # the fractional factor enters through a 52-bit fixed-point scale
-    scaled = int(math.floor(2.0**frac * (1 << 52)))
-    return ((1 << ix) * scaled) // (gate << 52)
+    """floor(2**x / gate) as an exact integer, x = base_exponent(n) * (1 - gamma) in float64.
+
+    An integral x is integer division.  Otherwise 2**x is irrational, so
+    2**x / gate is no integer: it is evaluated with floor(x) + 64 bits,
+    and the precision doubles until the value widened by 2**16 units in
+    its last place contains no integer.
+    """
+    x = spec.base_exponent(n) * (1.0 - spec.gamma)
+    ix = math.floor(x)
+    if x == ix:
+        return (1 << ix) // gate
+    prec = ix + 64
+    while True:
+        with mp.workprec(prec):
+            value = mp.ldexp(mp.power(2, x - ix), ix) / gate
+            slack = mp.ldexp(value, 16 - prec)
+            lo, hi = int(mp.floor(value - slack)), int(mp.floor(value + slack))
+        if lo == hi:
+            return lo
+        prec *= 2
 
 
 def _classify(

@@ -347,6 +347,7 @@ def _fast_pipeline_artifacts(seed: int) -> dict[str, Any]:
     abel = run_abel_suite(50, seed)
     return {
         "targets_json": targets.to_json(),
+        "series_json": json.dumps(series.to_json_obj()),
         "ledger_csv": ledger.to_csv(),
         "means_csv": table.to_csv(),
         "fit": [fit.slope, fit.intercept, fit.residual_rms],

@@ -7,6 +7,17 @@ holds the z^j coefficient.  The shift acts by
 
 and its n-th power collapses the weight product by telescoping to
 ((j+n+1)/(j+1))**alpha, which is what `apply_shift_power` evaluates.
+
+A series file is the JSON object
+
+    {"max_degree": N, "terms": [[j, re, im], ...]}
+
+listing only the nonzero coefficients a_j = re + im*i, with j strictly
+increasing in [0, N]; every other coefficient up to z**N is zero.  Block
+constructions are lacunary, so this is a few terms per block where the
+dense vector has 2**m + 1 entries.  A zero coefficient stored as -0.0
+reads back as +0.0; every other value round-trips exactly.  This module
+is the only one that knows the layout.
 """
 
 from __future__ import annotations
@@ -59,25 +70,50 @@ class CoefficientSeries:
         return cls(np.zeros(max_degree + 1, dtype=np.complex128))
 
     def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "max_degree": self.max_degree,
-            "coefficients": [[float(c.real), float(c.imag)] for c in self.coefficients],
-        }
+        """The series file object: {"max_degree": N, "terms": [[j, re, im], ...]}.
+
+        `terms` holds the nonzero coefficients only, j strictly increasing;
+        `max_degree` carries the trailing zeros.
+        """
+        a = self.coefficients
+        j = np.flatnonzero(a)
+        nz = a[j]
+        terms = [list(t) for t in zip(j.tolist(), nz.real.tolist(), nz.imag.tolist())]
+        return {"max_degree": self.max_degree, "terms": terms}
 
     @classmethod
     def from_json_obj(cls, obj: Any) -> "CoefficientSeries":
         """Inverse of `to_json_obj`; any other shape raises DomainError."""
-        if not isinstance(obj, dict):
-            raise DomainError("a series must be a JSON object")
+        if not isinstance(obj, dict) or "max_degree" not in obj or "terms" not in obj:
+            raise DomainError(
+                'a series must be {"max_degree": N, "terms": [[j, re, im], ...]}; '
+                "rebuild older dense files with tsl construct"
+            )
+        max_degree, terms = obj["max_degree"], obj["terms"]
+        # type(...) is int: JSON true/false load as bool, which subclasses int
+        if type(max_degree) is not int or max_degree < 0:
+            raise DomainError("max_degree must be an integer >= 0")
+        if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 3 and type(t[0]) is int
+            and type(t[1]) in (int, float) and type(t[2]) in (int, float) for t in terms
+        ):
+            raise DomainError("each series term must be [j, re, im] with an integer j")
+        if not all(0 <= t[0] <= max_degree for t in terms):
+            raise DomainError(f"term indices must lie in [0, max_degree = {max_degree}]")
+        j = np.array([t[0] for t in terms], dtype=np.int64)
+        if np.any(np.diff(j) <= 0):
+            raise DomainError("term indices must be strictly increasing")
         try:
-            max_degree = int(obj["max_degree"])
-            coeffs = np.array([complex(re, im) for re, im in obj["coefficients"]])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError("a series needs max_degree and [re, im] coefficient pairs") from exc
-        out = cls(coeffs)
-        if out.max_degree != max_degree:
-            raise DomainError("max_degree does not match coefficient count")
-        return out
+            values = np.array([t[1:] for t in terms], dtype=np.float64).reshape(-1, 2)
+        except OverflowError as exc:
+            raise DomainError("term values must be finite") from exc
+        try:
+            coeffs = np.zeros(max_degree + 1, dtype=np.complex128)
+        except (MemoryError, OverflowError, ValueError) as exc:
+            raise DomainError(f"max_degree {max_degree} is too large to hold") from exc
+        coeffs.real[j] = values[:, 0]
+        coeffs.imag[j] = values[:, 1]
+        return cls(coeffs)
 
 
 def weight(n: int, alpha: float) -> float:

@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from tsl import repro
 from tsl.cli import USAGE_EXIT, VERIFY_SUITES, main
+from tsl.constructor import ConstructionSpec, Regime, Schedule, construct
+from tsl.means import dyadic_radii, fit_growth_exponent, means_table
+from tsl.polybank import enumerate_targets
+from tsl.series import CoefficientSeries
 
 
 def _single_error_line(capsys):
@@ -30,7 +35,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"max_degree": 0}', "[[1.0, 0.0]]", '{"max_degree": 0, "coefficients": [1.0]}', "{"],
+        [
+            '{"max_degree": 0}',
+            "[[1.0, 0.0]]",
+            '{"max_degree": 0, "coefficients": [1.0]}',
+            '{"max_degree": 0, "coefficients": [[1.0, 0.0]]}',
+            "{",
+        ],
     )
     def test_malformed_series_is_a_domain_error(self, tmp_path, capsys, text):
         path = tmp_path / "f.json"
@@ -55,6 +66,38 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == USAGE_EXIT == 64
+
+
+class TestPipeline:
+    def test_construct_means_fit_through_files(self, tmp_path):
+        paths = {name: tmp_path / name for name in
+                 ("targets.json", "f.json", "ledger.csv", "means.csv", "fit.json")}
+        assert main(["targets", "--count", "8", "--out", str(paths["targets.json"])]) == 0
+        assert main([
+            "construct", "--gamma", "0", "--max-degree", "4096",
+            "--targets", str(paths["targets.json"]),
+            "--out", str(paths["f.json"]), "--ledger", str(paths["ledger.csv"]),
+        ]) == 0
+        assert main(["means", "--in", str(paths["f.json"]), "--p", "1,2,inf",
+                     "--out", str(paths["means.csv"])]) == 0
+        assert main(["fit", "--in", str(paths["means.csv"]), "--gamma", "0",
+                     "--out", str(paths["fit.json"])]) == 0
+
+        spec = ConstructionSpec(
+            alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=4096
+        )
+        series, ledger = construct(spec, enumerate_targets(8))
+        assert np.count_nonzero(series.coefficients) > 0
+        obj = json.loads(paths["f.json"].read_text())
+        assert obj["max_degree"] == 4096
+        assert [t[0] for t in obj["terms"]] == np.flatnonzero(series.coefficients).tolist()
+        loaded = CoefficientSeries.from_json_obj(obj)
+        assert np.array_equal(loaded.coefficients, series.coefficients)
+        assert paths["ledger.csv"].read_text() == ledger.to_csv()
+        table = means_table(series, [1.0, 2.0, float("inf")], dyadic_radii(4096))
+        assert paths["means.csv"].read_text() == table.to_csv()
+        fit = json.loads(paths["fit.json"].read_text())
+        assert fit["slope"] == fit_growth_exponent(table, 2.0).slope
 
 
 class TestTinyGammaDensity:

@@ -1,13 +1,17 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsl.constructor import (
     BlockLedger,
     ConstructionSpec,
     Regime,
     Schedule,
+    _budget,
     block_indices,
     build_block,
     construct,
@@ -245,6 +249,46 @@ class TestSchedules:
         rec = {r.n: r for r in ledger.records if r.k == 2}[4]
         # base gate for l=3 is 28; the schedule floor 2**u(3) + 2 = 514 dominates
         assert rec.gate == (1 << 9) + 2
+
+
+def budget_reference(e, gamma, gate):
+    """floor(2**x / gate) for the float64 x = e * (1 - gamma), 128 bits past the integer part."""
+    x = e * (1.0 - gamma)
+    with mp.workprec(int(x) + 128):
+        return int(mp.floor(mp.mpf(2) ** mp.mpf(x) / gate))
+
+
+class TestBudgetExact:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        e=st.integers(0, 1200),
+        gamma=st.floats(0.0, 1.0, exclude_max=True),
+        gate=st.integers(4, 10**6),
+    )
+    @example(e=61, gamma=0.1, gate=4)  # a 52-bit fixed-point 2**frac gave 8404014066019082
+    @example(e=223, gamma=0.1, gate=49)  # a budget of about 2**194
+    @example(e=801, gamma=0.75, gate=1000)
+    @example(e=10, gamma=0.1, gate=4)  # x rounds to 9.0: 2**9 / 4 is an integer
+    @example(e=1200, gamma=0.0, gate=3 << 40)
+    def test_matches_high_precision_reference(self, e, gamma, gate):
+        assert _budget(dyadic_spec(gamma=gamma), e, gate) == budget_reference(e, gamma, gate)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        budget=st.integers(1, 1 << 40),
+        gate=st.integers(4, 1 << 12),
+        extra=st.integers(0, 40),
+        ulps=st.integers(-3, 3),
+    )
+    def test_near_integer_boundaries(self, budget, gate, extra, ulps):
+        # gamma puts 2**(e * (1 - gamma)) within a few ulps of budget * gate
+        e = (budget * gate).bit_length() + extra
+        with mp.workprec(200):
+            gamma = float(1 - mp.log(budget * gate, 2) / e)
+        for _ in range(abs(ulps)):
+            gamma = math.nextafter(gamma, math.copysign(math.inf, ulps))
+        gamma = min(max(gamma, 0.0), math.nextafter(1.0, 0.0))
+        assert _budget(dyadic_spec(gamma=gamma), e, gate) == budget_reference(e, gamma, gate)
 
 
 class TestBlockNormBounds:

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsl.errors import DomainError
 from tsl.means import circle_norm
@@ -184,6 +187,32 @@ class TestEnumeration:
         assert l1_ceil(((1, 0, 1), (0, 2, 1))) == 3
         assert l1_ceil(((1, 1, 1),)) == 2  # sqrt(2) rounds up
         assert l1_ceil(((1, 0, 2),)) == 1
+
+
+@st.composite
+def near_integer_term(draw):
+    """(a, b, c) with |a + b*i| / c just above, at or just below an integer K."""
+    c = draw(st.integers(1, 60))
+    k = draw(st.integers(0, 10**13))
+    return (c * k + draw(st.integers(-2, 2)), draw(st.integers(-3, 3)), c)
+
+
+class TestL1CeilReference:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(exact=st.lists(near_integer_term(), min_size=1, max_size=6).map(tuple))
+    @example(exact=((10**6, 1, 1),))  # 10**6 + 5e-7
+    @example(exact=((10**12, 1, 1),))  # 10**12 + 5e-13, inside the bound gap
+    @example(exact=((3, 4, 5), (6, 8, 5), (0, 7, 7)))  # exactly 4
+    @example(exact=((1, 1, 1), (1, -1, 1)))  # 2*sqrt(2)
+    def test_matches_high_precision_ceiling(self, exact):
+        with mp.workdps(60):
+            norm = mp.fsum(mp.sqrt(a * a + b * b) / c for a, b, c in exact)
+            want = int(mp.ceil(norm))
+            gap = want - norm
+        got = l1_ceil(exact)
+        # a bound sandwich straddling an integer rounds up, and the
+        # sandwich is at most 1e-12 wide per term
+        assert got == want or (got == want + 1 and gap < len(exact) * 1e-12)
 
 
 class TestIndexWeighted:

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsl.errors import DomainError
@@ -129,6 +131,23 @@ def small_series(draw):
     return CoefficientSeries(np.array([complex(a, b) for a, b in vals]))
 
 
+# edge values of float64: signed zeros, subnormals, the largest finite values
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def sparse_series(draw):
+    """A series with a drawn support, so zero runs and trailing zeros occur."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_VALUES)
+    )
+    a = np.zeros(n + 1, dtype=np.complex128)
+    for j in draw(st.sets(st.integers(min_value=0, max_value=n), max_size=n + 1)):
+        a[j] = complex(draw(value), draw(value))
+    return CoefficientSeries(a)
+
+
 class TestProperties:
     @settings(max_examples=80, derandomize=True)
     @given(s=small_series(), t=small_series(), alpha=st.sampled_from(ALPHAS))
@@ -178,34 +197,79 @@ class TestInvariantsAndJson:
             s.coefficients[0] = 9
 
     def test_json_round_trip(self):
-        s = series_of(1 + 2j, -0.5, 0)
+        s = series_of(1 + 2j, -0.5, 0, 3j, 0)
         obj = s.to_json_obj()
-        assert obj["max_degree"] == 2
-        assert obj["coefficients"][0] == [1.0, 2.0]
+        assert obj == {"max_degree": 4, "terms": [[0, 1.0, 2.0], [1, -0.5, 0.0], [3, 0.0, 3.0]]}
         back = CoefficientSeries.from_json_obj(obj)
         np.testing.assert_array_equal(back.coefficients, s.coefficients)
 
+    @settings(max_examples=150, derandomize=True)
+    @given(s=sparse_series())
+    @example(s=CoefficientSeries.zero(0))
+    @example(s=CoefficientSeries.zero(17))
+    @example(s=series_of(2.5 - 1j))
+    @example(s=series_of(1, 0, 0, 0))
+    @example(s=series_of(0, 1j, 0, -2j, 0))
+    @example(s=series_of(5e-324, complex(0, -5e-324), 2.2e-308))
+    @example(s=series_of(1.7976931348623157e308, complex(-1e308, 1e308), 0))
+    def test_json_text_round_trip(self, s):
+        text = json.dumps(s.to_json_obj())
+        obj = json.loads(text)
+        back = CoefficientSeries.from_json_obj(obj)
+        assert back.max_degree == s.max_degree
+        assert np.array_equal(back.coefficients, s.coefficients)
+        j = [t[0] for t in obj["terms"]]
+        assert j == np.flatnonzero(s.coefficients).tolist()
+
+    def test_json_negative_zero_reads_back_positive(self):
+        s = series_of(complex(-0.0, -0.0), 1)
+        back = CoefficientSeries.from_json_obj(json.loads(json.dumps(s.to_json_obj())))
+        assert np.array_equal(back.coefficients, s.coefficients)
+        assert not np.signbit(back.coefficients[0].real)
+
     def test_json_rejects_degree_mismatch(self):
         with pytest.raises(DomainError):
-            CoefficientSeries.from_json_obj({"max_degree": 5, "coefficients": [[1, 0]]})
+            CoefficientSeries.from_json_obj({"max_degree": 5, "terms": [[6, 1.0, 0.0]]})
 
     @pytest.mark.parametrize(
         "obj",
         [
             {"max_degree": 0},
-            {"coefficients": [[1.0, 0.0]]},
-            {"max_degree": 0, "coefficients": [1.0]},
-            {"max_degree": 0, "coefficients": [[1.0]]},
-            {"max_degree": 0, "coefficients": [[1.0, 0.0, 2.0]]},
-            {"max_degree": 0, "coefficients": [["a", 0.0]]},
-            {"max_degree": "one", "coefficients": [[1.0, 0.0]]},
-            [[1.0, 0.0]],
+            {"terms": [[0, 1.0, 0.0]]},
+            {"max_degree": 0, "terms": [[0, 1.0]]},
+            {"max_degree": 0, "terms": [[0, 1.0, 0.0, 2.0]]},
+            {"max_degree": 0, "terms": [0, 1.0, 0.0]},
+            {"max_degree": 0, "terms": {"0": [1.0, 0.0]}},
+            {"max_degree": 1, "terms": [[1.0, 1.0, 0.0]]},
+            {"max_degree": 1, "terms": [[True, 1.0, 0.0]]},
+            {"max_degree": 2, "terms": [[1, 1.0, 0.0], [0, 1.0, 0.0]]},
+            {"max_degree": 2, "terms": [[1, 1.0, 0.0], [1, 2.0, 0.0]]},
+            {"max_degree": 1, "terms": [[2, 1.0, 0.0]]},
+            {"max_degree": 1, "terms": [[-1, 1.0, 0.0]]},
+            {"max_degree": 0, "terms": [[0, "a", 0.0]]},
+            {"max_degree": 0, "terms": [[0, 1.0, None]]},
+            {"max_degree": 0, "terms": [[0, float("inf"), 0.0]]},
+            {"max_degree": 0, "terms": [[0, 0.0, float("nan")]]},
+            {"max_degree": 0, "terms": [[0, 10**400, 0.0]]},
+            {"max_degree": "one", "terms": [[0, 1.0, 0.0]]},
+            {"max_degree": 2.7, "terms": [[0, 1.0, 0.0]]},
+            {"max_degree": 2.0, "terms": [[0, 1.0, 0.0]]},
+            {"max_degree": True, "terms": [[0, 1.0, 0.0]]},
+            {"max_degree": -1, "terms": []},
+            {"max_degree": 10**30, "terms": []},
+            {"max_degree": 0, "coefficients": [[1.0, 0.0]]},
+            [[0, 1.0, 0.0]],
             None,
         ],
     )
     def test_json_rejects_malformed_shape(self, obj):
         with pytest.raises(DomainError):
             CoefficientSeries.from_json_obj(obj)
+
+    def test_json_dense_format_names_the_sparse_one(self):
+        with pytest.raises(DomainError, match='"terms"') as exc:
+            CoefficientSeries.from_json_obj({"max_degree": 1, "coefficients": [[1.0, 0.0], [0.0, 0.0]]})
+        assert "tsl construct" in str(exc.value) and "\n" not in str(exc.value)
 
 
 class TestShiftPowerWindow:
