@@ -14,8 +14,8 @@ A series file is the JSON object
 
 listing only the nonzero coefficients a_j = re + im*i, with j strictly
 increasing in [0, N]; every other coefficient up to z**N is zero.  Block
-constructions are lacunary, so this is a few terms per block where the
-dense vector has 2**m + 1 entries.  A zero coefficient stored as -0.0
+constructions are lacunary, so the terms are a small fraction of the
+N + 1 coefficients.  A zero coefficient stored as -0.0
 reads back as +0.0; every other value round-trips exactly.  This module
 is the only one that knows the layout.
 """
