@@ -109,7 +109,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub.add_parser("density", parents=[common], help="weighted density profile")
     p.add_argument("--gamma", type=float, required=True, help="set parameter")
     p.add_argument("--weight-gamma", type=float, default=None, help="weight exponent (default: gamma)")
-    p.add_argument("--n-max", type=int, default=1 << 22)
+    p.add_argument(
+        "--n-max", type=int, default=1 << 22,
+        help="set bound, at least 1024; the profile's horizons are the powers of two "
+        "2^10 .. n_max",
+    )
     p.add_argument("--out", type=str, default="density.csv")
 
     p = sub.add_parser("verify", parents=[common], help="oracle suites (named repro checks)")
@@ -230,8 +234,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_density(args: argparse.Namespace) -> int:
     weight_gamma = args.gamma if args.weight_gamma is None else args.weight_gamma
+    if args.n_max < 1 << 10:
+        raise DomainError(f"--n-max must be >= 1024, the first horizon 2^10 (got {args.n_max})")
     ds = separating_set(args.gamma, args.n_max)
-    horizons = [1 << m for m in range(10, args.n_max.bit_length()) if (1 << m) <= args.n_max]
+    horizons = [1 << m for m in range(10, args.n_max.bit_length())]
     rows = prefix_density_profile(ds, weight_gamma, horizons)
     out = StringIO()
     out.write("N,gamma,ratio,log_numerator,log_denominator\n")

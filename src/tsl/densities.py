@@ -6,10 +6,15 @@ interest (prefix ratios) live entirely in exponent differences.  The
 limsup itself is not computable; callers report maxima of prefix ratios
 along dyadic horizons and label them as such.
 
-Every such sum comes from one engine, `_log_masses`, in one pass over
-the terms, so a whole profile of horizons costs one pass over the
-integers and one over the members; `log_weight_sum` and
-`prefix_density` are its one-cut cases.
+Every such sum comes from one engine, `_log_masses`, which walks a
+profile's cuts in increasing order; `log_weight_sum` and
+`prefix_density` are its one-cut cases.  Under these weights the mass of
+[1, N] lives on its last ~N**(1-gamma)/gamma integers, so for each cut
+the engine sums only the terms whose weight lies within 40 + ln c of the
+cut's top weight: together the terms it drops move the log mass by less
+than e**-40, below one ulp of any result.  A cut whose window starts
+inside the previous cut's terms chains onto that cut's running total;
+any other cut restarts the total at its window's first term.
 """
 
 from __future__ import annotations
@@ -50,33 +55,62 @@ class PrefixSet:
         object.__setattr__(self, "members", arr)
 
 
+def _window_start(gamma: float, c: int, members: np.ndarray | None) -> int:
+    """Index of the first term the cut after c terms still sums.
+
+    The terms before it weigh less than exp(x_c**gamma - 40 - ln c), where
+    x_c is the c-th term, and there are fewer than c of them, so together
+    they change the log mass by less than e**-40.  The first integer kept
+    sits 2 below the root of that threshold, a margin against its rounding.
+    """
+    x = c if members is None else int(members[c - 1])
+    threshold = x**gamma - 40.0 - math.log(c)
+    if threshold <= 0.0:  # always at gamma = 0
+        return 0
+    first = int(threshold ** (1.0 / gamma)) - 2  # the first integer kept
+    if first <= 1:
+        return 0
+    return first - 1 if members is None else int(np.searchsorted(members, first))
+
+
 def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
     """log of the sum of exp(x**gamma) over the first c terms x, for each cut c.
 
-    The terms are the integers 1, 2, ... or the sorted members.  They are
-    split into pieces at the cuts (any order, repeats allowed) and at
-    _CHUNK edges; each piece is shifted by its own maximum, never a global
-    one (at gamma = 1 the weights span e**(2**22)), and the pieces are
-    chained by a running logaddexp (the online-normalizer trick).
+    The terms are the integers 1, 2, ... or the sorted members; the cuts
+    come in any order, repeats allowed.  Each cut sums only its window,
+    from `_window_start` to c, so a cut of zero terms gives -inf.  The
+    sorted cuts are walked once: a cut whose window starts at or below the
+    previous cut adds the terms between the two cuts to that cut's running
+    total (whatever the previous cut dropped lies below this cut's bound
+    too), any other cut restarts the total at its window start.  Terms go
+    in pieces of at most _CHUNK, each shifted by its own maximum, never a
+    global one (at gamma = 1 the weights span e**(2**22)), and the pieces
+    are chained by a running logaddexp (the online-normalizer trick).
     """
     cuts = np.asarray(cuts, dtype=np.int64)
-    top = int(cuts.max()) if cuts.size else 0
-    edges = sorted({0, *range(_CHUNK, top, _CHUNK), *cuts.tolist()})
-    masses = np.full(len(edges), -math.inf)
-    total = -math.inf
-    for i in range(1, len(edges)):
-        lo, hi = edges[i - 1], edges[i]
-        if members is None:
-            w = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        else:
-            w = members[lo:hi].astype(np.float64)
-        np.power(w, gamma, out=w)
-        m = float(w.max())
-        w -= m
-        np.exp(w, out=w)
-        total = float(np.logaddexp(total, m + math.log(float(w.sum()))))
+    sorted_cuts = sorted(set(cuts.tolist()))
+    masses = np.full(len(sorted_cuts), -math.inf)
+    prev, total = 0, -math.inf
+    for i, c in enumerate(sorted_cuts):
+        if c == 0:
+            continue
+        start = _window_start(gamma, c, members)
+        if start > prev:
+            prev, total = start, -math.inf
+        for lo in range(prev, c, _CHUNK):
+            hi = min(lo + _CHUNK, c)
+            if members is None:
+                w = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            else:
+                w = members[lo:hi].astype(np.float64)
+            np.power(w, gamma, out=w)
+            m = float(w[-1])  # the terms are sorted: the piece's maximum, up to rounding
+            w -= m
+            np.exp(w, out=w)
+            total = float(np.logaddexp(total, m + math.log(float(w.sum()))))
         masses[i] = total
-    return masses[np.searchsorted(edges, cuts)]
+        prev = c
+    return masses[np.searchsorted(sorted_cuts, cuts)]
 
 
 def log_weight_sum(n: int, gamma: float) -> float:
@@ -122,7 +156,9 @@ def separating_set(gamma: float, n_max: int) -> PrefixSet:
 
     Union of the integer intervals [2**n - floor(2**(n*(1-gamma))), 2**n]
     over n > 1/gamma, clipped to [1, n_max]; for gamma = 1 the intervals
-    degenerate to the dyadic points themselves.
+    degenerate to the dyadic points themselves.  The intervals are disjoint
+    and increasing: n > 1/gamma gives (n+1)(1-gamma) < n, so the next one
+    starts past 2**n, and their concatenation is already sorted.
     """
     if not (0.0 < gamma <= 1.0):
         raise DomainError("separating_set requires 0 < gamma <= 1")
@@ -149,5 +185,4 @@ def separating_set(gamma: float, n_max: int) -> PrefixSet:
         n += 1
     if not pieces:
         return PrefixSet(np.array([], dtype=np.int64), n_max)
-    members = np.unique(np.concatenate(pieces))
-    return PrefixSet(members, n_max)
+    return PrefixSet(np.concatenate(pieces), n_max)

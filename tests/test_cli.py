@@ -33,6 +33,20 @@ class TestExitCodes:
         assert _single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_max", ["1000", "1023", "1", "0", "-5"])
+    def test_density_below_first_horizon_is_a_domain_error(self, tmp_path, capsys, n_max):
+        out = tmp_path / "density.csv"
+        assert main(["density", "--gamma", "0.5", "--n-max", n_max, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1024" in err and "2^10" in err
+        assert not out.exists()
+
+    def test_density_at_first_horizon(self, tmp_path):
+        out = tmp_path / "density.csv"
+        assert main(["density", "--gamma", "0.5", "--n-max", "1024", "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in _density_rows(out)] == ["1024"]
+
     @pytest.mark.parametrize(
         "text",
         [

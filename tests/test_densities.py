@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -105,6 +106,22 @@ class TestSeparatingSet:
         assert s.members.size == 0 and s.n_max == 100
         assert prefix_density(s, gamma, 100) == 0.0
 
+    @pytest.mark.parametrize("n_max", [1, 5, 100, 4097, 1 << 14, (1 << 16) + 3])
+    def test_members_are_the_union_of_the_intervals(self, n_max):
+        # the intervals are concatenated without sorting; the reference sorts
+        # and deduplicates them
+        gammas = [*np.linspace(0.02, 0.98, 49).tolist(), 1 / 3, 0.25, 0.2, 0.1, 1e-5]
+        for gamma in gammas:
+            pieces = [np.array([], dtype=np.int64)] + [
+                np.arange(max(1, (1 << n) - math.floor(2.0 ** (n * (1.0 - gamma)))),
+                          min(1 << n, n_max) + 1, dtype=np.int64)
+                for n in range(int(1.0 / gamma) + 1, n_max.bit_length() + 2)
+            ]
+            expected = np.unique(np.concatenate(pieces))
+            members = separating_set(gamma, n_max).members
+            assert members.dtype == np.int64
+            np.testing.assert_array_equal(members, expected)
+
     def test_members_hug_dyadic_tails(self):
         s = separating_set(0.5, 1 << 12)
         n = 10
@@ -193,6 +210,13 @@ class TestPrefixSetInvariants:
             PrefixSet(np.array([3, 11]), 10)
 
 
+@functools.cache
+def _mp_terms(gamma):
+    """exp(k**gamma) for k = 1 .. 2**14 at 40 digits, shared by the examples."""
+    with mp.workdps(40):
+        return [mp.exp(mp.power(k, gamma)) for k in range(1, (1 << 14) + 1)]
+
+
 def _mp_log_mass(weights):
     """log of the sum of exp(w) over the given high-precision exponents."""
     return mp.log(mp.fsum(mp.e**w for w in weights)) if weights else mp.ninf
@@ -228,6 +252,43 @@ class TestEngine:
                     continue
                 assert abs(log_num - float(num)) <= 1e-13 * max(1.0, abs(float(num)))
                 assert abs(ratio - float(min(1, mp.e ** (num - den)))) <= 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(1 << 11, 1 << 14),
+        gamma=st.sampled_from([0.5, 0.8, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.floats(0.001, 1.0),
+        data=st.data(),
+    )
+    def test_windowed_profile_matches_full_sums(self, n_max, gamma, seed, fill, data):
+        # horizons past a few thousand (gamma = 0.5), a hundred (0.8) or
+        # fifty (1.0) drop terms, and sparse horizons restart their sums
+        rng = np.random.Generator(np.random.PCG64(seed))
+        first = data.draw(st.integers(1, n_max // 2), label="first member")
+        members = (np.nonzero(rng.random(n_max - first + 1) < fill)[0] + first).tolist()
+        horizons = data.draw(
+            st.lists(st.integers(1, n_max), min_size=1, max_size=8), label="horizons"
+        )  # unsorted, repeats allowed; those below the first member hold no members
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(densities, "_CHUNK", 97)  # pieces cross chunk edges
+            rows = prefix_density_profile(PrefixSet(np.array(members), n_max), gamma, horizons)
+        assert [row[0] for row in rows] == horizons
+        terms = _mp_terms(gamma)
+        with mp.workdps(40):
+            for n, ratio, log_num, log_den in rows:
+                den = mp.log(mp.fsum(terms[:n]))
+                assert abs(log_den - float(den)) <= 1e-13 * abs(float(den))
+                below = [terms[k - 1] for k in members if k <= n]
+                if not below:
+                    assert log_num == -math.inf and ratio == 0.0
+                    continue
+                num = mp.log(mp.fsum(below))
+                assert abs(log_num - float(num)) <= 1e-13 * max(1.0, abs(float(num)))
+                assert abs(ratio - float(min(1, mp.e ** (num - den)))) <= 1e-12
+        by_horizon = sorted(rows)
+        for (_, _, num0, den0), (_, _, num1, den1) in zip(by_horizon, by_horizon[1:]):
+            assert den0 <= den1 and num0 <= num1  # across restarts as well
 
     def test_one_cut_cases_match_profile(self):
         rng = np.random.Generator(np.random.PCG64(11))
