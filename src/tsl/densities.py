@@ -67,9 +67,7 @@ def _window_start(gamma: float, c: int, members: np.ndarray | None) -> int:
     threshold = x**gamma - 40.0 - math.log(c)
     if threshold <= 0.0:  # always at gamma = 0
         return 0
-    first = int(threshold ** (1.0 / gamma)) - 2  # the first integer kept
-    if first <= 1:
-        return 0
+    first = max(1, int(threshold ** (1.0 / gamma)) - 2)  # the first integer kept
     return first - 1 if members is None else int(np.searchsorted(members, first))
 
 
