@@ -17,8 +17,7 @@ import math
 import sys
 from io import StringIO
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, TypeVar
 
 from tsl._util import atomic_write_text, fmt17
 from tsl.constructor import (
@@ -41,6 +40,7 @@ from tsl.polybank import TargetEnumeration, enumerate_targets
 from tsl.repro import DEFAULT_SEED, REGISTRY, run_named
 from tsl.series import CoefficientSeries
 
+T = TypeVar("T")
 USAGE_EXIT = 64
 # each verify suite is a list of named repro checks
 VERIFY_SUITES = {
@@ -126,13 +126,22 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
+def _read_input(path: str, what: str, parse: Callable[[str], T]) -> T:
+    """`parse` of the text of an input file.
+
+    A file that cannot be opened or decoded, or holds a number too large
+    for a float, is a DomainError, like a malformed shape, which the
+    parsers report themselves.
+    """
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, OverflowError) as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _read_config(args: argparse.Namespace) -> dict[str, object]:
     """The config file's keys as parser defaults of this subcommand."""
-    try:
-        with open(args.config) as fh:
-            conf = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read config file {args.config}: {exc}") from exc
+    conf = _read_input(args.config, "config file", json.loads)
     if not isinstance(conf, dict):
         raise DomainError("config file must hold a JSON object")
     for key in conf:
@@ -144,25 +153,27 @@ def _read_config(args: argparse.Namespace) -> dict[str, object]:
 def _load_targets(path: str | None, count: int = 64) -> TargetEnumeration:
     if path is None:
         return enumerate_targets(count)
-    text = Path(path).read_text()
-    return TargetEnumeration.from_json(text)
+    return _read_input(path, "targets file", TargetEnumeration.from_json)
 
 
 def _parse_p_list(text: str) -> list[float]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append(math.inf if tok in ("inf", "infinity") else float(tok))
-    return out
+    toks = [tok.strip() for tok in text.split(",")]
+    try:
+        return [math.inf if tok in ("inf", "infinity") else float(tok) for tok in toks]
+    except ValueError as exc:
+        raise DomainError(f"--p must be a comma list of exponents or inf: {text!r}") from exc
 
 
 def _parse_grid(text: str, max_degree: int) -> list[float]:
-    if text.startswith("dyadic"):
-        if ":" in text:
+    if text.startswith("dyadic") and ":" not in text:
+        return dyadic_radii(max_degree)
+    try:
+        if text.startswith("dyadic"):
             top = int(text.split(":", 1)[1])
             return [1.0 - 2.0**-j for j in range(1, top + 1)]
-        return dyadic_radii(max_degree)
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise DomainError(f"--grid must be 'dyadic[:J]' or a comma list of radii: {text!r}") from exc
 
 
 def _cmd_targets(args: argparse.Namespace) -> int:
@@ -191,18 +202,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_series(path: str) -> CoefficientSeries:
-    if not Path(path).exists():
-        raise DomainError(f"input series not found: {path}")
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"input series is not JSON: {exc}") from exc
-    return CoefficientSeries.from_json_obj(obj)
-
-
 def _cmd_means(args: argparse.Namespace) -> int:
-    series = _read_series(args.infile)
+    series = _read_input(
+        args.infile, "input series", lambda text: CoefficientSeries.from_json_obj(json.loads(text))
+    )
     p_list = _parse_p_list(args.p)
     grid = _parse_grid(args.grid, series.max_degree)
     table = means_table(series, p_list, grid, args.quadrature_size)
@@ -212,9 +215,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    if not Path(args.infile).exists():
-        raise DomainError(f"input table not found: {args.infile}")
-    table = RadialMeansTable.from_csv(Path(args.infile).read_text())
+    table = _read_input(args.infile, "means table", RadialMeansTable.from_csv)
     fit = fit_growth_exponent(table, args.p)
     predicted = critical_exponent(args.p, args.gamma) - args.alpha
     verdict = "PASS" if abs(fit.slope - predicted) <= args.tol else "FAIL"

@@ -17,6 +17,13 @@ star polynomial of length
 
 with base = 2**n on the dyadic schedule and base = 2**u(n) otherwise.
 
+`iter_plan` is the one walk over the blocks: one ledger record per block
+number, in order, without coefficients; a block whose target index lies
+beyond the enumeration gives a "no-target" record.  `construct` reads it
+up to max_degree, `plan_blocks` its first records, and the tail bound in
+`tsl.verify` past the series; the first two raise DomainError on a
+"no-target" record (`construct` only on one starting at or below max_degree).
+
 An explicit schedule u is accepted by `validate_schedule`, the one check
 of explicit schedules (the lacunary probe in `tsl.verify` calls it too):
 on u(0), ..., u(SCHEDULE_CHECK_PREFIX) it must be strictly increasing,
@@ -29,16 +36,24 @@ block's span stays below 2**u(n) and fits its interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from io import StringIO
-from typing import Callable, Optional
+from itertools import count, islice
+from typing import Callable, Iterator, Optional
 
 import mpmath as mp
 import numpy as np
 
 from tsl.errors import ConstructionError, DomainError
-from tsl.polybank import TargetEnumeration, index_weighted, rudin_shapiro, vdlp_star
+from tsl.polybank import (
+    SignedPolynomial,
+    StarPolynomial,
+    TargetEnumeration,
+    index_weighted,
+    rudin_shapiro,
+    vdlp_star,
+)
 from tsl.series import CoefficientSeries
 
 SCHEDULE_CHECK_PREFIX = 40
@@ -120,7 +135,7 @@ class BlockRecord:
     budget: Optional[int]
     lo: int
     hi: int
-    skip_reason: Optional[str]  # None | unassigned | odd | gate | budget | max-degree
+    skip_reason: Optional[str]  # None | unassigned | odd | no-target | gate | budget | max-degree
 
     @property
     def built(self) -> bool:
@@ -163,20 +178,12 @@ class BlockLedger:
 
 @dataclass(frozen=True)
 class VisitReport:
-    """Visit times of one target, with per-visit errors once checked."""
+    """Visit times of one target, its test-circle radius and visit density."""
 
     k: int
     visits: tuple[int, ...]
     radius: float
     density_estimate: float
-    sup_errors: Optional[tuple[float, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.sup_errors is not None:
-            if len(self.sup_errors) != len(self.visits):
-                raise DomainError("one error per visit required")
-            if any(e < 0 for e in self.sup_errors):
-                raise DomainError("sup errors must be nonnegative")
 
 
 def two_adic_valuation(n: int) -> int:
@@ -261,14 +268,12 @@ def _budget(spec: ConstructionSpec, n: int, gate: int) -> int:
         prec *= 2
 
 
-def _classify(
-    n: int, spec: ConstructionSpec, targets: TargetEnumeration, strict: bool = True
-) -> BlockRecord:
+def _classify(n: int, spec: ConstructionSpec, targets: TargetEnumeration) -> BlockRecord:
     """Gate/budget bookkeeping for block n, without touching coefficients."""
     lo, hi, k = block_indices(n, spec)
     if k is None:
         return BlockRecord(n, None, None, None, lo, hi, "odd" if n % 2 else "unassigned")
-    if k > len(targets) and not strict:
+    if k > len(targets):
         return BlockRecord(n, k, None, None, lo, hi, "no-target")
     entry = targets.entry(k)
     gate = _effective_gate(spec, entry.l_bound, entry.degree)
@@ -281,6 +286,58 @@ def _classify(
     return BlockRecord(n, k, gate, budget, lo, hi, None)
 
 
+def iter_plan(spec: ConstructionSpec, targets: TargetEnumeration) -> Iterator[BlockRecord]:
+    """Endless stream of ledger records in block order; consumers break.
+
+    A block whose target index falls beyond the enumeration is a
+    "no-target" record, so tail scans past the enumerated horizon stay
+    usable.
+    """
+    for n in count():
+        yield _classify(n, spec, targets)
+
+
+def _require_target(rec: BlockRecord, targets: TargetEnumeration) -> BlockRecord:
+    if rec.skip_reason == "no-target":
+        raise DomainError(f"target index {rec.k} outside enumeration of length {len(targets)}")
+    return rec
+
+
+def _family(spec: ConstructionSpec, budget: int) -> SignedPolynomial | StarPolynomial:
+    """The block family of length `budget`: Rudin-Shapiro signs or the star profile."""
+    return rudin_shapiro(budget) if spec.regime is Regime.RS else vdlp_star(budget)
+
+
+def _block_content(
+    rec: BlockRecord, spec: ConstructionSpec, targets: TargetEnumeration
+) -> np.ndarray:
+    """Dense content of a built block over [lo, lo + span].
+
+    Raises ConstructionError if the product would overrun the interval.
+    """
+    assert rec.k is not None and rec.gate is not None and rec.budget is not None
+    entry = targets.entry(rec.k)
+    gate, budget = rec.gate, rec.budget
+    weighted = index_weighted(entry.series, spec.alpha).coefficients
+    d = entry.degree
+    span = gate * (budget - 1) + d
+    if rec.lo + span > rec.hi:
+        raise ConstructionError(
+            f"block n={rec.n} (target {rec.k}, budget {budget}) spans {span + 1} "
+            f"coefficients but its interval holds {rec.hi - rec.lo + 1}"
+        )
+    family = _family(spec, budget).coefficients.astype(np.float64, copy=False)
+    content = np.zeros(span + 1, dtype=np.complex128)
+    # product of the gate-dilated family with the weighted target: the gate
+    # exceeds the target degree, so each output index has a unique term
+    for j in range(d + 1):
+        if weighted[j] != 0:
+            content[j : j + gate * budget : gate] = family * weighted[j]
+    idx = rec.lo + np.arange(span + 1, dtype=np.float64)
+    content *= (idx + 1.0) ** (-spec.alpha)
+    return content
+
+
 def build_block(
     n: int, spec: ConstructionSpec, targets: TargetEnumeration
 ) -> tuple[BlockRecord, Optional[np.ndarray]]:
@@ -289,33 +346,8 @@ def build_block(
     The content array covers [lo, lo + span]; the caller places it at lo.
     Raises ConstructionError if the product would overrun the interval.
     """
-    record = _classify(n, spec, targets)
-    if not record.built:
-        return record, None
-    assert record.k is not None and record.gate is not None and record.budget is not None
-    entry = targets.entry(record.k)
-    gate, budget = record.gate, record.budget
-    weighted = index_weighted(entry.series, spec.alpha).coefficients
-    d = entry.degree
-    span = gate * (budget - 1) + d
-    if record.lo + span > record.hi:
-        raise ConstructionError(
-            f"block n={n} (target {record.k}, budget {budget}) spans {span + 1} "
-            f"coefficients but its interval holds {record.hi - record.lo + 1}"
-        )
-    if spec.regime is Regime.RS:
-        family = rudin_shapiro(budget).coefficients.astype(np.float64)
-    else:
-        family = vdlp_star(budget).coefficients
-    content = np.zeros(span + 1, dtype=np.complex128)
-    # product of the gate-dilated family with the weighted target: the gate
-    # exceeds the target degree, so each output index has a unique term
-    for j in range(d + 1):
-        if weighted[j] != 0:
-            content[j : j + gate * budget : gate] = family * weighted[j]
-    idx = record.lo + np.arange(span + 1, dtype=np.float64)
-    content *= (idx + 1.0) ** (-spec.alpha)
-    return record, content
+    record = _require_target(_classify(n, spec, targets), targets)
+    return record, _block_content(record, spec, targets) if record.built else None
 
 
 def construct(
@@ -328,21 +360,17 @@ def construct(
     """
     arr = np.zeros(spec.max_degree + 1, dtype=np.complex128)
     records: list[BlockRecord] = []
-    n = 0
-    while True:
-        lo, hi, _ = block_indices(n, spec)
-        if lo > spec.max_degree:
+    for rec in iter_plan(spec, targets):
+        if rec.lo > spec.max_degree:
             break
-        if hi > spec.max_degree:
-            rec = _classify(n, spec, targets)
-            records.append(replace(rec, skip_reason="max-degree"))
-            n += 1
-            continue
-        rec, content = build_block(n, spec, targets)
-        records.append(rec)
-        if content is not None:
+        _require_target(rec, targets)
+        if rec.hi > spec.max_degree:
+            rec = replace(rec, skip_reason="max-degree")
+        elif rec.built:
+            content = _block_content(rec, spec, targets)
             arr[rec.lo : rec.lo + len(content)] = content
-        n += 1
+            del content  # freed before the next block is built, not after
+        records.append(rec)
     ledger = BlockLedger(tuple(records))
     ledger.assert_disjoint_supports()
     return CoefficientSeries(arr), ledger
@@ -356,26 +384,8 @@ def plan_blocks(
     Budgets are exact integers and may be far too large to realize; the
     plan feeds the structured radial means and truncation-tail bounds.
     """
-    return BlockLedger(tuple(_classify(n, spec, targets) for n in range(n_limit + 1)))
-
-
-def iter_plan(spec: ConstructionSpec, targets: TargetEnumeration):
-    """Endless stream of ledger records in block order; consumers break.
-
-    Blocks whose target index falls beyond the enumeration are reported
-    as skipped rather than raising, so tail scans past the enumerated
-    horizon stay usable.
-    """
-    n = 0
-    while True:
-        yield _classify(n, spec, targets, strict=False)
-        n += 1
-
-
-def _family_plus_positions(spec: ConstructionSpec, budget: int) -> np.ndarray:
-    if spec.regime is Regime.RS:
-        return rudin_shapiro(budget).plus_positions()
-    return vdlp_star(budget).plus_positions()
+    plan = islice(iter_plan(spec, targets), n_limit + 1)
+    return BlockLedger(tuple(_require_target(rec, targets) for rec in plan))
 
 
 def visit_set(
@@ -400,7 +410,7 @@ def visit_set(
         if not rec.built:
             continue
         assert rec.gate is not None and rec.budget is not None
-        positions = _family_plus_positions(spec, rec.budget)
+        positions = _family(spec, rec.budget).plus_positions()
         block_visits = rec.lo + rec.gate * positions
         if len(block_visits):
             visits.extend(int(s) for s in block_visits)

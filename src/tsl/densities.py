@@ -34,6 +34,16 @@ def _check_gamma(gamma: float) -> None:
         raise DomainError("gamma must lie in [0, 1]")
 
 
+def _integers(values: object, what: str) -> np.ndarray:
+    """`values` as int64; a value that is not an integer is a DomainError, not truncated."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not (
+        arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
+    ):
+        raise DomainError(f"{what} must be integral")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class PrefixSet:
     """Finite surrogate of an integer set: sorted members inside [1, n_max]."""
@@ -42,17 +52,18 @@ class PrefixSet:
     n_max: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.members, dtype=np.int64)
+        n_max = int(_integers(self.n_max, "n_max"))
+        arr = _integers(self.members, "members")
         if arr.ndim != 1:
             raise DomainError("members must be 1-d")
         if arr.size:
-            if arr[0] < 1 or arr[-1] > self.n_max:
+            if arr[0] < 1 or arr[-1] > n_max:
                 raise DomainError("members must lie in [1, n_max]")
             if np.any(np.diff(arr) <= 0):
                 raise DomainError("members must be strictly increasing")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "members", arr)
+        object.__setattr__(self, "n_max", n_max)
 
 
 def _window_start(gamma: float, c: int, members: np.ndarray | None) -> int:
@@ -113,6 +124,7 @@ def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray | None = Non
 
 def log_weight_sum(n: int, gamma: float) -> float:
     """log of sum_{k=1..n} exp(k**gamma), never materialized in linear scale."""
+    n = int(_integers(n, "prefix length"))
     if n < 1:
         raise DomainError("prefix length must be >= 1")
     _check_gamma(gamma)
@@ -133,7 +145,7 @@ def prefix_density_profile(
     over the members, cut at the member counts, every numerator.
     """
     _check_gamma(gamma)
-    h = np.asarray(horizons, dtype=np.int64)
+    h = _integers(horizons, "horizons")
     for n in h:
         if n > prefix_set.n_max:
             raise DomainError(f"horizon {n} exceeds the set's n_max {prefix_set.n_max}")

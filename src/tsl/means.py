@@ -50,6 +50,7 @@ _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
 _TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
 _PHASES = 8  # most phase-shifted FFTs one circle sampling is split into
 _EXACT_TERMS = 1 << 16  # position sums with more terms that matter go to the integral
+_CSV_HEADER = "p,r,value,quadrature_size"
 
 
 def _check_p(p: float) -> None:
@@ -102,7 +103,7 @@ class RadialMeansTable:
 
     def to_csv(self) -> str:
         out = StringIO()
-        out.write("p,r,value,quadrature_size\n")
+        out.write(_CSV_HEADER + "\n")
         for row in self.rows:
             p_txt = "inf" if row.p == math.inf else fmt17(row.p)
             out.write(f"{p_txt},{fmt17(row.r)},{fmt17(row.value)},{row.quadrature_size}\n")
@@ -110,18 +111,24 @@ class RadialMeansTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "RadialMeansTable":
+        """Inverse of `to_csv`; any other shape raises DomainError."""
         lines = [ln for ln in text.strip().splitlines() if ln]
+        if not lines or lines[0] != _CSV_HEADER:
+            raise DomainError(f"a means table starts with the header {_CSV_HEADER}")
         rows = []
         for ln in lines[1:]:
-            p_txt, r_txt, v_txt, q_txt = ln.split(",")
-            rows.append(
-                MeanRow(
-                    p=math.inf if p_txt == "inf" else float(p_txt),
-                    r=float(r_txt),
-                    value=float(v_txt),
-                    quadrature_size=int(q_txt),
+            try:
+                p_txt, r_txt, v_txt, q_txt = ln.split(",")
+                rows.append(
+                    MeanRow(
+                        p=math.inf if p_txt == "inf" else float(p_txt),
+                        r=float(r_txt),
+                        value=float(v_txt),
+                        quadrature_size=int(q_txt),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise DomainError(f"means table row is not {_CSV_HEADER}: {ln!r}") from exc
         return cls(tuple(rows))
 
 
@@ -317,6 +324,13 @@ def dyadic_radii(max_degree: int) -> list[float]:
     return [1.0 - 2.0**-j for j in range(1, top + 1)]
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares (slope, intercept) of y against x."""
+    design = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    return float(slope), float(intercept)
+
+
 def fit_growth_exponent(table: RadialMeansTable, p: float) -> GrowthFit:
     """Least-squares slope of log(mean) against log(1/(1-r)).
 
@@ -332,12 +346,11 @@ def fit_growth_exponent(table: RadialMeansTable, p: float) -> GrowthFit:
     upper = rows[len(rows) // 2 :]
     x = np.array([math.log(1.0 / (1.0 - row.r)) for row in upper])
     y = np.array([math.log(row.value) for row in upper])
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    slope, intercept = _line_fit(x, y)
     resid = y - (slope * x + intercept)
     return GrowthFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
         residual_rms=float(np.sqrt(np.mean(resid**2))),
         r_window=(upper[0].r, upper[-1].r),
     )

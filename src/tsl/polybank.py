@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 from typing import Any, Iterator
 
 import numpy as np
@@ -173,16 +173,22 @@ class TargetEnumeration:
         return json.dumps(self.to_json_obj(), indent=0, separators=(",", ":"))
 
     @classmethod
-    def from_json_obj(cls, obj: list[dict[str, Any]]) -> "TargetEnumeration":
+    def from_json_obj(cls, obj: Any) -> "TargetEnumeration":
+        """Inverse of `to_json_obj`; any other shape raises DomainError."""
+        if not isinstance(obj, list) or not all(_is_target_obj(rec) for rec in obj):
+            raise DomainError(
+                'targets must be a list of {"degree": d, "l_k": l, "coefficients": [[a, b, c], '
+                "...]} with integers, l >= 1 and c >= 1"
+            )
         entries = []
         for rec in obj:
-            exact = tuple((int(a), int(b), int(c)) for a, b, c in rec["coefficients"])
+            exact = tuple(tuple(t) for t in rec["coefficients"])
             entries.append(
                 TargetEntry(
                     exact=exact,
                     series=_exact_to_series(exact),
-                    l_bound=int(rec["l_k"]),
-                    degree=int(rec["degree"]),
+                    l_bound=rec["l_k"],
+                    degree=rec["degree"],
                 )
             )
         return cls(tuple(entries))
@@ -190,6 +196,18 @@ class TargetEnumeration:
     @classmethod
     def from_json(cls, text: str) -> "TargetEnumeration":
         return cls.from_json_obj(json.loads(text))
+
+
+def _is_target_obj(rec: Any) -> bool:
+    """Whether `rec` has the shape of one entry of `TargetEnumeration.to_json_obj`."""
+    # type(...) is int: JSON true/false load as bool, which subclasses int
+    if not isinstance(rec, dict) or not all(type(rec.get(key)) is int for key in ("degree", "l_k")):
+        return False
+    coeffs = rec.get("coefficients")
+    return rec["l_k"] >= 1 and isinstance(coeffs, list) and all(
+        isinstance(t, list) and len(t) == 3 and all(type(v) is int for v in t) and t[2] >= 1
+        for t in coeffs
+    )
 
 
 def _exact_degree(exact: tuple[tuple[int, int, int], ...]) -> int:
@@ -263,7 +281,7 @@ def enumerate_targets(target_count: int) -> TargetEnumeration:
         for d in range(0, shell):
             h = shell - d
             triples = _coeff_triples(h)
-            for tup in _tuples(triples, d + 1):
+            for tup in product(triples, repeat=d + 1):
                 key = _canonical(tup)
                 if key in seen:
                     continue
@@ -283,19 +301,6 @@ def enumerate_targets(target_count: int) -> TargetEnumeration:
                 if len(entries) == target_count:
                     return TargetEnumeration(tuple(entries))
     raise AssertionError("unreachable")
-
-
-def _tuples(
-    triples: list[tuple[int, int, int]], length: int
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """Lexicographic tuples of `length` coefficient triples."""
-    if length == 1:
-        for t in triples:
-            yield (t,)
-        return
-    for head in triples:
-        for rest in _tuples(triples, length - 1):
-            yield (head,) + rest
 
 
 def index_weighted(series: CoefficientSeries, alpha: float) -> CoefficientSeries:

@@ -25,7 +25,7 @@ from tsl.constructor import (
 )
 from tsl.densities import prefix_density, prefix_density_profile, separating_set
 from tsl.means import (
-    RadialMeansTable,
+    _line_fit,
     circle_norm,
     circle_samples,
     critical_exponent,
@@ -49,27 +49,15 @@ from tsl.verify import (
     run_abel_suite,
     run_power_sum_suite,
     unit_quadratic_probe,
-    visit_report,
 )
 
 DEFAULT_SEED = 20240601
 
 
-def _unit_entry(l_bound: int) -> TargetEntry:
+def _constant_entry(c: int) -> TargetEntry:
+    """The constant target c with the smallest legal bound, l = 1."""
     return TargetEntry(
-        exact=((1, 0, 1),),
-        series=CoefficientSeries(np.array([1.0 + 0.0j])),
-        l_bound=l_bound,
-        degree=0,
-    )
-
-
-def _zero_entry(l_bound: int) -> TargetEntry:
-    return TargetEntry(
-        exact=((0, 0, 1),),
-        series=CoefficientSeries(np.array([0.0 + 0.0j])),
-        l_bound=l_bound,
-        degree=0,
+        exact=((c, 0, 1),), series=CoefficientSeries(np.array([complex(c)])), l_bound=1, degree=0
     )
 
 
@@ -83,14 +71,12 @@ def uniform_unit_targets(count: int) -> TargetEnumeration:
     minimum (4) for every slot, which puts eight active blocks under
     2**20 and exposes the scaling the fit is after.
     """
-    return TargetEnumeration(tuple(_unit_entry(1) for _ in range(count)))
+    return TargetEnumeration(tuple(_constant_entry(1) for _ in range(count)))
 
 
 def visit_fixture_targets() -> TargetEnumeration:
     """Zero target first, the constant one in slot two (gate 4), zeros after."""
-    return TargetEnumeration(
-        (_zero_entry(1), _unit_entry(1), _zero_entry(1), _zero_entry(1))
-    )
+    return TargetEnumeration(tuple(_constant_entry(c) for c in (0, 1, 0, 0)))
 
 
 def _report(name: str, passed: bool, t0: float, **details: Any) -> dict[str, Any]:
@@ -200,39 +186,40 @@ def check_density_separation(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     return _report("density-separation", passed, t0, rows=rows)
 
 
-def _growth_slope(gamma: float) -> tuple[float, dict[str, Any]]:
-    targets = uniform_unit_targets(8)
-    spec = ConstructionSpec(
-        alpha=0.0, gamma=gamma, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 20
-    )
-    series, ledger = construct(spec, targets)
-    table = means_table(series, [2.0], dyadic_radii(spec.max_degree))
-    fit = fit_growth_exponent(table, 2.0)
-    detail = {
-        "gamma": gamma,
-        "slope": fit.slope,
-        "residual_rms": fit.residual_rms,
-        "built_blocks": [r.n for r in ledger.built()],
-    }
-    return fit.slope, detail
+def _growth_check(name: str, gamma: float, tolerance: float, doc: str) -> Callable[[int], dict[str, Any]]:
+    """A named check of the p = 2 growth slope of a dense dyadic construction.
+
+    Eight constant-one targets (`uniform_unit_targets`) at alpha = 0 up to
+    degree 2**20; the slope must lie within `tolerance` of (1 - gamma)/2.
+    """
+
+    def check(seed: int = DEFAULT_SEED) -> dict[str, Any]:
+        t0 = time.perf_counter()
+        spec = ConstructionSpec(
+            alpha=0.0, gamma=gamma, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 20
+        )
+        series, ledger = construct(spec, uniform_unit_targets(8))
+        table = means_table(series, [2.0], dyadic_radii(spec.max_degree))
+        fit = fit_growth_exponent(table, 2.0)
+        expected = critical_exponent(2.0, gamma)  # alpha = 0
+        return _report(
+            name, abs(fit.slope - expected) <= tolerance, t0, expected=expected,
+            tolerance=tolerance, gamma=gamma, slope=fit.slope, residual_rms=fit.residual_rms,
+            built_blocks=[r.n for r in ledger.built()],
+        )
+
+    check.__doc__ = doc
+    return check
 
 
-def check_growth_gamma05(seed: int = DEFAULT_SEED) -> dict[str, Any]:
-    """Subcritical radial growth exponent at gamma = 0.5: slope 0.25 +- 0.08."""
-    t0 = time.perf_counter()
-    slope, detail = _growth_slope(0.5)
-    expected = critical_exponent(2.0, 0.5)  # alpha = 0
-    passed = abs(slope - expected) <= 0.08
-    return _report("growth-gamma05-p2", passed, t0, expected=expected, tolerance=0.08, **detail)
-
-
-def check_growth_gamma0(seed: int = DEFAULT_SEED) -> dict[str, Any]:
-    """Subcritical radial growth exponent at gamma = 0: slope 0.5 +- 0.1."""
-    t0 = time.perf_counter()
-    slope, detail = _growth_slope(0.0)
-    expected = critical_exponent(2.0, 0.0)
-    passed = abs(slope - expected) <= 0.1
-    return _report("growth-gamma0-p2", passed, t0, expected=expected, tolerance=0.1, **detail)
+check_growth_gamma05 = _growth_check(
+    "growth-gamma05-p2", 0.5, 0.08,
+    "Subcritical radial growth exponent at gamma = 0.5: slope 0.25 +- 0.08.",
+)
+check_growth_gamma0 = _growth_check(
+    "growth-gamma0-p2", 0.0, 0.1,
+    "Subcritical radial growth exponent at gamma = 0: slope 0.5 +- 0.1.",
+)
 
 
 def check_critical_growth(seed: int = DEFAULT_SEED) -> dict[str, Any]:
@@ -258,14 +245,11 @@ def check_critical_growth(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     values = [v for _, v in profile]
     monotone = all(b >= a * (1.0 - 1e-12) for a, b in zip(values, values[1:]))
     sel = slice(len(profile) // 2, None)
-    x = np.log([j for j, _ in profile[sel]])
-    y = np.log(values[sel.start :])
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, _), *_ = np.linalg.lstsq(design, y, rcond=None)
-    passed = monotone and abs(float(slope) - 0.5) <= 0.25
+    slope, _ = _line_fit(np.log([j for j, _ in profile[sel]]), np.log(values[sel.start :]))
+    passed = monotone and abs(slope - 0.5) <= 0.25
     return _report(
         "critical-u2-p2", passed, t0,
-        slope=float(slope), expected=0.5, tolerance=0.25, monotone=monotone,
+        slope=slope, expected=0.5, tolerance=0.25, monotone=monotone,
         first_active_block=first_on, j_window=[j_grid[0], j_grid[-1]],
     )
 
@@ -286,10 +270,11 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     )
     series, ledger = construct(spec, targets)
     k = 2  # first target with nonzero content
-    report = visit_report(series, spec, targets, k, ledger)
+    report = visit_set(spec, targets, k, ledger)
+    errors = [check_visit(series, spec, targets, k, s) for s in report.visits]
     l_bound = targets.entry(k).l_bound
-    max_err = max(report.sup_errors) if report.sup_errors else math.inf
-    errors_ok = bool(report.sup_errors) and max_err <= 10.0 / l_bound
+    max_err = max(errors) if errors else math.inf
+    errors_ok = bool(errors) and max_err <= 10.0 / l_bound
     # negative control: a sign slot of -1 inside a built block of this target
     control = None
     for rec in ledger.for_target(k):

@@ -1,12 +1,14 @@
 """Truncated Taylor series and the weighted coefficient shift.
 
-A series is a dense, immutable vector of complex coefficients; index j
-holds the z^j coefficient.  The shift acts by
+A series (`CoefficientSeries`) is a dense, immutable vector of complex
+coefficients; index j holds the z^j coefficient.  The shift acts by
 
     (T f)_j = a_{j+1} * (1 + 1/(j+1))**alpha,
 
-and its n-th power collapses the weight product by telescoping to
-((j+n+1)/(j+1))**alpha, which is what `apply_shift_power` evaluates.
+`apply_shift` is one step, and the n-th power collapses the weight
+product by telescoping to ((j+n+1)/(j+1))**alpha, which is what
+`apply_shift_power` evaluates.  The module holds coefficients only: the
+values of a series on a circle come from `means.circle_samples`.
 
 A series file is the JSON object
 
@@ -15,8 +17,8 @@ A series file is the JSON object
 listing only the nonzero coefficients a_j = re + im*i, with j strictly
 increasing in [0, N]; every other coefficient up to z**N is zero.  Block
 constructions are lacunary, so the terms are a small fraction of the
-N + 1 coefficients.  A zero coefficient stored as -0.0
-reads back as +0.0; every other value round-trips exactly.  This module
+N + 1 coefficients.  A zero coefficient stored as -0.0 reads back as
++0.0; every other value round-trips exactly.  This module
 is the only one that knows the layout.
 """
 
@@ -116,13 +118,6 @@ class CoefficientSeries:
         return cls(coeffs)
 
 
-def weight(n: int, alpha: float) -> float:
-    """Shift weight (1 + 1/n)**alpha; defined for n >= 1."""
-    if n < 1:
-        raise DomainError("weight index must be >= 1")
-    return (1.0 + 1.0 / n) ** alpha
-
-
 def apply_shift(series: CoefficientSeries, params: ShiftParams) -> CoefficientSeries:
     """One application of the weighted shift; constants map to the zero series."""
     a = series.coefficients
@@ -156,17 +151,3 @@ def apply_shift_power(
     j = np.arange(stop - n, dtype=np.float64)
     w = ((j + n + 1.0) / (j + 1.0)) ** params.alpha
     return CoefficientSeries(a[n:stop] * w)
-
-
-def evaluate(series: CoefficientSeries, z: complex) -> complex:
-    """Value of the series at z (Horner for short series, power dot above)."""
-    a = series.coefficients
-    if len(a) <= 64:
-        acc = 0.0 + 0.0j
-        for c in a[::-1]:
-            acc = acc * z + c
-        return complex(acc)
-    if z == 0:
-        return complex(a[0])
-    powers = np.power(z, np.arange(len(a)))
-    return complex(np.dot(a, powers))

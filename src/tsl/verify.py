@@ -11,19 +11,12 @@ truncation instead of pretending the finite series is the infinite one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from tsl.constructor import (
-    BlockLedger,
-    ConstructionSpec,
-    VisitReport,
-    iter_plan,
-    validate_schedule,
-    visit_set,
-)
+from tsl.constructor import ConstructionSpec, iter_plan, validate_schedule
 from tsl.errors import DomainError
 from tsl.means import circle_samples, effective_degree
 from tsl.polybank import TargetEnumeration, index_weighted
@@ -265,19 +258,6 @@ def check_visit(
     q_samples = circle_samples(entry.series.coefficients, radius, _VISIT_SAMPLES)
     err = float(np.max(np.abs(g_samples - q_samples)))
     return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree, s + window)
-
-
-def visit_report(
-    f: CoefficientSeries,
-    spec: ConstructionSpec,
-    targets: TargetEnumeration,
-    k: int,
-    ledger: BlockLedger,
-) -> VisitReport:
-    """Visit set of target k with every visit's sup error filled in."""
-    report = visit_set(spec, targets, k, ledger)
-    errors = tuple(check_visit(f, spec, targets, k, s) for s in report.visits)
-    return replace(report, sup_errors=errors)
 
 
 def _spawn_rngs(master_seed: int, count: int) -> list[np.random.Generator]:

@@ -63,6 +63,51 @@ class TestExitCodes:
         assert main(["means", "--in", str(path), "--out", str(tmp_path / "m.csv")]) == 1
         assert _single_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "command,text,flags",
+        [
+            ("means", '{"max_degree": 1, "terms": []}', ["--p", "abc"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:x"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "0.5,foo"]),
+            ("means", None, []),
+            ("means", b"\xff\xfe{", []),
+            ("construct", None, []),
+            ("construct", '[{"k": 1}]', []),
+            ("construct", "{", []),
+            ("construct", '{"k": 1}', []),
+            ("construct", '[{"k": 1, "degree": 0, "l_k": 1, "coefficients": [[1, 0, 0]]}]', []),
+            ("construct", '[{"k": 1, "degree": 0, "l_k": 1, "coefficients": [[1.5, 0, 1]]}]', []),
+            ("construct", '[{"k": 1, "degree": 0, "l_k": 0, "coefficients": [[0, 0, 1]]}]', []),
+            ("construct", '[{"degree": 0, "l_k": 1, "coefficients": [[1%s, 0, 1]]}]' % ("0" * 400), []),
+            ("fit", "p,r,value,quadrature_size\n2,0.5,1\n", []),
+            ("fit", "p,r,value,quadrature_size\n2,half,1.0,0\n", []),
+            ("fit", "p,r,value\n2,0.5,1.0\n", []),
+            ("fit", None, []),
+        ],
+        ids=[
+            "p-abc", "grid-dyadic-x", "grid-foo", "series-missing", "series-not-utf8",
+            "targets-missing", "targets-no-keys", "targets-not-json", "targets-not-a-list",
+            "targets-zero-denominator", "targets-float-coefficient", "targets-zero-bound",
+            "targets-huge-coefficient",
+            "means-three-columns", "means-non-numeric-r", "means-wrong-header", "means-missing",
+        ],
+    )
+    def test_malformed_input_is_a_domain_error(self, tmp_path, capsys, command, text, flags):
+        path = tmp_path / "input"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:  # None: the file is missing
+            path.write_text(text)
+        out = tmp_path / "out"
+        if command == "construct":
+            argv = ["construct", "--max-degree", "4096", "--targets", str(path),
+                    "--out", str(out), "--ledger", str(tmp_path / "ledger.csv")]
+        else:
+            argv = [command, "--in", str(path), "--out", str(out)]
+        assert main(argv + flags) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
     def test_verification_failure(self, tmp_path, monkeypatch, capsys):
         def failing(seed):
             return {"name": "orbit-visits", "passed": False, "seconds": 0.0}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import mpmath as mp
@@ -412,6 +414,21 @@ class TestPlanIteration:
         missing = [r for r in records if r.skip_reason == "no-target"]
         assert missing and all(r.k is not None and r.k > 2 for r in missing)
 
+    def test_plan_blocks_requires_enough_targets(self):
+        # block 8 = 2**3 belongs to target 3
+        assert len(plan_blocks(dyadic_spec(), enumerate_targets(2), 7).records) == 8
+        with pytest.raises(DomainError):
+            plan_blocks(dyadic_spec(), enumerate_targets(2), 8)
+        with pytest.raises(DomainError):
+            build_block(8, dyadic_spec(), enumerate_targets(2))
+
+    def test_construct_needs_targets_of_blocks_starting_below_max_degree(self):
+        # block 8 covers [256, 511]: at 300 it is dropped, yet its target is needed
+        with pytest.raises(DomainError):
+            construct(dyadic_spec(max_degree=300), enumerate_targets(2))
+        _, ledger = construct(dyadic_spec(max_degree=255), enumerate_targets(2))
+        assert ledger.records[-1].n == 7
+
     def test_plan_matches_construct_classification(self):
         spec = dyadic_spec(max_degree=1 << 14)
         targets = enumerate_targets(8)
@@ -423,3 +440,32 @@ class TestPlanIteration:
                 continue
             assert by_n[rec.n].skip_reason == rec.skip_reason
             assert by_n[rec.n].budget == rec.budget
+
+
+class TestGoldenOutputs:
+    """sha256 of the enumeration order and of one block layout.
+
+    At alpha = 0 every coefficient is a target coefficient (a + b*i)/c
+    times a sign, with no envelope rounding, so the hashes pin the layout
+    itself and do not depend on the numpy version.
+    """
+
+    @staticmethod
+    def _sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_enumeration_order(self):
+        assert self._sha(enumerate_targets(64).to_json()) == (
+            "360f1dc94f432dfe3e0286da7a510e48dbd3ab087bdb7b0f4642dd15329c9b8f"
+        )
+
+    def test_alpha_zero_block_layout(self):
+        spec = dyadic_spec(gamma=0.0, max_degree=1 << 14)
+        series, ledger = construct(spec, enumerate_targets(64))
+        assert [r.n for r in ledger.built()] == [6, 8, 10, 12]
+        assert self._sha(ledger.to_csv()) == (
+            "e6f7eaae03575330d811f75849f0aae8116dc71276c4693050bc047ca2ea3098"
+        )
+        assert self._sha(json.dumps(series.to_json_obj())) == (
+            "40e299e735619c400bff4ebbbdabe7bd2bd2c1271f2ac810811aa924dc6b8242"
+        )

@@ -44,6 +44,14 @@ class TestLogWeightSum:
         with pytest.raises(DomainError):
             log_weight_sum(10, 1.5)
 
+    @pytest.mark.parametrize("n", [2.5, 1.0001, math.nan, math.inf])
+    def test_rejects_non_integral_length(self, n):
+        with pytest.raises(DomainError):
+            log_weight_sum(n, 1.0)
+
+    def test_integral_float_length_is_the_integer(self):
+        assert log_weight_sum(2.0, 1.0) == log_weight_sum(2, 1.0)
+
 
 class TestPrefixDensity:
     def test_full_set_density_one(self):
@@ -208,6 +216,21 @@ class TestPrefixSetInvariants:
             PrefixSet(np.array([0, 3]), 10)
         with pytest.raises(DomainError):
             PrefixSet(np.array([3, 11]), 10)
+
+    @pytest.mark.parametrize(
+        "members,n_max", [([1.5, 2.7], 10), ([1, 2], 10.5), ([1.5, 2.7], 10.5), ([1, math.nan], 10)]
+    )
+    def test_rejects_non_integral_values(self, members, n_max):
+        with pytest.raises(DomainError):
+            PrefixSet(np.array(members), n_max)
+
+    def test_non_integral_horizon_rejected(self):
+        ds = PrefixSet(np.array([1, 2, 3]), 10)
+        with pytest.raises(DomainError):
+            prefix_density_profile(ds, 0.5, [2.9])
+        with pytest.raises(DomainError):
+            prefix_density(ds, 0.5, 2.5)
+        assert prefix_density_profile(ds, 0.5, [2.0]) == prefix_density_profile(ds, 0.5, [2])
 
 
 @functools.cache

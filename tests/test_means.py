@@ -227,6 +227,21 @@ class TestMeanRows:
         assert again == table
         assert table.to_csv().splitlines()[0] == "p,r,value,quadrature_size"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "p,r,value\n2,0.5,1.0\n",
+            "p,r,value,quadrature_size\n2,0.5,1.0\n",
+            "p,r,value,quadrature_size\n2,half,1.0,0\n",
+            "p,r,value,quadrature_size\n2,0.5,1.0,0.5\n",
+            "p,r,value,quadrature_size\n2,0.5,1.0,0,7\n",
+        ],
+    )
+    def test_csv_rejects_malformed_shape(self, text):
+        with pytest.raises(DomainError):
+            RadialMeansTable.from_csv(text)
+
 
 class TestExponents:
     def test_nan_p_rejected(self):

@@ -175,6 +175,25 @@ class TestEnumeration:
         assert [e.exact for e in back.entries] == [e.exact for e in t.entries]
         assert [e.l_bound for e in back.entries] == [e.l_bound for e in t.entries]
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"k": 1},
+            [{"k": 1}],
+            [None],
+            [{"degree": 0, "l_k": 1, "coefficients": [[1, 0]]}],
+            [{"degree": 0, "l_k": 1, "coefficients": [[1, 0, 0]]}],
+            [{"degree": 0, "l_k": 1, "coefficients": [[1, 0, -2]]}],
+            [{"degree": 0, "l_k": 1.0, "coefficients": [[1, 0, 1]]}],
+            [{"degree": 0, "l_k": 0, "coefficients": [[0, 0, 1]]}],
+            [{"degree": True, "l_k": 1, "coefficients": [[1, 0, 1]]}],
+            [{"degree": 0, "l_k": 1, "coefficients": "1"}],
+        ],
+    )
+    def test_json_rejects_malformed_shape(self, obj):
+        with pytest.raises(DomainError):
+            TargetEnumeration.from_json_obj(obj)
+
     def test_rejects_decreasing_l(self):
         t = enumerate_targets(3)
         entries = (t.entries[1], t.entries[0])  # l 3 then 1

@@ -11,8 +11,6 @@ from tsl.series import (
     ShiftParams,
     apply_shift,
     apply_shift_power,
-    evaluate,
-    weight,
 )
 
 ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -20,22 +18,6 @@ ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
 def series_of(*coeffs):
     return CoefficientSeries(np.array(coeffs, dtype=np.complex128))
-
-
-class TestWeight:
-    def test_base(self):
-        assert weight(1, 2.0) == 4.0
-
-    def test_zero_exponent(self):
-        for n in (1, 2, 17, 1000):
-            assert weight(n, 0.0) == 1.0
-
-    def test_negative_exponent(self):
-        assert weight(3, -1.0) == 0.75
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(DomainError):
-            weight(0, 1.0)
 
 
 class TestApplyShift:
@@ -92,28 +74,9 @@ class TestShiftPower:
         s = CoefficientSeries(coeffs)
         for alpha in ALPHAS:
             for n in (0, 1, 5, 20):
-                got = evaluate(apply_shift_power(s, n, ShiftParams(alpha)), 0)
+                got = apply_shift_power(s, n, ShiftParams(alpha)).coefficients[0]
                 want = coeffs[n] * (n + 1.0) ** alpha
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-class TestEvaluate:
-    def test_half(self):
-        assert evaluate(series_of(1, 1), 0.5) == 1.5
-
-    def test_at_zero_returns_constant(self):
-        assert evaluate(series_of(3.5, 1, 2, 9), 0) == 3.5
-
-    def test_at_i(self):
-        assert evaluate(series_of(1, 2, 3), 1j) == pytest.approx(-2 + 2j)
-
-    def test_long_series_path(self):
-        rng = np.random.Generator(np.random.PCG64(3))
-        coeffs = rng.standard_normal(200)
-        s = CoefficientSeries(coeffs.astype(np.complex128))
-        z = 0.37 + 0.2j
-        want = sum(c * z**j for j, c in enumerate(coeffs))
-        assert abs(evaluate(s, z) - want) < 1e-10
 
 
 @st.composite
