@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands cover the pipeline end to end: target enumeration, block
-construction, radial means, growth fits, density studies, verification
-suites, and named reproduction runs.  All outputs are written atomically
-(temp file + rename); CSV and JSON numbers carry 17 significant digits.
+construction, radial means, growth fits, density studies, and the named
+checks of `tsl.repro.REGISTRY`, which `repro --theorem <name|all>` runs.
+All outputs are written atomically (temp file + rename); CSV and JSON
+numbers carry 17 significant digits.
 
 Exit codes: 0 success, 1 domain error (single-line diagnostic on
-stderr), 2 verification-suite failure (report path printed), 64 usage.
+stderr), 2 a named `repro` check failed (report path printed), 64 usage.
 """
 
 from __future__ import annotations
@@ -42,13 +43,6 @@ from tsl.series import CoefficientSeries
 
 T = TypeVar("T")
 USAGE_EXIT = 64
-# each verify suite is a list of named repro checks
-VERIFY_SUITES = {
-    "lemmas": ("lemma-oracles",),
-    "visits": ("orbit-visits",),
-    "asymptotic": ("lemma-oracles",),
-    "all": ("lemma-oracles", "orbit-visits"),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,10 +109,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "2^10 .. n_max",
     )
     p.add_argument("--out", type=str, default="density.csv")
-
-    p = sub.add_parser("verify", parents=[common], help="oracle suites (named repro checks)")
-    p.add_argument("--suite", choices=list(VERIFY_SUITES), default="all")
-    p.add_argument("--report", type=str, default="report.json")
 
     p = sub.add_parser("repro", parents=[common], help="named acceptance checks")
     p.add_argument("--theorem", type=str, default="all", help=f"one of {', '.join(REGISTRY)} or all")
@@ -249,18 +239,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = [rep for name in VERIFY_SUITES[args.suite] for rep in run_named(name, args.seed)]
-    report = {"suite": args.suite, "seed": args.seed, "checks": checks,
-              "passed": all(c["passed"] for c in checks)}
-    atomic_write_text(args.report, json.dumps(report, sort_keys=True, default=float) + "\n")
-    if not report["passed"]:
-        print(f"verification FAILED; report at {args.report}")
-        return 2
-    print(f"verification passed; report at {args.report}")
-    return 0
-
-
 def _cmd_repro(args: argparse.Namespace) -> int:
     try:
         reports = run_named(args.theorem, args.seed)
@@ -284,7 +262,6 @@ _DISPATCH = {
     "means": _cmd_means,
     "fit": _cmd_fit,
     "density": _cmd_density,
-    "verify": _cmd_verify,
     "repro": _cmd_repro,
 }
 

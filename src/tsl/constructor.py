@@ -45,6 +45,7 @@ from typing import Callable, Iterator, Optional
 import mpmath as mp
 import numpy as np
 
+from tsl.densities import PrefixSet, prefix_density_profile
 from tsl.errors import ConstructionError, DomainError
 from tsl.polybank import (
     SignedPolynomial,
@@ -54,7 +55,7 @@ from tsl.polybank import (
     rudin_shapiro,
     vdlp_star,
 )
-from tsl.series import CoefficientSeries
+from tsl.series import CoefficientSeries, zero_coefficients
 
 SCHEDULE_CHECK_PREFIX = 40
 
@@ -178,11 +179,10 @@ class BlockLedger:
 
 @dataclass(frozen=True)
 class VisitReport:
-    """Visit times of one target, its test-circle radius and visit density."""
+    """Visit times of one target and its visit density."""
 
     k: int
     visits: tuple[int, ...]
-    radius: float
     density_estimate: float
 
 
@@ -338,27 +338,16 @@ def _block_content(
     return content
 
 
-def build_block(
-    n: int, spec: ConstructionSpec, targets: TargetEnumeration
-) -> tuple[BlockRecord, Optional[np.ndarray]]:
-    """One block's ledger record and its dense content (None when skipped).
-
-    The content array covers [lo, lo + span]; the caller places it at lo.
-    Raises ConstructionError if the product would overrun the interval.
-    """
-    record = _require_target(_classify(n, spec, targets), targets)
-    return record, _block_content(record, spec, targets) if record.built else None
-
-
 def construct(
     spec: ConstructionSpec, targets: TargetEnumeration
 ) -> tuple[CoefficientSeries, BlockLedger]:
     """Sum of all blocks whose interval fits below max_degree.
 
     Blocks are disjoint, so the sum is a concatenation; blocks whose
-    interval sticks out beyond max_degree are dropped and recorded.
+    interval sticks out beyond max_degree are dropped and recorded.  A
+    max_degree above `series.MAX_SERIES_DEGREE` is a DomainError.
     """
-    arr = np.zeros(spec.max_degree + 1, dtype=np.complex128)
+    arr = zero_coefficients(spec.max_degree)
     records: list[BlockRecord] = []
     for rec in iter_plan(spec, targets):
         if rec.lo > spec.max_degree:
@@ -401,9 +390,7 @@ def visit_set(
     visit of that block (a finite-horizon stand-in for the upper density
     along the block subsequence).
     """
-    from tsl.densities import PrefixSet, prefix_density_profile
-
-    entry = targets.entry(k)
+    targets.entry(k)  # range check: a target beyond the enumeration is a DomainError
     visits: list[int] = []
     block_ends: list[int] = []
     for rec in ledger.for_target(k):
@@ -415,12 +402,9 @@ def visit_set(
         if len(block_visits):
             visits.extend(int(s) for s in block_visits)
             block_ends.append(int(block_visits[-1]))
-    radius = 1.0 - 1.0 / entry.l_bound
     if not visits:
-        return VisitReport(k=k, visits=(), radius=radius, density_estimate=0.0)
+        return VisitReport(k=k, visits=(), density_estimate=0.0)
     arr = np.array(sorted(visits), dtype=np.int64)
     prefix = PrefixSet(arr, int(arr[-1]))
     density = max(row[1] for row in prefix_density_profile(prefix, spec.gamma, block_ends))
-    return VisitReport(
-        k=k, visits=tuple(int(v) for v in arr), radius=radius, density_estimate=density
-    )
+    return VisitReport(k=k, visits=tuple(int(v) for v in arr), density_estimate=density)

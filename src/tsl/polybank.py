@@ -50,10 +50,6 @@ class SignedPolynomial:
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
-
     def plus_positions(self) -> np.ndarray:
         return np.nonzero(self.coefficients == 1)[0]
 
@@ -75,10 +71,6 @@ class StarPolynomial:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
 
     def plus_positions(self) -> np.ndarray:
         return np.nonzero(self.coefficients == 1.0)[0]

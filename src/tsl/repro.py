@@ -2,7 +2,8 @@
 
 Each check runs one headline claim at its pinned tolerance and returns a
 JSON-ready report with a `passed` flag.  The registry names every check,
-so `repro --theorem <name>` and the acceptance tests share one code path.
+so `repro --theorem <name>` and the acceptance tests share one code path;
+`run_named` runs them and times each one.
 """
 
 from __future__ import annotations
@@ -79,13 +80,12 @@ def visit_fixture_targets() -> TargetEnumeration:
     return TargetEnumeration(tuple(_constant_entry(c) for c in (0, 1, 0, 0)))
 
 
-def _report(name: str, passed: bool, t0: float, **details: Any) -> dict[str, Any]:
-    return {"name": name, "passed": bool(passed), "seconds": round(time.perf_counter() - t0, 3), **details}
+def _report(name: str, passed: bool, **details: Any) -> dict[str, Any]:
+    return {"name": name, "passed": bool(passed), **details}
 
 
 def check_rs_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Sampled sup norm of the sign family stays below 5*sqrt(N)."""
-    t0 = time.perf_counter()
     worst = 0.0
     rows = []
     for e in range(2, 15):
@@ -96,12 +96,11 @@ def check_rs_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
         ratio = sup / (5.0 * math.sqrt(n))
         worst = max(worst, ratio)
         rows.append({"N": n, "sup": sup, "bound": 5.0 * math.sqrt(n)})
-    return _report("rs-bound", worst <= 1.0, t0, worst_ratio=worst, rows=rows)
+    return _report("rs-bound", worst <= 1.0, worst_ratio=worst, rows=rows)
 
 
 def check_star_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Star-family norms stay below 3*N**(1/q) for p in {1, 1.5, 2}."""
-    t0 = time.perf_counter()
     worst = 0.0
     count_ok = True
     for e in range(2, 13):
@@ -115,12 +114,11 @@ def check_star_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
             bound = 3.0 * (1.0 if q == math.inf else n ** (1.0 / q))
             val = circle_norm(series, p, quadrature_size=qsize)
             worst = max(worst, val / bound)
-    return _report("star-bound", worst <= 1.0 and count_ok, t0, worst_ratio=worst, plus_counts_ok=count_ok)
+    return _report("star-bound", worst <= 1.0 and count_ok, worst_ratio=worst, plus_counts_ok=count_ok)
 
 
 def check_shift_telescoping(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Closed-form shift powers match iterated single steps to 1e-12."""
-    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(seed))
     alphas = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
     worst = 0.0
@@ -139,7 +137,7 @@ def check_shift_telescoping(seed: int = DEFAULT_SEED) -> dict[str, Any]:
             rel = diff / np.maximum(np.abs(closed.coefficients), 1e-300)
             rel[diff == 0.0] = 0.0
             worst = max(worst, float(rel.max()) if rel.size else 0.0)
-    return _report("shift-telescoping", worst <= 1e-12, t0, worst_rel=worst)
+    return _report("shift-telescoping", worst <= 1e-12, worst_rel=worst)
 
 
 def _mean2_quadrature(series: CoefficientSeries, r: float) -> float:
@@ -149,7 +147,6 @@ def _mean2_quadrature(series: CoefficientSeries, r: float) -> float:
 
 def check_parseval(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Coefficient-side L^2 means agree with quadrature to 1e-8."""
-    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     worst = 0.0
     for _ in range(100):
@@ -160,12 +157,11 @@ def check_parseval(seed: int = DEFAULT_SEED) -> dict[str, Any]:
             a = mean_p(series, 2.0, r)
             b = _mean2_quadrature(series, r)
             worst = max(worst, abs(a - b))
-    return _report("parseval", worst <= 1e-8, t0, worst_abs=worst)
+    return _report("parseval", worst <= 1e-8, worst_abs=worst)
 
 
 def check_density_separation(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Dyadic-tail sets reach density 1 - e^-gamma and vanish at gamma/2."""
-    t0 = time.perf_counter()
     horizon = 1 << 22
     dyadic_horizons = [1 << m for m in range(14, horizon.bit_length())]  # up to `horizon`
     passed = True
@@ -183,7 +179,7 @@ def check_density_separation(seed: int = DEFAULT_SEED) -> dict[str, Any]:
             {"gamma": gamma, "ratio": ratio, "target": target, "half_weight_ratio": low,
              "dyadic_decreasing": decreasing, "ok": ok}
         )
-    return _report("density-separation", passed, t0, rows=rows)
+    return _report("density-separation", passed, rows=rows)
 
 
 def _growth_check(name: str, gamma: float, tolerance: float, doc: str) -> Callable[[int], dict[str, Any]]:
@@ -194,7 +190,6 @@ def _growth_check(name: str, gamma: float, tolerance: float, doc: str) -> Callab
     """
 
     def check(seed: int = DEFAULT_SEED) -> dict[str, Any]:
-        t0 = time.perf_counter()
         spec = ConstructionSpec(
             alpha=0.0, gamma=gamma, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 20
         )
@@ -203,7 +198,7 @@ def _growth_check(name: str, gamma: float, tolerance: float, doc: str) -> Callab
         fit = fit_growth_exponent(table, 2.0)
         expected = critical_exponent(2.0, gamma)  # alpha = 0
         return _report(
-            name, abs(fit.slope - expected) <= tolerance, t0, expected=expected,
+            name, abs(fit.slope - expected) <= tolerance, expected=expected,
             tolerance=tolerance, gamma=gamma, slope=fit.slope, residual_rms=fit.residual_rms,
             built_blocks=[r.n for r in ledger.built()],
         )
@@ -230,7 +225,6 @@ def check_critical_growth(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     asks for monotone means past the first active block and a log-log
     slope against j of 0.5 +- 0.25.
     """
-    t0 = time.perf_counter()
     alpha = critical_exponent(2.0, 0.0)
     targets = enumerate_targets(16)
     spec = ConstructionSpec(
@@ -248,7 +242,7 @@ def check_critical_growth(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     slope, _ = _line_fit(np.log([j for j, _ in profile[sel]]), np.log(values[sel.start :]))
     passed = monotone and abs(slope - 0.5) <= 0.25
     return _report(
-        "critical-u2-p2", passed, t0,
+        "critical-u2-p2", passed,
         slope=slope, expected=0.5, tolerance=0.25, monotone=monotone,
         first_active_block=first_on, j_window=[j_grid[0], j_grid[-1]],
     )
@@ -263,7 +257,6 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     below any workable threshold, and the zero polynomial ahead of it
     cannot support a negative control at all.
     """
-    t0 = time.perf_counter()
     targets = visit_fixture_targets()
     spec = ConstructionSpec(
         alpha=0.0, gamma=0.5, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 20
@@ -289,7 +282,7 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     density_ok = report.density_estimate >= 0.05
     passed = errors_ok and control_ok and density_ok
     return _report(
-        "orbit-visits", passed, t0,
+        "orbit-visits", passed,
         visit_count=len(report.visits), max_error=max_err, error_bound=10.0 / l_bound,
         control_time=control, control_error=control_err, control_floor=1.0 / (2.0 * l_bound),
         density=report.density_estimate, density_floor=0.05,
@@ -298,7 +291,6 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
 
 def check_lemma_oracles(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """Randomized inequality suites pass everywhere; lacunary ratios approach 1."""
-    t0 = time.perf_counter()
     power = run_power_sum_suite(1000, seed + 2)
     abel = run_abel_suite(1000, seed + 3)
     power_fail = sum(1 for v in power if not v.holds)
@@ -310,7 +302,7 @@ def check_lemma_oracles(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     closing = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     passed = power_fail == 0 and abel_fail == 0 and in_band and closing
     return _report(
-        "lemma-oracles", passed, t0,
+        "lemma-oracles", passed,
         power_sum_failures=power_fail, abel_failures=abel_fail,
         lacunary_ratios=ratios, in_band=in_band, approaching_one=closing, seed=seed,
     )
@@ -343,11 +335,10 @@ def _fast_pipeline_artifacts(seed: int) -> dict[str, Any]:
 
 def check_determinism(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     """The same seed reproduces byte-identical pipeline outputs."""
-    t0 = time.perf_counter()
     first = json.dumps(_fast_pipeline_artifacts(seed), sort_keys=True)
     second = json.dumps(_fast_pipeline_artifacts(seed), sort_keys=True)
     passed = first == second
-    return _report("determinism", passed, t0, artifact_bytes=len(first))
+    return _report("determinism", passed, artifact_bytes=len(first))
 
 
 REGISTRY: dict[str, Callable[[int], dict[str, Any]]] = {
@@ -366,9 +357,12 @@ REGISTRY: dict[str, Callable[[int], dict[str, Any]]] = {
 
 
 def run_named(name: str, seed: int = DEFAULT_SEED) -> list[dict[str, Any]]:
-    """Run one named check, or all of them."""
-    if name == "all":
-        return [fn(seed) for fn in REGISTRY.values()]
-    if name not in REGISTRY:
+    """Run one named check, or all of them; each report gains its wall time, `seconds`."""
+    if name != "all" and name not in REGISTRY:
         raise KeyError(name)
-    return [REGISTRY[name](seed)]
+    reports = []
+    for fn in REGISTRY.values() if name == "all" else [REGISTRY[name]]:
+        t0 = time.perf_counter()
+        report = fn(seed)
+        reports.append({**report, "seconds": round(time.perf_counter() - t0, 3)})
+    return reports

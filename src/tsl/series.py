@@ -20,6 +20,12 @@ constructions are lacunary, so the terms are a small fraction of the
 N + 1 coefficients.  A zero coefficient stored as -0.0 reads back as
 +0.0; every other value round-trips exactly.  This module
 is the only one that knows the layout.
+
+Reading a file allocates all N + 1 coefficients, so N may not exceed
+MAX_SERIES_DEGREE = 2**24, 16 times the largest degree the package
+builds (2**20).  The reader and `constructor.construct` allocate through
+`zero_coefficients`, which raises DomainError for a larger N before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from typing import Any
 import numpy as np
 
 from tsl.errors import DomainError
+
+MAX_SERIES_DEGREE = 1 << 24  # largest max_degree a series file or construction may name
 
 
 @dataclass(frozen=True)
@@ -109,13 +117,20 @@ class CoefficientSeries:
             values = np.array([t[1:] for t in terms], dtype=np.float64).reshape(-1, 2)
         except OverflowError as exc:
             raise DomainError("term values must be finite") from exc
-        try:
-            coeffs = np.zeros(max_degree + 1, dtype=np.complex128)
-        except (MemoryError, OverflowError, ValueError) as exc:
-            raise DomainError(f"max_degree {max_degree} is too large to hold") from exc
+        coeffs = zero_coefficients(max_degree)
         coeffs.real[j] = values[:, 0]
         coeffs.imag[j] = values[:, 1]
         return cls(coeffs)
+
+
+def zero_coefficients(max_degree: int) -> np.ndarray:
+    """A writable zero coefficient array up to z**max_degree, for a reader or builder to fill.
+
+    A max_degree above MAX_SERIES_DEGREE is a DomainError, raised before allocating.
+    """
+    if max_degree > MAX_SERIES_DEGREE:
+        raise DomainError(f"max_degree {max_degree} exceeds the series limit {MAX_SERIES_DEGREE}")
+    return np.zeros(max_degree + 1, dtype=np.complex128)
 
 
 def apply_shift(series: CoefficientSeries, params: ShiftParams) -> CoefficientSeries:

@@ -125,10 +125,6 @@ class AsymptoticProbe:
             return 0.0
         return float(sum(self.a(i) for i in range(int(math.floor(x)) + 1)))
 
-    def check_prefix(self) -> None:
-        """Apply `validate_schedule` to u."""
-        validate_schedule(self.u)
-
 
 def unit_quadratic_probe() -> AsymptoticProbe:
     """a = 1, u(n) = n**2; h_inverse(y) = sqrt(log2(y))."""
@@ -146,7 +142,7 @@ def lacunary_sum_ratio(probe: AsymptoticProbe, r: float) -> float:
     1e-300; powers are never formed directly, so huge exponents cannot
     overflow.  The prediction is theta(h_inverse(1/(1-r))).
     """
-    probe.check_prefix()
+    validate_schedule(probe.u)
     if not (0.0 < r < 1.0):
         raise DomainError("radius must lie in (0, 1)")
     if r < 1.0 - 2.0 ** -int(probe.u(3)):

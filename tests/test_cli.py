@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from tsl import repro
-from tsl.cli import USAGE_EXIT, VERIFY_SUITES, main
+from tsl.cli import USAGE_EXIT, main
 from tsl.constructor import ConstructionSpec, Regime, Schedule, construct
 from tsl.means import dyadic_radii, fit_growth_exponent, means_table
 from tsl.polybank import enumerate_targets
-from tsl.series import CoefficientSeries
+from tsl.series import MAX_SERIES_DEGREE, CoefficientSeries
 
 
 def _single_error_line(capsys):
@@ -108,19 +108,41 @@ class TestExitCodes:
         assert _single_error_line(capsys)
         assert not out.exists()
 
+    def test_series_degree_above_limit_is_a_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        obj = {"max_degree": MAX_SERIES_DEGREE + 1, "terms": [[0, 1.0, 0.0]]}
+        path.write_text(json.dumps(obj) + "\n")
+        assert path.stat().st_size == 51
+        out = tmp_path / "m.csv"
+        assert main(["means", "--in", str(path), "--out", str(out)]) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
+    def test_construct_degree_above_limit_is_a_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        argv = ["construct", "--max-degree", str(MAX_SERIES_DEGREE + 1), "--out", str(out),
+                "--ledger", str(tmp_path / "ledger.csv")]
+        assert main(argv) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
     def test_verification_failure(self, tmp_path, monkeypatch, capsys):
         def failing(seed):
-            return {"name": "orbit-visits", "passed": False, "seconds": 0.0}
+            return {"name": "orbit-visits", "passed": False}
 
         monkeypatch.setitem(repro.REGISTRY, "orbit-visits", failing)
-        report = tmp_path / "report.json"
-        assert main(["verify", "--suite", "visits", "--report", str(report)]) == 2
+        report = tmp_path / "repro.json"
+        assert main(["repro", "--theorem", "orbit-visits", "--out", str(report)]) == 2
         assert str(report) in capsys.readouterr().out
         assert json.loads(report.read_text())["passed"] is False
 
-    @pytest.mark.parametrize(
-        "argv", [[], ["no-such-command"], ["density"], ["verify", "--suite", "nope"]]
-    )
+    def test_unknown_theorem(self, tmp_path, capsys):
+        out = tmp_path / "repro.json"
+        assert main(["repro", "--theorem", "no-such-check", "--out", str(out)]) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"], ["density"], ["verify"]])
     def test_usage(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -166,39 +188,30 @@ class TestTinyGammaDensity:
         assert all(float(row.split(",")[2]) == 0.0 for row in _density_rows(out))
 
 
-class TestVerifyRouting:
-    @pytest.mark.parametrize(
-        "suite,expected",
-        [
-            ("lemmas", ["lemma-oracles"]),
-            ("asymptotic", ["lemma-oracles"]),
-            ("visits", ["orbit-visits"]),
-            ("all", ["lemma-oracles", "orbit-visits"]),
-        ],
-    )
-    def test_suite_runs_registry_checks_once(self, tmp_path, monkeypatch, suite, expected):
+class TestReproRouting:
+    @pytest.mark.parametrize("theorem", ["lemma-oracles", "orbit-visits", "all"])
+    def test_theorem_runs_registry_checks_once(self, tmp_path, monkeypatch, capsys, theorem):
         calls = []
 
         def recorder(name):
             def check(seed):
                 calls.append((name, seed))
-                return {"name": name, "passed": True, "seconds": 0.0}
+                return {"name": name, "passed": True}
 
             return check
 
-        for name in ("lemma-oracles", "orbit-visits"):
+        for name in list(repro.REGISTRY):
             monkeypatch.setitem(repro.REGISTRY, name, recorder(name))
-        report = tmp_path / "report.json"
-        assert main(["verify", "--suite", suite, "--seed", "7", "--report", str(report)]) == 0
+        expected = list(repro.REGISTRY) if theorem == "all" else [theorem]
+        out = tmp_path / "repro.json"
+        assert main(["repro", "--theorem", theorem, "--seed", "7", "--out", str(out)]) == 0
         assert calls == [(name, 7) for name in expected]
-        payload = json.loads(report.read_text())
-        assert payload["suite"] == suite and payload["passed"] is True
-        assert [check["name"] for check in payload["checks"]] == expected
-
-    def test_every_suite_names_registry_checks(self):
-        assert set(VERIFY_SUITES) == {"lemmas", "visits", "asymptotic", "all"}
-        for names in VERIFY_SUITES.values():
-            assert set(names) <= set(repro.REGISTRY)
+        payload = json.loads(out.read_text())
+        assert payload["seed"] == 7 and payload["passed"] is True
+        assert [r["name"] for r in payload["reports"]] == expected
+        assert all(r["seconds"] >= 0.0 for r in payload["reports"])  # timed once, by run_named
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["PASS", name] for name in expected]
 
 
 class TestConfig:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsl import series as series_module
 from tsl.constructor import (
     BlockLedger,
     ConstructionSpec,
@@ -15,7 +17,6 @@ from tsl.constructor import (
     Schedule,
     _budget,
     block_indices,
-    build_block,
     construct,
     iter_plan,
     plan_blocks,
@@ -28,8 +29,8 @@ from tsl.errors import DomainError
 from tsl.means import mean_p
 from tsl.polybank import enumerate_targets
 from tsl.repro import uniform_unit_targets, visit_fixture_targets
-from tsl.series import CoefficientSeries
-from tsl.verify import AsymptoticProbe
+from tsl.series import MAX_SERIES_DEGREE, CoefficientSeries
+from tsl.verify import AsymptoticProbe, lacunary_sum_ratio
 
 
 def dyadic_spec(alpha=0.0, gamma=0.5, regime=Regime.RS, max_degree=1 << 20, q=math.inf):
@@ -37,6 +38,17 @@ def dyadic_spec(alpha=0.0, gamma=0.5, regime=Regime.RS, max_degree=1 << 20, q=ma
         alpha=alpha, gamma=gamma, regime=regime, schedule=Schedule.DYADIC,
         max_degree=max_degree, q=q,
     )
+
+
+def planned_block(n, spec, targets):
+    """Block n's plan record and, when built, its content over [lo, lo + span] from `construct`."""
+    rec = plan_blocks(spec, targets, n).records[n]
+    if not rec.built:
+        return rec, None
+    series, ledger = construct(replace(spec, max_degree=rec.hi), targets)
+    assert ledger.records[n] == rec
+    span = rec.gate * (rec.budget - 1) + targets.entry(rec.k).degree
+    return rec, series.coefficients[rec.lo : rec.lo + span + 1]
 
 
 def root32_schedule(n: int) -> int:
@@ -90,36 +102,38 @@ class TestBlockIndices:
 
 class TestBuildBlock:
     def test_odd_is_zero(self):
-        rec, content = build_block(5, dyadic_spec(), visit_fixture_targets())
+        rec, content = planned_block(5, dyadic_spec(), visit_fixture_targets())
         assert rec.skip_reason == "odd" and content is None
 
     def test_gate_skip(self):
         # k=1 at n=2: threshold 4 exceeds 2**(n-1) = 2
-        rec, content = build_block(2, dyadic_spec(), visit_fixture_targets())
+        rec, content = planned_block(2, dyadic_spec(), visit_fixture_targets())
         assert rec.skip_reason == "gate" and content is None
 
     def test_smallest_admissible_block(self):
-        rec, content = build_block(4, dyadic_spec(), visit_fixture_targets())
+        rec, content = planned_block(4, dyadic_spec(), visit_fixture_targets())
         assert rec.built and rec.gate == 4 and rec.budget == 1
         np.testing.assert_allclose(content, [1.0 + 0j])
         assert rec.lo == 16
+        series, _ = construct(dyadic_spec(max_degree=rec.hi), visit_fixture_targets())
+        np.testing.assert_array_equal(series.coefficients[rec.lo :], [1.0] + [0.0] * 15)
 
     def test_budget_zero_skip(self):
         # real enumeration: n=8 = 2^3 belongs to k=3, gate 49; the gate is
         # open (2^7 = 128 >= 49) but floor(2^(8*(1-0.5))/49) = floor(16/49) = 0
-        rec, content = build_block(8, dyadic_spec(), enumerate_targets(8))
+        rec, content = planned_block(8, dyadic_spec(), enumerate_targets(8))
         assert rec.k == 3 and rec.gate == 49
         assert rec.skip_reason == "budget" and rec.budget == 0 and content is None
 
     def test_envelope_applied(self):
         spec = dyadic_spec(alpha=1.0)
-        rec, content = build_block(6, spec, uniform_unit_targets(4))
+        rec, content = planned_block(6, spec, uniform_unit_targets(4))
         idx = rec.lo + np.arange(len(content))
         np.testing.assert_allclose(np.abs(content), 1.0 / (idx + 1.0), rtol=1e-12)
 
     def test_star_regime_content(self):
         spec = dyadic_spec(regime=Regime.STAR, q=3.0, gamma=0.0)
-        rec, content = build_block(6, spec, uniform_unit_targets(4))
+        rec, content = planned_block(6, spec, uniform_unit_targets(4))
         assert rec.built
         assert float(np.abs(content).max()) <= 1.0
 
@@ -166,6 +180,15 @@ class TestConstruct:
     def test_requires_enough_targets(self):
         with pytest.raises(DomainError):
             construct(dyadic_spec(max_degree=1 << 20), enumerate_targets(2))
+
+    def test_rejects_degree_above_series_limit(self, monkeypatch):
+        with pytest.raises(DomainError, match="series limit"):
+            construct(dyadic_spec(max_degree=MAX_SERIES_DEGREE + 1), enumerate_targets(8))
+        monkeypatch.setattr(series_module, "MAX_SERIES_DEGREE", 64)
+        series, _ = construct(dyadic_spec(max_degree=64), enumerate_targets(8))
+        assert series.max_degree == 64
+        with pytest.raises(DomainError, match="series limit"):
+            construct(dyadic_spec(max_degree=65), enumerate_targets(8))
 
     def test_ledger_csv_header(self):
         _, ledger = construct(dyadic_spec(max_degree=1 << 8), enumerate_targets(4))
@@ -227,7 +250,7 @@ class TestSchedules:
             return True
 
         probe = AsymptoticProbe(a=lambda n: 1.0, u=u, h_inverse=lambda y: 0.0)
-        assert accepts(probe.check_prefix) is accepted
+        assert accepts(lambda: lacunary_sum_ratio(probe, 1.0 - 2.0**-20)) is accepted
         assert accepts(lambda: ConstructionSpec(
             alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.U_SCHEDULE,
             max_degree=1 << 10, u=u,
@@ -405,6 +428,13 @@ class TestVisitSet:
         report = visit_set(spec, targets, 2, ledger)
         assert report.density_estimate >= 0.05
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_target_outside_enumeration(self, k):
+        spec = dyadic_spec(max_degree=1 << 5)
+        _, ledger = construct(spec, visit_fixture_targets())
+        with pytest.raises(DomainError, match="outside enumeration"):
+            visit_set(spec, visit_fixture_targets(), k, ledger)
+
 
 class TestPlanIteration:
     def test_iter_plan_survives_short_targets(self):
@@ -419,8 +449,6 @@ class TestPlanIteration:
         assert len(plan_blocks(dyadic_spec(), enumerate_targets(2), 7).records) == 8
         with pytest.raises(DomainError):
             plan_blocks(dyadic_spec(), enumerate_targets(2), 8)
-        with pytest.raises(DomainError):
-            build_block(8, dyadic_spec(), enumerate_targets(2))
 
     def test_construct_needs_targets_of_blocks_starting_below_max_degree(self):
         # block 8 covers [256, 511]: at 300 it is dropped, yet its target is needed

@@ -96,7 +96,7 @@ class TestStarPolynomial:
 
     def test_degree_stays_below_n(self):
         for n in (1, 2, 3, 4, 7, 9, 30, 64):
-            assert vdlp_star(n).length == n
+            assert len(vdlp_star(n).coefficients) == n
 
 
 class TestTypeInvariants:

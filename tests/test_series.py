@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsl import series as series_module
 from tsl.errors import DomainError
 from tsl.series import (
+    MAX_SERIES_DEGREE,
     CoefficientSeries,
     ShiftParams,
     apply_shift,
@@ -228,6 +231,23 @@ class TestInvariantsAndJson:
     def test_json_rejects_malformed_shape(self, obj):
         with pytest.raises(DomainError):
             CoefficientSeries.from_json_obj(obj)
+
+    def test_json_degree_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(series_module, "MAX_SERIES_DEGREE", 64)
+        assert CoefficientSeries.from_json_obj({"max_degree": 64, "terms": []}).max_degree == 64
+        with pytest.raises(DomainError, match="series limit 64"):
+            CoefficientSeries.from_json_obj({"max_degree": 65, "terms": []})
+
+    def test_json_degree_above_limit_fails_before_allocating(self):
+        obj = {"max_degree": MAX_SERIES_DEGREE + 1, "terms": [[0, 1.0, 0.0]]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="series limit"):
+                CoefficientSeries.from_json_obj(obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the dense array would take 256 MiB
 
     def test_json_dense_format_names_the_sparse_one(self):
         with pytest.raises(DomainError, match='"terms"') as exc:
