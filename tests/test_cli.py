@@ -188,9 +188,27 @@ class TestTinyGammaDensity:
         assert all(float(row.split(",")[2]) == 0.0 for row in _density_rows(out))
 
 
-class TestReproRouting:
-    @pytest.mark.parametrize("theorem", ["lemma-oracles", "orbit-visits", "all"])
-    def test_theorem_runs_registry_checks_once(self, tmp_path, monkeypatch, capsys, theorem):
+class TestVerifyRouting:
+    """Each suite of the former `tsl verify` is reached through `tsl repro --theorem`."""
+
+    THEOREM_OF_SUITE = {
+        "lemmas": "lemma-oracles",
+        "asymptotic": "lemma-oracles",
+        "visits": "orbit-visits",
+        "all": "all",
+    }
+
+    @pytest.mark.parametrize(
+        "suite,expected",
+        [
+            ("lemmas", ["lemma-oracles"]),
+            ("asymptotic", ["lemma-oracles"]),
+            ("visits", ["orbit-visits"]),
+            ("all", list(repro.REGISTRY)),
+        ],
+    )
+    def test_suite_runs_registry_checks_once(self, tmp_path, monkeypatch, capsys, suite, expected):
+        theorem = self.THEOREM_OF_SUITE[suite]
         calls = []
 
         def recorder(name):
@@ -202,7 +220,6 @@ class TestReproRouting:
 
         for name in list(repro.REGISTRY):
             monkeypatch.setitem(repro.REGISTRY, name, recorder(name))
-        expected = list(repro.REGISTRY) if theorem == "all" else [theorem]
         out = tmp_path / "repro.json"
         assert main(["repro", "--theorem", theorem, "--seed", "7", "--out", str(out)]) == 0
         assert calls == [(name, 7) for name in expected]
