@@ -6,6 +6,10 @@ checks of `tsl.repro.REGISTRY`, which `repro --theorem <name|all>` runs.
 All outputs are written atomically (temp file + rename); CSV and JSON
 numbers carry 17 significant digits.
 
+FFT sizes are derived from the input, never set: each sampled mean takes
+the next power of two above 4*(D+1) points (8*(D+1) at p = inf), D the
+effective degree of its radius.  Only `repro` reads a seed (`--seed`).
+
 Exit codes: 0 success, 1 domain error (single-line diagnostic on
 stderr), 2 a named `repro` check failed (report path printed), 64 usage.
 """
@@ -59,7 +63,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
 
     p = sub.add_parser("targets", parents=[common], help="enumerate target polynomials")
     p.add_argument("--count", type=int, default=64)
@@ -80,16 +83,15 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     p.add_argument("--ledger", type=str, default="ledger.csv")
 
-    p = sub.add_parser("means", parents=[common], help="radial means table")
+    p = sub.add_parser(
+        "means", parents=[common], help="radial means table",
+        description="Parseval at p = 2; other rows sample at the next power of two above "
+        "4*(D+1) points (8*(D+1) at p = inf), D the largest j up to the degree with "
+        "r**j >= 2**-60.  The size is derived, not set.",
+    )
     p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--p", type=str, default="2", help="comma list, e.g. 1,2,inf")
     p.add_argument("--grid", type=str, default="dyadic", help="'dyadic[:J]' or comma list of radii")
-    p.add_argument(
-        "--quadrature-size", type=int, default=None,
-        help="FFT points per p != 2 row; at least 4*(degree+1), 8*(degree+1) for p = inf "
-        "(default: per radius, the next power of two above that floor on the effective "
-        "degree, the last index j with r**j >= 2**-60)",
-    )
     p.add_argument("--out", type=str, default="means.csv")
 
     p = sub.add_parser("fit", parents=[common], help="growth exponent fit")
@@ -112,6 +114,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub.add_parser("repro", parents=[common], help="named acceptance checks")
     p.add_argument("--theorem", type=str, default="all", help=f"one of {', '.join(REGISTRY)} or all")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed of the checks")
     p.add_argument("--out", type=str, default="repro.json")
     return parser, sub.choices
 
@@ -198,7 +201,7 @@ def _cmd_means(args: argparse.Namespace) -> int:
     )
     p_list = _parse_p_list(args.p)
     grid = _parse_grid(args.grid, series.max_degree)
-    table = means_table(series, p_list, grid, args.quadrature_size)
+    table = means_table(series, p_list, grid)
     atomic_write_text(args.out, table.to_csv())
     print(f"wrote {args.out} ({len(table.rows)} rows)")
     return 0

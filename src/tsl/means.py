@@ -7,15 +7,13 @@ sampled by `circle_samples`, the one circle sampler of the package.  Its
 degree is the last nonzero index (0 for the zero series), not the length
 of the coefficient array.  On a circle of radius r it keeps only the
 coefficients up to the effective degree D of that degree, the last index
-with r**D >= 2**-60, and by default samples at the next power of two
-above 4*(D+1) points (8*(D+1) for p = infinity, whose sampled sup is a
+with r**D >= 2**-60, and samples at the next power of two above
+4*(D+1) points (8*(D+1) for p = infinity, whose sampled sup is a
 documented lower estimate).  So the FFT of a radius well inside the disc
 is sized on the degree that radius can see, not on the full degree; at
-r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  A quadrature
-size given explicitly must still clear the oversampling floor on the
-full `max_degree`, trailing zeros included.  A mean reduces the
-sampler's phase blocks one at a time, so it never holds all samples at
-once.
+r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  Every mean
+takes this size; no caller sets it.  A mean reduces the sampler's phase
+blocks one at a time, so it never holds all samples at once.
 
 `dyadic_mean2_profile` is the one planned-mean entry: it evaluates the
 L^2 mean of a *planned* block construction at radii 1 - 2**-j without
@@ -25,9 +23,10 @@ the blocks, each block answering the whole j grid.  A position sum runs
 exactly while few terms matter and is otherwise a midpoint
 incomplete-gamma integral, whose precision grows with the digits the
 block's width cancels.  The midpoint rule itself is not exact: its
-relative error is about (2*eps*gate)**2 / 24, eps = -ln r, and grows
-with alpha (at lo = 2**10, gate 4, budget 2**20, j = 10: 2.5e-6 at
-alpha = 0 and 5.3e-6 at alpha = 1/2 against the exact sum).  Radii past
+relative error is at most about ((2*eps + 2*alpha/v0) * gate)**2 / 24,
+eps = -ln r and v0 = lo + j0 + 1 the first position (at lo = 2**10,
+gate 4, budget 2**20, j = 10: 2.5e-6 at alpha = 0 and 5.3e-6 at
+alpha = 1/2 against the exact sum).  Radii past
 a block's flat point, where every r**(2v) of the block rounds to 1, are
 clamped to that point.
 """
@@ -60,6 +59,11 @@ _CSV_HEADER = "p,r,value,quadrature_size"
 def _check_p(p: float) -> None:
     if p != math.inf and (not math.isfinite(p) or p < 1.0):
         raise DomainError("p must lie in [1, infinity]")
+
+
+def _check_radius(r: float) -> None:
+    if not (0.0 < r < 1.0):
+        raise DomainError("radius must lie in (0, 1)")
 
 
 def conjugate_exponent(p: float) -> float:
@@ -95,12 +99,16 @@ class RadialMeansTable:
     rows: tuple[MeanRow, ...]
 
     def __post_init__(self) -> None:
+        for row in self.rows:
+            _check_p(row.p)
+            _check_radius(row.r)
+            if not (math.isfinite(row.value) and row.value >= 0.0):
+                raise DomainError("mean values must be finite and nonnegative")
+            if row.quadrature_size < 0:
+                raise DomainError("quadrature_size must be >= 0")
         key = lambda row: (row.p == math.inf, row.p, row.r)
         if list(self.rows) != sorted(self.rows, key=key):
             raise DomainError("rows must be sorted by (p, r)")
-        for row in self.rows:
-            if not (math.isfinite(row.value) and row.value >= 0.0):
-                raise DomainError("mean values must be finite and nonnegative")
 
     def at_p(self, p: float) -> tuple[MeanRow, ...]:
         return tuple(row for row in self.rows if row.p == p)
@@ -123,14 +131,8 @@ class RadialMeansTable:
         for ln in lines[1:]:
             try:
                 p_txt, r_txt, v_txt, q_txt = ln.split(",")
-                rows.append(
-                    MeanRow(
-                        p=math.inf if p_txt == "inf" else float(p_txt),
-                        r=float(r_txt),
-                        value=float(v_txt),
-                        quadrature_size=int(q_txt),
-                    )
-                )
+                p = math.inf if p_txt == "inf" else float(p_txt)
+                rows.append(MeanRow(p, float(r_txt), float(v_txt), int(q_txt)))
             except ValueError as exc:
                 raise DomainError(f"means table row is not {_CSV_HEADER}: {ln!r}") from exc
         return cls(tuple(rows))
@@ -230,35 +232,11 @@ def circle_samples(coeffs: np.ndarray, r: float, size: int | None = None) -> np.
     return np.column_stack(list(_phase_blocks(coeffs, r, size, last))).reshape(-1)
 
 
-def _resolve_quadrature(
-    last: int, max_degree: int, p: float, r: float, requested: int | None
-) -> int:
-    """FFT size for one (p, r).
-
-    By default it is sized on the effective degree of the last nonzero
-    index; a requested size must clear the floor on the full max_degree.
-    """
-    if requested is None:
-        return _next_pow2(_oversampling_floor(effective_degree(r, last), p))
-    floor = _oversampling_floor(max_degree, p)
-    if requested < floor:
-        raise DomainError(
-            f"quadrature_size {requested} below the oversampling floor; need >= {floor}"
-        )
-    return requested
-
-
-def _check_radius(r: float) -> None:
-    if not (0.0 < r < 1.0):
-        raise DomainError("radius must lie in (0, 1)")
-
-
 def _mean_row(
     series: CoefficientSeries,
     support: tuple[np.ndarray, int],
     p: float,
     r: float,
-    quadrature_size: int | None,
 ) -> MeanRow:
     """One (p, r) row from the series' `_support`: Parseval at p = 2, else sampled."""
     _check_p(p)
@@ -267,7 +245,7 @@ def _mean_row(
     if p == 2.0:
         dilated = a[nonzero] * np.exp(nonzero * math.log(r))
         return MeanRow(p, r, math.sqrt(float(np.sum(np.abs(dilated) ** 2))), 0)
-    size = _resolve_quadrature(last, series.max_degree, p, r, quadrature_size)
+    size = _next_pow2(_oversampling_floor(effective_degree(r, last), p))
     blocks = _phase_blocks(a, r, size, last)
     # reduce each phase block as it arrives; the samples are never all held
     if p == math.inf:
@@ -278,34 +256,24 @@ def _mean_row(
     return MeanRow(p, r, value, size)
 
 
-def mean_p(
-    series: CoefficientSeries,
-    p: float,
-    r: float,
-    quadrature_size: int | None = None,
-) -> float:
+def mean_p(series: CoefficientSeries, p: float, r: float) -> float:
     """Radial L^p mean of the series on the circle of radius r in (0, 1)."""
     _check_radius(r)
-    return _mean_row(series, _support(series.coefficients), p, r, quadrature_size).value
+    return _mean_row(series, _support(series.coefficients), p, r).value
 
 
-def circle_norm(
-    series: CoefficientSeries, p: float, quadrature_size: int | None = None
-) -> float:
+def circle_norm(series: CoefficientSeries, p: float) -> float:
     """L^p norm on the unit circle itself (the r = 1 limit of mean_p)."""
-    return _mean_row(series, _support(series.coefficients), p, 1.0, quadrature_size).value
+    return _mean_row(series, _support(series.coefficients), p, 1.0).value
 
 
 def means_table(
-    series: CoefficientSeries,
-    p_list: list[float],
-    r_grid: list[float],
-    quadrature_size: int | None = None,
+    series: CoefficientSeries, p_list: list[float], r_grid: list[float]
 ) -> RadialMeansTable:
     """One row per (p, r), computed independently, assembled in sorted order.
 
-    Without `quadrature_size` each row's FFT size follows its own radius,
-    so the `quadrature_size` column varies along the grid.
+    Each row's FFT size follows its own radius, so the `quadrature_size`
+    column varies along the grid.
     """
     if not p_list or not r_grid:
         raise DomainError("p_list and r_grid must be nonempty")
@@ -316,7 +284,7 @@ def means_table(
         key=lambda t: (t[0] == math.inf, t[0], t[1]),
     )
     support = _support(series.coefficients)
-    rows = (_mean_row(series, support, p, r, quadrature_size) for p, r in pairs)
+    rows = (_mean_row(series, support, p, r) for p, r in pairs)
     return RadialMeansTable(tuple(rows))
 
 
@@ -436,9 +404,11 @@ def _position_sum(lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps
     2 eps v_hi).  The two values agree to about the block's width
     2*eps*gate*budget, so the evaluation carries that many digits on top
     of 40 guard digits.  Those digits make the integral exact, not the
-    sum: the midpoint rule is off by about (2*eps*gate)**2 / 24 relative,
-    more at alpha > 0 (2.5e-6 at alpha = 0 and 5.3e-6 at alpha = 1/2
-    for lo = 2**10, gate 4, budget 2**20, j = 10).
+    sum: the midpoint rule is off by at most about
+    ((2*eps + 2*alpha/v0) * gate)**2 / 24 relative, v0 = lo + j0 + 1, the
+    log-derivative of the first term times the gate (2.5e-6 at alpha = 0
+    and 5.3e-6 at alpha = 1/2 for lo = 2**10, gate 4, budget 2**20,
+    j = 10).
     """
     ln_two_eps = _LN2 + ln_eps
     ln_delta = ln_two_eps + math.log(gate)

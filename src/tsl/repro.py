@@ -29,6 +29,7 @@ from tsl.means import (
     _line_fit,
     circle_norm,
     circle_samples,
+    conjugate_exponent,
     critical_exponent,
     dyadic_mean2_profile,
     dyadic_radii,
@@ -108,11 +109,10 @@ def check_star_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
         poly = vdlp_star(n)
         count_ok = count_ok and int((poly.coefficients == 1.0).sum()) >= n // 4
         series = CoefficientSeries(poly.coefficients.astype(np.complex128))
-        qsize = max(4096, 8 * (n + 1))
         for p in (1.0, 1.5, 2.0):
-            q = math.inf if p == 1.0 else p / (p - 1.0)
+            q = conjugate_exponent(p)
             bound = 3.0 * (1.0 if q == math.inf else n ** (1.0 / q))
-            val = circle_norm(series, p, quadrature_size=qsize)
+            val = circle_norm(series, p)
             worst = max(worst, val / bound)
     return _report("star-bound", worst <= 1.0 and count_ok, worst_ratio=worst, plus_counts_ok=count_ok)
 

@@ -235,10 +235,11 @@ def check_visit(
 
     The test circle has radius 1 - 1/l_k.  Only the shift window
     [s, s + D] of f enters, D the effective degree of that radius
-    (`means.effective_degree`): its closed-form shift power and the
-    target are sampled by `means.circle_samples` on 4096 equispaced
-    points, folded when the window is longer.  The result is the sampled
-    maximum of |orbit - target| plus `truncation_tail_bound` from
+    (`means.effective_degree`): its closed-form shift power minus the
+    target, coefficient by coefficient, is sampled once by
+    `means.circle_samples` on 4096 equispaced points, folded when the
+    window is longer.  The result is the sampled maximum of
+    |orbit - target| plus `truncation_tail_bound` from
     min(s + D + 1, max_degree + 1) on, which covers both the coefficients
     past the window and the blocks the truncation dropped.
     """
@@ -249,10 +250,12 @@ def check_visit(
     entry = targets.entry(k)
     radius = 1.0 - 1.0 / entry.l_bound
     window = effective_degree(radius, f.max_degree - s) + 1
-    orbit = apply_shift_power(f, s, ShiftParams(spec.alpha), length=window)
-    g_samples = circle_samples(orbit.coefficients, radius, _VISIT_SAMPLES)
-    q_samples = circle_samples(entry.series.coefficients, radius, _VISIT_SAMPLES)
-    err = float(np.max(np.abs(g_samples - q_samples)))
+    orbit = apply_shift_power(f, s, ShiftParams(spec.alpha), length=window).coefficients
+    target = entry.series.coefficients
+    gap = np.zeros(max(len(orbit), len(target)), dtype=np.complex128)
+    gap[: len(orbit)] = orbit
+    gap[: len(target)] -= target
+    err = float(np.max(np.abs(circle_samples(gap, radius, _VISIT_SAMPLES))))
     return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree, s + window)
 
 

@@ -20,6 +20,12 @@ def _density_rows(path):
     return path.read_text().splitlines()[1:]
 
 
+# a fittable means table: four p = 2 rows at distinct radii
+FOUR_ROWS = "p,r,value,quadrature_size\n" + "".join(
+    f"2,{r},{v},0\n" for r, v in ((0.5, 1.0), (0.75, 2.0), (0.875, 3.0), (0.9375, 4.0))
+)
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         out = tmp_path / "density.csv"
@@ -83,6 +89,9 @@ class TestExitCodes:
             ("fit", "p,r,value,quadrature_size\n2,half,1.0,0\n", []),
             ("fit", "p,r,value\n2,0.5,1.0\n", []),
             ("fit", None, []),
+            ("fit", FOUR_ROWS + "2,1.5,1.0,0\n", []),
+            ("fit", FOUR_ROWS + "2,1,1.0,0\n", []),
+            ("fit", FOUR_ROWS.replace("2,0.5,1.0,0", "2,0.5,1.0,-1"), []),
         ],
         ids=[
             "p-abc", "grid-dyadic-x", "grid-foo", "series-missing", "series-not-utf8",
@@ -90,6 +99,7 @@ class TestExitCodes:
             "targets-zero-denominator", "targets-float-coefficient", "targets-zero-bound",
             "targets-huge-coefficient",
             "means-three-columns", "means-non-numeric-r", "means-wrong-header", "means-missing",
+            "means-radius-past-one", "means-radius-one", "means-negative-size",
         ],
     )
     def test_malformed_input_is_a_domain_error(self, tmp_path, capsys, command, text, flags):
@@ -142,7 +152,18 @@ class TestExitCodes:
         assert _single_error_line(capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [[], ["no-such-command"], ["density"], ["verify"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["no-such-command"], ["density"], ["verify"],
+            ["means", "--in", "f.json", "--quadrature-size", "64"],
+            ["targets", "--seed", "1"],
+            ["construct", "--seed", "1"],
+            ["means", "--in", "f.json", "--seed", "1"],
+            ["fit", "--in", "means.csv", "--seed", "1"],
+            ["density", "--gamma", "0.5", "--seed", "1"],
+        ],
+    )
     def test_usage(self, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -262,7 +283,8 @@ class TestConfig:
         assert len(_density_rows(out)) == 2
 
     @pytest.mark.parametrize(
-        "text", ['{"no-such-flag": 1}', '{"command": "targets"}', "[1, 2]", "{", None]
+        "text",
+        ['{"no-such-flag": 1}', '{"command": "targets"}', "[1, 2]", "{", None, '{"seed": 1}'],
     )
     def test_bad_config_is_a_domain_error(self, tmp_path, capsys, text):
         config = tmp_path / "config.json"
