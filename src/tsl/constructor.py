@@ -5,7 +5,8 @@ supports: block n occupies indices [2**n, 2**(n+1)) on the dyadic
 schedule, or [2**u(n), 2**u(n+1)) on an explicit integer schedule u.
 Even block numbers n = 2**k * odd are assigned to target k; a block is
 built only once it is long enough to absorb its target, as decided by an
-integer gate per target.  Inside a built block the coefficients are
+integer gate per target, and never for the zero target (skip reason
+"zero").  Inside a built block the coefficients are
 
     (index + 1)**(-alpha) * c_t,    t = index - block_start,
 
@@ -136,7 +137,9 @@ class BlockRecord:
     budget: Optional[int]
     lo: int
     hi: int
-    skip_reason: Optional[str]  # None | unassigned | odd | no-target | gate | budget | max-degree
+    # None (built) | unassigned | odd | no-target | gate | budget | max-degree,
+    # or zero: gate and budget fit but the target is the zero polynomial
+    skip_reason: Optional[str]
 
     @property
     def built(self) -> bool:
@@ -283,6 +286,8 @@ def _classify(n: int, spec: ConstructionSpec, targets: TargetEnumeration) -> Blo
     budget = _budget(spec, n, gate)
     if budget == 0:
         return BlockRecord(n, k, gate, 0, lo, hi, "budget")
+    if not any(a or b for a, b, _ in entry.exact):
+        return BlockRecord(n, k, gate, budget, lo, hi, "zero")
     return BlockRecord(n, k, gate, budget, lo, hi, None)
 
 

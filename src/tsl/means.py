@@ -11,9 +11,10 @@ with r**D >= 2**-60, and samples at the next power of two above
 4*(D+1) points (8*(D+1) for p = infinity, whose sampled sup is a
 documented lower estimate).  So the FFT of a radius well inside the disc
 is sized on the degree that radius can see, not on the full degree; at
-r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  Every mean
-takes this size; no caller sets it.  A mean reduces the sampler's phase
-blocks one at a time, so it never holds all samples at once.
+r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  Every count
+is derived, none is set: `circle_samples` itself takes the p = infinity
+count.  A mean reduces the sampler's phase blocks one at a time, so it
+never holds all samples at once.
 
 `dyadic_mean2_profile` is the one planned-mean entry: it evaluates the
 L^2 mean of a *planned* block construction at radii 1 - 2**-j without
@@ -51,7 +52,6 @@ from tsl.series import CoefficientSeries
 _LN2 = math.log(2.0)
 _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
 _TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
-_PHASES = 8  # most phase-shifted FFTs one circle sampling is split into
 _EXACT_TERMS = 1 << 16  # position sums with more terms that matter go to the integral
 _CSV_HEADER = "p,r,value,quadrature_size"
 
@@ -106,9 +106,9 @@ class RadialMeansTable:
                 raise DomainError("mean values must be finite and nonnegative")
             if row.quadrature_size < 0:
                 raise DomainError("quadrature_size must be >= 0")
-        key = lambda row: (row.p == math.inf, row.p, row.r)
-        if list(self.rows) != sorted(self.rows, key=key):
-            raise DomainError("rows must be sorted by (p, r)")
+        keys = [(row.p == math.inf, row.p, row.r) for row in self.rows]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise DomainError("rows must be sorted by (p, r), each (p, r) once")
 
     def at_p(self, p: float) -> tuple[MeanRow, ...]:
         return tuple(row for row in self.rows if row.p == p)
@@ -150,13 +150,13 @@ class GrowthFit:
             raise DomainError("residual must be nonnegative")
 
 
-def _oversampling_floor(degree: int, p: float) -> int:
-    factor = 8 if p == math.inf else 4
-    return factor * (degree + 1)
-
-
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
+
+
+def _sample_count(degree: int, p: float) -> int:
+    """Circle points of a mean at p: 4 * next_pow2(degree + 1), twice that at p = inf."""
+    return (8 if p == math.inf else 4) * _next_pow2(degree + 1)
 
 
 def effective_degree(r: float, degree: int) -> int:
@@ -182,54 +182,40 @@ def _support(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
     return support, int(support[-1]) if support.size else 0
 
 
-def _phase_blocks(
-    coeffs: np.ndarray, r: float, size: int | None, last: int
-) -> Iterator[np.ndarray]:
-    """`circle_samples`' values in blocks, computed one block at a time.
+def _phase_blocks(coeffs: np.ndarray, r: float, p: float, last: int) -> Iterator[np.ndarray]:
+    """The values at `_sample_count(D, p)` points, one phase block at a time.
 
-    `last` is the last nonzero index of `coeffs`.  Of `count` blocks,
-    block a holds the values at indices t * count + a; a single block
-    holds them all in order.
+    `last` is the last nonzero index of `coeffs`.  With m the window's
+    next power of two, the size / m blocks are phase-shifted m-point
+    FFTs (4 at finite p, 8 at p = inf): block a holds the values at
+    indices t * size / m + a of the zero-padded size-point FFT, without
+    its size-long work buffers.
     """
     degree = effective_degree(r, last)
-    if size is None:
-        size = _next_pow2(_oversampling_floor(degree, 2.0))
-    if size < 1:
-        raise DomainError("sample count must be >= 1")
+    size = _sample_count(degree, p)
     window = np.asarray(coeffs[: degree + 1], dtype=np.complex128)
     if 0.0 < r < 1.0:
         window = window * np.exp(np.arange(degree + 1, dtype=np.float64) * math.log(r))
-    m = max(_next_pow2(len(window)), size // _PHASES)
-    if m >= size or size % m:
-        if len(window) > size:
-            pad = (-len(window)) % size
-            window = np.concatenate([window, np.zeros(pad, dtype=np.complex128)])
-            window = window.reshape(-1, size).sum(axis=0)
-        yield np.fft.ifft(window, n=size, norm="forward")
-        return
-    step = np.exp(2j * math.pi / size * np.arange(len(window)))
+    m = _next_pow2(degree + 1)
+    step = np.exp(2j * math.pi / size * np.arange(degree + 1))
     for _ in range(size // m):
         yield np.fft.ifft(window, n=m, norm="forward")
         window = window * step
 
 
-def circle_samples(coeffs: np.ndarray, r: float, size: int | None = None) -> np.ndarray:
-    """Polynomial values at `size` equispaced points of the circle of radius r.
+def circle_samples(coeffs: np.ndarray, r: float) -> np.ndarray:
+    """Polynomial values at 8 * next_pow2(D + 1) equispaced points of the circle of radius r.
 
-    Value k is taken at r * exp(2 pi i k / size).  The degree is the last
-    nonzero index, so trailing zero coefficients cost nothing.  Only
-    coefficients 0 .. D = effective_degree(r, degree) are dilated and
-    sampled; the dropped tail is below 2**-60 * max|c| / (1 - r) in
-    modulus.  The default size is the next power of two above
-    4 * (D + 1).  A size below the window length folds the window modulo
-    `size`, which is exact at the sample points.  A size that is a
-    multiple of the FFT length m (the larger of the window's next power
-    of two and size / _PHASES) is reached by interleaving size / m
-    phase-shifted m-point FFTs, which are the zero-padded size-point FFT
-    without its size-long work buffers.
+    Value k is taken at r * exp(2 pi i k / N), N the point count.  The
+    degree is the last nonzero index, so trailing zero coefficients cost
+    nothing.  Only coefficients 0 .. D = effective_degree(r, degree) are
+    dilated and sampled; the dropped tail is below
+    2**-60 * max|c| / (1 - r) in modulus.  N is the count of a p = inf
+    row and exceeds pi * D, so a sampled sup lies within the Bernstein
+    factor 1 / (1 - pi * D / N) of the true sup.
     """
     _, last = _support(coeffs)
-    return np.column_stack(list(_phase_blocks(coeffs, r, size, last))).reshape(-1)
+    return np.column_stack(list(_phase_blocks(coeffs, r, math.inf, last))).reshape(-1)
 
 
 def _mean_row(
@@ -245,8 +231,8 @@ def _mean_row(
     if p == 2.0:
         dilated = a[nonzero] * np.exp(nonzero * math.log(r))
         return MeanRow(p, r, math.sqrt(float(np.sum(np.abs(dilated) ** 2))), 0)
-    size = _next_pow2(_oversampling_floor(effective_degree(r, last), p))
-    blocks = _phase_blocks(a, r, size, last)
+    size = _sample_count(effective_degree(r, last), p)
+    blocks = _phase_blocks(a, r, p, last)
     # reduce each phase block as it arrives; the samples are never all held
     if p == math.inf:
         value = max(float(np.abs(block).max()) for block in blocks)
@@ -312,9 +298,8 @@ def fit_growth_exponent(table: RadialMeansTable, p: float) -> GrowthFit:
     """
     rows = sorted(table.at_p(p), key=lambda row: row.r)
     rows = [row for row in rows if row.value > 0.0]
-    distinct = sorted({row.r for row in rows})
-    if len(distinct) < 4:
-        raise DomainError("growth fit needs at least 4 rows with distinct r and positive value")
+    if len(rows) < 4:
+        raise DomainError("growth fit needs at least 4 rows with positive value")
     upper = rows[len(rows) // 2 :]
     x = np.array([math.log(1.0 / (1.0 - row.r)) for row in upper])
     y = np.array([math.log(row.value) for row in upper])

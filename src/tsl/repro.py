@@ -66,12 +66,13 @@ def _constant_entry(c: int) -> TargetEntry:
 def uniform_unit_targets(count: int) -> TargetEnumeration:
     """Every slot holds the constant one with the smallest legal bound.
 
-    With the canonical enumeration the zero polynomial sits first and the
-    gates of the early nonzero targets start at 28, so below degree 2**20
-    only two blocks carry mass and a slope fit sees mostly turn-on
-    transients.  This degenerate enumeration keeps the gate at its
-    minimum (4) for every slot, which puts eight active blocks under
-    2**20 and exposes the scaling the fit is after.
+    With the canonical enumeration the zero polynomial sits first, so its
+    blocks are never built, and the gates of the early nonzero targets
+    start at 28: below degree 2**20 only two blocks are built and a
+    slope fit sees mostly turn-on transients.  This degenerate
+    enumeration keeps the gate at its minimum (4) for every slot, which
+    puts eight active blocks under 2**20 and exposes the scaling the fit
+    is after.
     """
     return TargetEnumeration(tuple(_constant_entry(1) for _ in range(count)))
 
@@ -255,7 +256,9 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     the canonical enumeration's first nonzero target carries gate 28, so
     its stride dilutes the weighted visit density to about 0.014, far
     below any workable threshold, and the zero polynomial ahead of it
-    cannot support a negative control at all.
+    has no built block, hence no visit and no negative control.  Each
+    visit error is a sup sampled on 8 * next_pow2(D + 1) points, D the
+    effective degree at the test radius (`means.circle_samples`).
     """
     targets = visit_fixture_targets()
     spec = ConstructionSpec(

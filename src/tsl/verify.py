@@ -23,7 +23,6 @@ from tsl.polybank import TargetEnumeration, index_weighted
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
 
 _REL_GUARD = 1e-9  # tolerance for pure floating-point noise in literal comparisons
-_VISIT_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -237,8 +236,9 @@ def check_visit(
     [s, s + D] of f enters, D the effective degree of that radius
     (`means.effective_degree`): its closed-form shift power minus the
     target, coefficient by coefficient, is sampled once by
-    `means.circle_samples` on 4096 equispaced points, folded when the
-    window is longer.  The result is the sampled maximum of
+    `means.circle_samples` on N = 8 * next_pow2(D + 1) equispaced points,
+    so N > pi * D and the sampled maximum is within the Bernstein factor
+    1 / (1 - pi * D / N) of the sup.  The result is the sampled maximum of
     |orbit - target| plus `truncation_tail_bound` from
     min(s + D + 1, max_degree + 1) on, which covers both the coefficients
     past the window and the blocks the truncation dropped.
@@ -255,7 +255,7 @@ def check_visit(
     gap = np.zeros(max(len(orbit), len(target)), dtype=np.complex128)
     gap[: len(orbit)] = orbit
     gap[: len(target)] -= target
-    err = float(np.max(np.abs(circle_samples(gap, radius, _VISIT_SAMPLES))))
+    err = float(np.max(np.abs(circle_samples(gap, radius))))
     return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree, s + window)
 
 

@@ -92,6 +92,7 @@ class TestExitCodes:
             ("fit", FOUR_ROWS + "2,1.5,1.0,0\n", []),
             ("fit", FOUR_ROWS + "2,1,1.0,0\n", []),
             ("fit", FOUR_ROWS.replace("2,0.5,1.0,0", "2,0.5,1.0,-1"), []),
+            ("fit", FOUR_ROWS + "2,0.9375,100,0\n", []),
         ],
         ids=[
             "p-abc", "grid-dyadic-x", "grid-foo", "series-missing", "series-not-utf8",
@@ -100,6 +101,7 @@ class TestExitCodes:
             "targets-huge-coefficient",
             "means-three-columns", "means-non-numeric-r", "means-wrong-header", "means-missing",
             "means-radius-past-one", "means-radius-one", "means-negative-size",
+            "means-repeated-row",
         ],
     )
     def test_malformed_input_is_a_domain_error(self, tmp_path, capsys, command, text, flags):

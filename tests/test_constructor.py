@@ -125,6 +125,13 @@ class TestBuildBlock:
         assert rec.k == 3 and rec.gate == 49
         assert rec.skip_reason == "budget" and rec.budget == 0 and content is None
 
+    def test_zero_target_skip(self):
+        # the canonical enumeration puts the zero polynomial first: block 6
+        # passes its gate (4) and budget (16) but has nothing to build
+        rec, content = planned_block(6, dyadic_spec(gamma=0.0), enumerate_targets(8))
+        assert rec.k == 1 and rec.gate == 4 and rec.budget == 16
+        assert rec.skip_reason == "zero" and content is None
+
     def test_envelope_applied(self):
         spec = dyadic_spec(alpha=1.0)
         rec, content = planned_block(6, spec, uniform_unit_targets(4))
@@ -389,6 +396,15 @@ class TestVisitSet:
         assert report.visits == ()
         assert report.density_estimate == 0.0
 
+    def test_zero_target_has_no_visits(self):
+        spec = dyadic_spec(gamma=0.0, max_degree=1 << 14)
+        targets = enumerate_targets(8)
+        _, ledger = construct(spec, targets)
+        reasons = [r.skip_reason for r in ledger.for_target(1)]
+        assert reasons == ["gate", "zero", "zero", "max-degree"]
+        report = visit_set(spec, targets, 1, ledger)
+        assert report.visits == () and report.density_estimate == 0.0
+
     def test_fixture_first_visit(self):
         spec = dyadic_spec(max_degree=1 << 5)
         targets = visit_fixture_targets()
@@ -490,9 +506,10 @@ class TestGoldenOutputs:
     def test_alpha_zero_block_layout(self):
         spec = dyadic_spec(gamma=0.0, max_degree=1 << 14)
         series, ledger = construct(spec, enumerate_targets(64))
-        assert [r.n for r in ledger.built()] == [6, 8, 10, 12]
+        # blocks 6 and 10 belong to the zero polynomial (k = 1): skipped as "zero"
+        assert [r.n for r in ledger.built()] == [8, 12]
         assert self._sha(ledger.to_csv()) == (
-            "e6f7eaae03575330d811f75849f0aae8116dc71276c4693050bc047ca2ea3098"
+            "d6ebe1ea9ec39ed6bc09089846146dcc7b67535faeb1d8e461e07440699577cb"
         )
         assert self._sha(json.dumps(series.to_json_obj())) == (
             "40e299e735619c400bff4ebbbdabe7bd2bd2c1271f2ac810811aa924dc6b8242"

@@ -78,19 +78,12 @@ class TestCircleSamples:
         degree=st.integers(0, 2000),
         seed=st.integers(0, 2**32 - 1),
         r=st.sampled_from(RADII),
-        fold=st.booleans(),
         data=st.data(),
     )
-    def test_matches_high_precision_horner(self, degree, seed, r, fold, data):
+    def test_matches_high_precision_horner(self, degree, seed, r, data):
         coeffs = random_series(degree, seed).coefficients
-        d = effective_degree(r, degree)
-        if fold and d > 0:
-            size = data.draw(st.integers(1, d), label="size")
-        else:
-            top = 1 << (d + 1 - 1).bit_length()  # phase-split at powers of two
-            sizes = st.integers(d + 1, 3 * (d + 1)) | st.sampled_from([top << i for i in range(5)])
-            size = data.draw(sizes, label="size")
-        values = circle_samples(coeffs, r, size)
+        values = circle_samples(coeffs, r)
+        size = 8 * next_pow2(effective_degree(r, degree) + 1)
         assert values.shape == (size,)
         tol = 1e-12 * float(np.sum(np.abs(coeffs) * r ** np.arange(degree + 1)))
         with mp.workdps(40):
@@ -101,16 +94,20 @@ class TestCircleSamples:
 
     def test_default_size(self):
         coeffs = random_series(1000, 1).coefficients
-        assert len(circle_samples(coeffs, 0.5)) == next_pow2(4 * 61)
-        assert len(circle_samples(coeffs, 0.999)) == next_pow2(4 * 1001)
+        assert len(circle_samples(coeffs, 0.5)) == 8 * next_pow2(61)
+        assert len(circle_samples(coeffs, 0.999)) == 8 * next_pow2(1001)
 
     def test_radius_zero_is_constant_term(self):
         coeffs = random_series(50, 2).coefficients
-        assert np.all(circle_samples(coeffs, 0.0, 16) == coeffs[0])
+        values = circle_samples(coeffs, 0.0)
+        assert len(values) == 8 and np.all(values == coeffs[0])
 
     def test_rejects_empty_size(self):
-        with pytest.raises(DomainError):
+        # the point count is derived from the input; no caller passes one
+        with pytest.raises(TypeError):
             circle_samples(np.ones(4, dtype=np.complex128), 0.5, 0)
+        with pytest.raises(TypeError):
+            circle_samples(np.ones(4, dtype=np.complex128), 0.5, size=4096)
 
 
 class TestMeanRows:
@@ -149,12 +146,15 @@ class TestMeanRows:
     @pytest.mark.parametrize("p", (1.0, 1.5, math.inf))
     def test_phase_blocks_reduce_like_the_stacked_samples(self, p):
         # at r = 0.99 the 301-long window takes 2048 points in four phase-shifted
-        # FFTs (4096 in eight at p = inf)
+        # FFTs (4096 in eight at p = inf); circle_samples takes the p = inf points,
+        # so at finite p the row's points are every other sample
         series = random_series(300, 9)
         rows = means_table(series, [p], [0.5, 0.99]).rows
         assert rows[-1].quadrature_size == (4096 if p == math.inf else 2048)
         for row in rows:
-            vals = np.abs(circle_samples(series.coefficients, row.r, row.quadrature_size))
+            samples = circle_samples(series.coefficients, row.r)
+            vals = np.abs(samples[:: len(samples) // row.quadrature_size])
+            assert len(vals) == row.quadrature_size
             if p == math.inf:
                 assert row.value == vals.max()
             else:
@@ -183,7 +183,7 @@ class TestMeanRows:
         for row, other in zip(rows, again):
             assert (row.p, row.r, row.quadrature_size) == (other.p, other.r, other.quadrature_size)
             assert other.value == pytest.approx(row.value, rel=1e-12)
-        assert len(circle_samples(padded.coefficients, 0.9999)) == next_pow2(4 * 701)
+        assert len(circle_samples(padded.coefficients, 0.9999)) == 8 * next_pow2(701)
 
     @pytest.mark.parametrize("p", (1.0, 2.0, math.inf))
     def test_zero_series_means_zero(self, p):
@@ -217,7 +217,8 @@ class TestMeanRows:
         (row,) = means_table(series, [math.inf], [r]).rows
         d = effective_degree(r, 999)
         assert row.quadrature_size == next_pow2(8 * (d + 1))
-        dense = float(np.abs(circle_samples(a, r, 4 * row.quadrature_size)).max())
+        z = np.exp(2j * np.pi * np.arange(4 * row.quadrature_size) / (4 * row.quadrature_size))
+        dense = float(np.abs(np.polyval(a[:1000][::-1], r * z)).max())
         assert row.value <= dense * (1.0 + 1e-12)
         assert row.value >= (1.0 - math.pi * d / row.quadrature_size) * dense
 
@@ -240,6 +241,7 @@ class TestMeanRows:
             "p,r,value,quadrature_size\n2,1.5,1.0,0\n",
             "p,r,value,quadrature_size\n2,1,1.0,0\n",
             "p,r,value,quadrature_size\n2,0.5,1.0,-1\n",
+            "p,r,value,quadrature_size\n2,0.5,1.0,0\n2,0.5,1.0,0\n",
         ],
     )
     def test_csv_rejects_malformed_shape(self, text):

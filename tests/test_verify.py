@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from tsl.constructor import ConstructionSpec, Regime, Schedule, construct, visit
 from tsl.errors import DomainError
 from tsl.polybank import TargetEntry, TargetEnumeration
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
-from tsl.verify import _VISIT_SAMPLES, check_visit, truncation_tail_bound
+from tsl.means import effective_degree
+from tsl.verify import check_visit, truncation_tail_bound
 
 DEGREE = 1 << 12
 
@@ -76,7 +79,7 @@ class TestCheckVisit:
         f, ledger = construct(spec, targets)
         report = visit_set(spec, targets, 1, ledger)
         assert report.visits
-        size = _VISIT_SAMPLES
+        size = 512  # 8 * next_pow2(61): the effective degree at radius 1/2 is 60
         q = np.fft.ifft(targets.entry(1).series.coefficients * [1.0, 0.5], n=size) * size
         for s in report.visits[:8] + (2047,):
             orbit = apply_shift_power(f, s, ShiftParams(0.0)).coefficients
@@ -88,6 +91,41 @@ class TestCheckVisit:
             got = check_visit(f, spec, targets, 1, s)
             assert got == pytest.approx(full, abs=1e-12)
             assert got >= full - 1e-15
+
+    @pytest.mark.parametrize("orbit", ("random", "peak"))
+    def test_long_window_within_bernstein_factor(self, orbit):
+        # l_k = 100: radius 0.99 sees a window of 4139 > 4096 coefficients.  "peak"
+        # puts a Dirichlet peak of height D + 1 halfway between two of 4096
+        # equispaced points; a sup sampled on N points must still lie within
+        # 1 / (1 - pi D / N) of a dense reference at 4N points
+        l_bound, s = 100, 1000
+        radius = 1.0 - 1.0 / l_bound
+        entry = TargetEntry(
+            exact=((1, 0, 1),),
+            series=CoefficientSeries(np.ones(1, dtype=np.complex128)),
+            l_bound=l_bound,
+            degree=0,
+        )
+        targets = TargetEnumeration((entry,) * 4)
+        spec = spec_at(0.0, DEGREE << 1)
+        d = effective_degree(radius, spec.max_degree - s)
+        assert d + 1 > 4096
+        j = np.arange(d + 1, dtype=np.float64)
+        if orbit == "peak":
+            theta = math.pi / 4096 + math.pi / 65536
+            window = np.exp(-j * math.log(radius) - 1j * theta * j)
+        else:
+            rng = np.random.Generator(np.random.PCG64(12))
+            window = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        a = np.zeros(spec.max_degree + 1, dtype=np.complex128)
+        a[s : s + d + 1] = window
+        gap = window.copy()
+        gap[0] -= 1.0
+        n = 8 * (1 << d.bit_length())
+        dense = float(np.abs(np.fft.ifft(gap * np.exp(j * math.log(radius)), n=4 * n)).max()) * 4 * n
+        tail = truncation_tail_bound(spec, targets, s, radius, spec.max_degree, s + d + 1)
+        sampled = check_visit(CoefficientSeries(a), spec, targets, 1, s) - tail
+        assert (1.0 - math.pi * d / n) * dense <= sampled <= dense * (1.0 + 1e-12)
 
     def test_bound_starts_after_the_window(self, monkeypatch):
         targets = half_targets()
