@@ -20,16 +20,19 @@ never holds all samples at once.
 L^2 mean of a *planned* block construction at radii 1 - 2**-j without
 materializing coefficients, so schedules whose blocks live at
 astronomically large degrees remain measurable.  It makes one pass over
-the blocks, each block answering the whole j grid.  A position sum runs
-exactly while few terms matter and is otherwise a midpoint
-incomplete-gamma integral, whose precision grows with the digits the
-block's width cancels.  The midpoint rule itself is not exact: its
-relative error is at most about ((2*eps + 2*alpha/v0) * gate)**2 / 24,
-eps = -ln r and v0 = lo + j0 + 1 the first position (at lo = 2**10,
-gate 4, budget 2**20, j = 10: 2.5e-6 at alpha = 0 and 5.3e-6 at
-alpha = 1/2 against the exact sum).  Radii past
-a block's flat point, where every r**(2v) of the block rounds to 1, are
-clamped to that point.
+the blocks, each block answering the whole j grid.  Each position sum,
+the sum over v = v0, v0 + gate, ... of v**(-2 alpha) r**(2(v-1)), comes
+as a float64 lower and upper bound (`_position_sum`): at alpha = 0 the
+geometric closed form; at alpha > 0 the exact sum while at most 2**16
+terms matter, and past that an Euler-Maclaurin bracket whose integral
+is a scaled incomplete-gamma difference.  Where the two ends differ the
+bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
+2 alpha gate / v0 the terms' first log-decrement and eps = -ln r: below
+2.5e-11 at the crossover when the decay dominates, 4e-6 at lo = 2**10,
+gate 200, alpha = 1/2, j = 16, where the power dominates.  The profile
+reports the lower end.  Exponents stay in log form, so blocks past
+2**1024 give finite sums.  Radii past a block's flat point, where every
+r**(2v) of the block rounds to 1, are clamped to that point.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from dataclasses import dataclass
 from io import StringIO
 from typing import Iterator
 
-import mpmath as mp
 import numpy as np
 
 from tsl._util import fmt17
@@ -52,7 +54,7 @@ from tsl.series import CoefficientSeries
 _LN2 = math.log(2.0)
 _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
 _TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
-_EXACT_TERMS = 1 << 16  # position sums with more terms that matter go to the integral
+_EXACT_TERMS = 1 << 16  # position sums with more terms that matter are bracketed
 _CSV_HEADER = "p,r,value,quadrature_size"
 
 
@@ -340,8 +342,12 @@ def dyadic_mean2_profile(
 
     One pass over the built blocks and their nonzero weighted
     coefficients; each pair contributes its position sums over the whole
-    j grid at once (`_position_sums`).  Repeated j are allowed.
+    j grid at once (`_position_sums`), taken at the lower end of their
+    bracket.  Repeated j are allowed.  alpha must be finite and >= 0:
+    the bracket's direction rests on terms that fall with the position.
     """
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError("the planned mean needs a finite alpha >= 0")
     ln_eps = [_ln_eps(j) for j in j_list]
     total = np.zeros(len(j_list))
     for rec in ledger.built():
@@ -349,14 +355,15 @@ def dyadic_mean2_profile(
         weighted = index_weighted(targets.entry(rec.k).series, alpha).coefficients
         for j0 in np.flatnonzero(weighted):
             wsq = abs(weighted[j0]) ** 2
-            total += wsq * _position_sums(rec.lo, rec.gate, rec.budget, int(j0), alpha, ln_eps)
+            lower, _ = _position_sums(rec.lo, rec.gate, rec.budget, int(j0), alpha, ln_eps)
+            total += wsq * lower
     return [(j, math.sqrt(t)) for j, t in zip(j_list, total.tolist())]
 
 
 def _position_sums(
     lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: list[float]
-) -> np.ndarray:
-    """sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at every ln(eps).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at every ln(eps).
 
     A radius whose eps puts the block beyond exp(-_EXP_FLOOR) gives 0.  A
     radius past the block's flat point, 2*eps*v_hi < 2**-_TAIL_BITS, is
@@ -366,64 +373,206 @@ def _position_sums(
     e = lo.bit_length() - 1
     ln_reach = math.log(_EXP_FLOOR) - _LN2 - e * _LN2  # largest ln(eps) with 2*eps*lo in reach
     ln_flat = -(_TAIL_BITS + 1) * _LN2 - math.log(lo + j0 + 1 + gate * budget)
-    out = np.zeros(len(ln_eps))
-    seen: dict[float, float] = {}
+    out = np.zeros((2, len(ln_eps)))
+    seen: dict[float, tuple[float, float]] = {}
     for i, x in enumerate(ln_eps):
         if x > ln_reach:
             continue
         x = max(x, ln_flat)
         if x not in seen:
             seen[x] = _position_sum(lo, gate, budget, j0, alpha, x)
-        out[i] = seen[x]
-    return out
+        out[:, i] = seen[x]
+    return out[0], out[1]
 
 
-def _position_sum(lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: float) -> float:
-    """One position sum at eps = exp(ln_eps): exact or midpoint integral.
+def _two_eps_times(ln_eps: float, e: int) -> float:
+    """2 * exp(ln_eps) * 2**e, the power of two applied exactly.
 
-    The terms decay by exp(-2*eps*gate) per position, so only the first
-    _EXP_FLOOR / (2*eps*gate) of them matter.  While those number at most
-    _EXACT_TERMS they are summed in doubles.  Past that the sum is its
-    midpoint integral, exp(2 eps) / gate * (2 eps)**(2a-1) times the
-    incomplete-gamma difference Gamma(1-2a, 2 eps v_lo) - Gamma(1-2a,
-    2 eps v_hi).  The two values agree to about the block's width
-    2*eps*gate*budget, so the evaluation carries that many digits on top
-    of 40 guard digits.  Those digits make the integral exact, not the
-    sum: the midpoint rule is off by at most about
-    ((2*eps + 2*alpha/v0) * gate)**2 / 24 relative, v0 = lo + j0 + 1, the
-    log-derivative of the first term times the gate (2.5e-6 at alpha = 0
-    and 5.3e-6 at alpha = 1/2 for lo = 2**10, gate 4, budget 2**20,
-    j = 10).
+    Near and below the subnormal range of eps, ln_eps is -j * _LN2
+    (`_ln_eps`), and k * _LN2 with k = -j gives back the same double,
+    so the mantissa factor is exp(0) = 1 and the result 2**(e + 1 - j).
     """
-    ln_two_eps = _LN2 + ln_eps
-    ln_delta = ln_two_eps + math.log(gate)
-    ln_budget = math.log(budget)
-    ln_mcut = math.log(_EXP_FLOOR) - ln_delta
-    if min(ln_budget, ln_mcut) <= math.log(_EXACT_TERMS):
-        m_count = budget if ln_mcut >= ln_budget else min(budget, int(math.exp(ln_mcut)) + 2)
+    if ln_eps > -700.0:
+        return math.ldexp(math.exp(ln_eps), e + 1)
+    k = round(ln_eps / _LN2)
+    return math.ldexp(math.exp(ln_eps - k * _LN2), k + e + 1)
+
+
+def _position_sum(
+    lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: float
+) -> tuple[float, float]:
+    """Lower and upper bound on one position sum, at eps = exp(ln_eps).
+
+    The terms are f(m) = v**(-2a) * exp(-2 eps (v - 1)), v = v0 + gate*m,
+    v0 = lo + j0 + 1; they decay by exp(-2 eps gate) per position, so only
+    the first _EXP_FLOOR / (2 eps gate) of them matter.  Three routes:
+
+    - alpha = 0: the geometric closed form, exp(-2 eps (v0-1)) times
+      expm1(-2 eps gate N) / expm1(-2 eps gate), N = budget; both ends
+      are that value.
+    - alpha > 0, at most _EXACT_TERMS terms matter: their float64 sum;
+      both ends are that value.
+    - alpha > 0, more terms: Euler-Maclaurin over m = 0 .. N-1.  The
+      terms are completely monotone in m, so the sum lies between the
+      partial sum through the f'/12 term (upper end) and that sum minus
+      the f'''/720 term (lower end), and above the lower end by at most
+      the f^(5)/30240 term.  The width, |f'''(0)| / 720, is about
+      c**4 / 720 of the sum while the terms fall by exp(-c) per
+      position, c = 2 eps gate + 2a gate / v0: below 2.5e-11 at the
+      crossover from the decay alone.  The integral is
+      `_ln_block_integral`.
+
+    Every exponent is formed in log form from lo's bit length, so blocks
+    beyond 2**1024 give finite values; 2 eps (v0 - 1) is an exact
+    power-of-two scaling of 2 eps (`_two_eps_times`).
+    """
+    v0 = lo + j0 + 1
+    e = lo.bit_length() - 1
+    two_eps = _two_eps_times(ln_eps, 0)
+    shift = _two_eps_times(ln_eps, e) * (lo / (1 << e)) + two_eps * j0  # 2 eps (v0 - 1)
+    a = shift + two_eps  # 2 eps v0
+    ln_v0 = e * _LN2 + math.log1p((v0 - (1 << e)) / (1 << e))
+    if alpha == 0.0:
+        s = _geometric_sum(shift, a, gate, budget, v0, ln_v0)
+        return s, s
+    ln_mcut = math.log(_EXP_FLOOR) - (ln_eps + _LN2 + math.log(gate))
+    if min(math.log(budget), ln_mcut) <= math.log(_EXACT_TERMS):
+        m_count = budget if ln_mcut >= math.log(budget) else min(budget, int(math.exp(ln_mcut)) + 2)
         m = np.arange(m_count, dtype=np.float64)
-        e = lo.bit_length() - 1
-        if e < 900:
-            lnv = e * _LN2 + np.log1p((gate * m + j0 + 1.0) / float(1 << e))
+        lnv = e * _LN2 + np.log1p((v0 - (1 << e)) / (1 << e) + m * math.ldexp(gate, -e))
+        s = float(np.exp(-2.0 * alpha * lnv - shift - two_eps * gate * m).sum())
+        return s, s
+    z = 1.0 - 2.0 * alpha
+    n1 = budget - 1
+    x_end = gate * n1 / v0  # the last position's offset, in units of v0
+    ln_x = math.log(x_end) if x_end >= sys.float_info.min else math.log(gate * n1) - math.log(v0)
+    ax = a * x_end  # 2 eps gate (N - 1)
+    # the integral of f over [0, N-1] is f(0) * (v0 / gate) * J
+    integral = math.exp(z * ln_v0 - math.log(gate) - shift + _ln_block_integral(z, a, x_end, ln_x))
+    f0 = math.exp(-2.0 * alpha * ln_v0 - shift)
+    rho = math.exp(-ax - 2.0 * alpha * math.log1p(x_end)) if ax < _EXP_FLOOR else 0.0  # f(N-1) / f0
+    lam_gate = a * (gate / v0)
+    d1_0, d3_0 = _log_derivatives(alpha, gate / v0, lam_gate)
+    d1_n, d3_n = _log_derivatives(alpha, gate / (v0 + gate * n1), lam_gate)
+    upper = integral + f0 * ((1.0 + rho) / 2.0 + (rho * d1_n - d1_0) / 12.0)
+    lower = upper - f0 * (rho * d3_n - d3_0) / 720.0
+    return lower, upper
+
+
+def _geometric_sum(shift: float, a: float, gate: int, budget: int, v0: int, ln_v0: float) -> float:
+    """exp(-shift) * (1 - q**budget) / (1 - q), q = exp(-a * gate / v0)."""
+    lam_gate = a * (gate / v0)
+    lam_gate_n = a * (gate * budget / v0)
+    if lam_gate >= sys.float_info.min:
+        return math.exp(-shift) * math.expm1(-lam_gate_n) / math.expm1(-lam_gate)
+    # 1 - q is a * gate / v0 to double precision, and only its logarithm is finite
+    ln_lam_gate = math.log(a) + math.log(gate) - ln_v0
+    ln_head = _ln_one_minus_exp(ln_lam_gate + math.log(budget))
+    return math.exp(ln_head - ln_lam_gate - shift)
+
+
+def _ln_one_minus_exp(ln_x: float) -> float:
+    """ln(1 - exp(-x)) from ln(x), also where x itself underflows."""
+    if ln_x < -40.0:
+        return ln_x  # 1 - exp(-x) = x (1 - x/2 + ...), x < 5e-18
+    return math.log(-math.expm1(-math.exp(ln_x)))
+
+
+def _log_derivatives(alpha: float, p: float, lam_gate: float) -> tuple[float, float]:
+    """f'/f and f'''/f of f(m) = v**(-2a) exp(-2 eps v), at p = gate / v."""
+    u1 = -(2.0 * alpha * p + lam_gate)
+    u2 = 2.0 * alpha * p * p
+    u3 = -4.0 * alpha * p**3
+    return u1, u3 + 3.0 * u1 * u2 + u1**3
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
+
+    Newton's method on the Legendre polynomial P_n from the usual cosine
+    guesses, all roots at once (numpy.linalg is not loaded for this).
+    """
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(20)
+
+
+def _ln_block_integral(z: float, a: float, x: float, ln_x: float) -> float:
+    """ln J, J = integral from 0 to x of (1 + t)**(z-1) * exp(-a t) dt, z <= 1, a > 0.
+
+    This is e**a * a**-z * (Gamma(z, a) - Gamma(z, b)), b = a (1 + x),
+    scaled to its left end.  A narrow interval, x <= 1 and a x <= 1,
+    where that difference would cancel, takes the 20-point
+    Gauss-Legendre rule: the integrand is entire in its exponential and
+    its power's branch point t = -1 lies at least one interval length
+    away.  Otherwise Gamma(z, t) e**t t**-z is the continued fraction
+    `_gamma_cf` where t >= 1 and the power series `_gamma_series` where
+    t < 1; the difference then keeps all but about one bit.
+    """
+    ax = a * x
+    if x <= 1.0 and ax <= 1.0:
+        t = x * _GL_NODES
+        return ln_x + math.log(float(_GL_WEIGHTS @ np.exp((z - 1.0) * np.log1p(t) - a * t)))
+    b = a * (1.0 + x)
+    tail = math.exp(z * math.log1p(x) - ax) * _gamma_cf(z, b) if ax < _EXP_FLOOR else 0.0
+    if a >= 1.0:
+        return math.log(_gamma_cf(z, a) - tail)
+    if b <= 1.0:
+        return math.log(_gamma_series(z, a, math.log1p(x)))
+    ln_a = math.log(a)
+    head = _gamma_series(z, a, -ln_a) + math.exp(a - 1.0 - z * ln_a) * _gamma_cf(z, 1.0)
+    return math.log(head - tail)
+
+
+def _gamma_cf(z: float, t: float) -> float:
+    """e**t * t**-z * Gamma(z, t) for t >= 1, z <= 1: the modified Lentz continued fraction."""
+    b = t + 1.0 - z
+    c = math.inf
+    d = 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - z)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 2.0**-52:
+            break
+    return h
+
+
+def _gamma_series(z: float, a: float, ln_ratio: float) -> float:
+    """e**a * a**-z * integral from a to c of t**(z-1) e**-t dt, c = a e**ln_ratio <= 1.
+
+    Termwise in e**-t = sum (-t)**k / k!: with s = z + k, term k is
+    (-1)**k / k! * (c**s - a**s) / s, which is a**s * expm1(s ln_ratio) / s
+    while s < 1 and the log term a**s * ln_ratio where s = 0 (z a
+    nonpositive integer, alpha = 1/2, 1, ...).  Scaled by a**-z.
+    """
+    c = a * math.exp(ln_ratio)
+    scale = math.exp(z * ln_ratio)  # (c / a)**z
+    total = 0.0
+    a_k = c_k = 1.0  # a**k / k!, c**k / k!
+    for k in range(60):
+        s = z + k
+        if s == 0.0:
+            term = a_k * ln_ratio
+        elif s < 1.0:
+            term = a_k * math.expm1(s * ln_ratio) / s
         else:
-            lnv = np.full(m_count, e * _LN2)
-        two_eps = math.exp(ln_two_eps)
-        # 2*eps*lo: scaling by 2**e is exact while 2*eps is a normal double
-        if two_eps >= sys.float_info.min:
-            two_eps_lo = math.ldexp(two_eps, e)
-        else:
-            two_eps_lo = math.exp(ln_two_eps + e * _LN2)
-        expo = -2.0 * alpha * lnv - two_eps_lo - two_eps * (gate * m + j0)
-        return float(np.exp(expo).sum())
-    extra = max(0, math.ceil(-(ln_delta + ln_budget) / math.log(10.0)))
-    with mp.workdps(40 + extra):
-        eps = mp.e ** mp.mpf(ln_eps)
-        lam = 2 * eps
-        v_base = mp.mpf(lo) + j0 + 1
-        v_lo = v_base - mp.mpf(gate) / 2
-        v_hi = v_base + mp.mpf(gate) * (mp.mpf(budget) - mp.mpf(1) / 2)
-        z = mp.mpf(1) - 2 * alpha
-        g = mp.gammainc(z, a=lam * v_lo, b=mp.inf)
-        if lam * v_hi < 1e6:
-            g -= mp.gammainc(z, a=lam * v_hi, b=mp.inf)
-        return float(mp.e ** (2 * eps) / gate * lam ** (2 * alpha - 1) * g)
+            term = (c_k * scale - a_k) / s
+        total += -term if k % 2 else term
+        if s >= 1.0 and abs(term) <= 2.0**-54 * abs(total):
+            break
+        a_k *= a / (k + 1)
+        c_k *= c / (k + 1)
+    return math.exp(a) * total

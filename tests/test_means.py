@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsl.cli import main
@@ -12,6 +12,7 @@ from tsl.constructor import ConstructionSpec, Regime, Schedule, plan_blocks
 from tsl.errors import DomainError
 from tsl.means import (
     RadialMeansTable,
+    _ln_block_integral,
     _ln_eps,
     _position_sums,
     circle_norm,
@@ -281,34 +282,97 @@ class TestDegreeZero:
         assert not (tmp_path / "means.csv").exists()
 
 
-def _oracle_position_sum(lo, gate, budget, j0, alpha, eps):
-    """The engine's position sum from mpmath, on the engine's route.
+def _gamma_difference(z, lam, v_a, v_b):
+    """Gamma(z, lam*v_a) - Gamma(z, lam*v_b) for integers v_a < v_b, 40 digits past its cancellation.
 
-    While at most 2**16 terms matter (those above exp(-760) of the
-    first), every term down to exp(-100) of the first is summed with
-    `mp.fsum`; at alpha = 0 the terms form a geometric series, summed in
-    closed form.  Otherwise it is the midpoint integral at 400 digits.
+    The integrand t**(z-1) e**-t falls, so the difference is at least w
+    times its value at a + w, w = min(b - a, 1); that floor bounds the
+    digits the subtraction loses.  a and b are formed at the final
+    precision, so their difference lam*(v_b - v_a) is not rounded away.
     """
-    with mp.workdps(400):
-        lam = 2 * eps
-        v0 = mp.mpf(lo) + j0 + 1
-        if min(budget, 760 / (lam * gate)) <= 1 << 16:
-            q = mp.exp(-lam * gate)
-            if alpha == 0.0:
-                return mp.exp(-lam * (v0 - 1)) * -mp.expm1(-lam * gate * budget) / (1 - q)
-            count = min(budget, int(100 / (lam * gate)) + 1)
-            with mp.workdps(40):
-                power = mp.mpf(-2 * alpha)
-                g, terms = mp.exp(-lam * (v0 - 1)), []
-                for m in range(count):
-                    terms.append(g * (v0 + gate * m) ** power)
-                    g *= q
-                return mp.fsum(terms)
-        v_lo = v0 - mp.mpf(gate) / 2
-        v_hi = v0 + gate * (mp.mpf(budget) - mp.mpf(1) / 2)
-        z = 1 - 2 * mp.mpf(alpha)
-        diff = mp.gammainc(z, lam * v_lo, mp.inf) - mp.gammainc(z, lam * v_hi, mp.inf)
-        return mp.exp(lam) / gate * lam ** (2 * mp.mpf(alpha) - 1) * diff
+    with mp.workdps(30):
+        a = lam * v_a
+        w = min(lam * (v_b - v_a), 1)
+        floor = w * (a + w) ** (z - 1) * mp.exp(-a - w)
+        lost = max(0, int(mp.ceil(mp.log10(mp.gammainc(z, a) / floor))))
+    with mp.workdps(40 + lost):
+        return mp.gammainc(z, lam * mp.mpf(v_a)) - mp.gammainc(z, lam * mp.mpf(v_b))
+
+
+def _oracle_position_sum(lo, gate, budget, j0, alpha, ln_eps, direct_terms=2000):
+    """The position sum itself, sum_m v**(-2a) exp(-2 eps (v-1)), v = lo + j0 + 1 + gate*m, at 50 digits.
+
+    eps = exp(ln_eps).  At alpha = 0 the terms form a geometric series,
+    summed in closed form.  Where a term is below exp(-1/16) of the one
+    before (2 eps gate > 1/16) they are summed one by one until they
+    fall below exp(-120) of the first.  Otherwise the terms at
+    v < 64 gate are summed one by one, and so is everything else when
+    at most `direct_terms` remain; past that the rest is Euler-Maclaurin
+    with six derivative corrections, through f^(11).  The k-th
+    derivative of log f is then below (k-1)! / 16**k (k >= 2 at gate /
+    v <= 1/64), so the remainder, under the next correction, is below
+    1e-24 of the sum.  Its integral is an incomplete-gamma difference
+    (`_gamma_difference`).
+    """
+    with mp.workdps(50):
+        lam = 2 * mp.exp(mp.mpf(ln_eps))
+        v0 = lo + j0 + 1
+        s = 2 * mp.mpf(alpha)
+
+        def f(m):
+            v = mp.mpf(v0 + gate * m)
+            return v**-s * mp.exp(-lam * (v - 1))
+
+        if alpha == 0.0:
+            return f(0) * mp.expm1(-lam * gate * budget) / mp.expm1(-lam * gate)
+        if lam * gate > mp.mpf(1) / 16:
+            return mp.fsum(f(m) for m in range(min(budget, int(120 / (lam * gate)) + 1)))
+        head = min(budget, max(0, -(-(64 * gate - v0) // gate)))
+        if budget - head <= direct_terms:
+            return mp.fsum(f(m) for m in range(budget))
+        v_h, v_n = v0 + gate * head, v0 + gate * (budget - 1)
+        total = mp.fsum(f(m) for m in range(head))
+        total += mp.exp(lam) / gate * lam ** (s - 1) * _gamma_difference(1 - s, lam, v_h, v_n)
+
+        def derivatives(m, n):
+            # f^(k) = f * Y_k, Y the complete Bell polynomials of the derivatives of log f
+            p = gate / mp.mpf(v0 + gate * m)
+            u = [None, -s * p - lam * gate]
+            u += [-s * (-1) ** (k - 1) * mp.factorial(k - 1) * p**k for k in range(2, n + 1)]
+            y = [mp.mpf(1)]
+            for k in range(n):
+                y.append(mp.fsum(mp.binomial(k, i) * u[i + 1] * y[k - i] for i in range(k + 1)))
+            return [f(m) * yk for yk in y]
+
+        d_h, d_n = derivatives(head, 11), derivatives(budget - 1, 11)
+        total += (d_h[0] + d_n[0]) / 2
+        for k in range(1, 7):
+            total += mp.bernoulli(2 * k) / mp.factorial(2 * k) * (d_n[2 * k - 1] - d_h[2 * k - 1])
+        return total
+
+
+def _rounding_allowance(lo, j0, alpha, ln_eps):
+    """Relative float64 rounding allowance around a position-sum bracket.
+
+    Each term or integral the engine adds is exp(y), y a sum of
+    -2a ln v, (1 - 2a) ln v, -2 eps (v - 1), -ln gate and ln J, each
+    formed within 2 ulps of its own size (ln v from lo's bit length and
+    a log1p, 2 eps (v - 1) as a power-of-two scaling of a correctly
+    rounded exp).  So y is off by at most 4u (2 ln v0 + 2 eps v0), u =
+    2**-53, and exp(y) by that much relative.  On top: 64u for exp
+    itself, the evaluation of J (a difference that loses at most one
+    bit, continued fractions stopped at u) and summing up to 2**16
+    positive terms pairwise.
+    """
+    v0 = lo + j0 + 1
+    eps = math.exp(ln_eps)
+    u = 2.0**-53
+    return u * (4.0 * (2.0 * math.log(v0) + 2.0 * eps * v0) + 64.0)
+
+
+def _assert_brackets(lower, upper, exact, allowance):
+    assert lower <= upper
+    assert lower * (1.0 - allowance) <= exact <= upper * (1.0 + allowance)
 
 
 def _dyadic_plan(alpha, count, blocks):
@@ -336,6 +400,8 @@ class TestPlannedMean:
         (400, 28, 1 << 390, 1, 0.5, 398),
         (30, 4, 1 << 20, 0, 0.25, 100),  # past the flat point
         (60, 4, 1 << 40, 0, 0.0, 200),  # past the flat point
+        (1024, 172, (1 << 1024) // 172, 0, 0.5, 1025),  # a block at 2**1024, eps subnormal
+        (1024, 172, (1 << 1024) // 172, 0, 0.0, 1040),  # 2 eps gate subnormal too
     ]
 
     @pytest.mark.parametrize(
@@ -344,10 +410,11 @@ class TestPlannedMean:
     )
     def test_position_sum_matches_mpmath(self, e, gate, budget, j0, alpha, j):
         lo = 1 << e
-        (value,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
-        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, mp.exp(mp.mpf(_ln_eps(j))))
-        assert value > 0.0
-        assert abs(value - exact) <= 1e-12 * exact
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _ln_eps(j))
+        assert lower > 0.0
+        assert abs(lower - exact) <= 1e-12 * exact
+        assert abs(upper - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize(
         "e, gate, budget, j0, alpha, j", CASES[:6],
@@ -356,9 +423,10 @@ class TestPlannedMean:
     def test_summed_position_sum_within_1e13(self, e, gate, budget, j0, alpha, j):
         # 2*eps*lo is formed by an exact power-of-two scaling, not exp(ln 2 + ln eps + e ln 2)
         lo = 1 << e
-        (value,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
-        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, mp.exp(mp.mpf(_ln_eps(j))))
-        assert abs(value - exact) <= 1e-13 * exact
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _ln_eps(j))
+        assert lower == upper
+        assert abs(lower - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize(
         "e, alpha, j", [(10, 0.0, 10), (10, 0.25, 10), (10, 0.5, 10), (14, 0.5, 14)]
@@ -366,7 +434,7 @@ class TestPlannedMean:
     def test_integral_route_within_midpoint_bound(self, e, alpha, j):
         # the midpoint integral against the float64 fsum of every term of the sum
         lo, gate, budget, j0 = 1 << e, 4, 1 << 20, 0
-        (value,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
+        (value,), _ = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
         eps = math.exp(_ln_eps(j))
         v = lo + j0 + 1 + gate * np.arange(budget, dtype=np.float64)
         exact = math.fsum(np.exp(-2.0 * alpha * np.log(v) - 2.0 * eps * (v - 1.0)).tolist())
@@ -374,20 +442,105 @@ class TestPlannedMean:
         bound = ((2.0 * eps + 2.0 * alpha / v0) * gate) ** 2 / 24.0
         assert abs(value - exact) <= 1.1 * bound * exact
 
+    def test_bracket_holds_the_sum_at_a_wide_gate(self):
+        # terms fall by exp(-0.20) per position at first, mostly from the power:
+        # the midpoint integral was 6.4e-4 off here
+        lo, gate, budget, j0, alpha, j = 1 << 10, 200, 1 << 17, 0, 0.5, 16
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
+        eps = math.exp(_ln_eps(j))
+        v = lo + j0 + 1 + gate * np.arange(budget, dtype=np.float64)
+        fsum = math.fsum(np.exp(-2.0 * alpha * np.log(v) - 2.0 * eps * (v - 1.0)).tolist())
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _ln_eps(j))
+        assert abs(fsum - exact) <= 1e-12 * exact
+        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, j0, alpha, _ln_eps(j)))
+        # width about c**4 / 720 of the sum, c = 2 eps gate + 2 alpha gate / v0
+        assert (upper - lower) / exact <= 1e-5
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        e=st.one_of(st.integers(0, 48), st.integers(49, 300)),
+        gate=st.integers(1, 200),
+        budget_bits=st.floats(2.0, 48.0),
+        j0=st.integers(0, 3),
+        alpha=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.5)),
+        shift=st.integers(-7, 30),
+    )
+    # one block integral route each: continued fractions, series to b = 1, series then fractions
+    @example(e=20, gate=4, budget_bits=30.0, j0=0, alpha=0.25, shift=0)
+    @example(e=10, gate=4, budget_bits=17.0, j0=1, alpha=0.5, shift=10)
+    @example(e=10, gate=4, budget_bits=20.0, j0=0, alpha=0.375, shift=4)
+    def test_bracket_holds_the_high_precision_sum(self, e, gate, budget_bits, j0, alpha, shift):
+        # j >= e - 7 keeps 2 eps lo <= 2**9 * 1.4, inside the reach of exp(-760);
+        # budgets run from 4 terms to 2**48, across the 2**16 crossover
+        j = min(300, max(1, e + shift))
+        lo, budget = 1 << e, int(2.0**budget_bits)
+        ln_eps = _ln_eps(j)
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [ln_eps])
+        # past the flat point the engine evaluates at the flat point itself
+        ln_flat = -61 * math.log(2.0) - math.log(lo + j0 + 1 + gate * budget)
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, max(ln_eps, ln_flat))
+        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, j0, alpha, ln_eps))
+
+    def test_oracle_series_matches_term_by_term(self):
+        # the oracle's Euler-Maclaurin branch against its own sum of all 20,000 terms
+        for alpha in (0.25, 1.0):
+            ln_eps = _ln_eps(14)
+            by_parts = _oracle_position_sum(1 << 5, 3, 20000, 0, alpha, ln_eps, direct_terms=0)
+            by_terms = _oracle_position_sum(1 << 5, 3, 20000, 0, alpha, ln_eps, direct_terms=20000)
+            with mp.workdps(50):
+                assert abs(by_parts - by_terms) <= mp.mpf(10) ** -24 * by_terms
+
+    @pytest.mark.parametrize(
+        "e, gate, budget, alpha, j",
+        [(10, 4, 1 << 20, 0.75, 14), (10, 4, 1 << 20, 1.0, 14), (30, 4, 1 << 20, 1.0, 28)],
+    )
+    def test_alpha_above_half_matches_mpmath(self, e, gate, budget, alpha, j):
+        # z = 1 - 2 alpha < 0; at alpha = 1 the series meets z + k = 0 at k = 1
+        lo = 1 << e
+        (lower,), (upper,) = _position_sums(lo, gate, budget, 0, alpha, [_ln_eps(j)])
+        exact = _oracle_position_sum(lo, gate, budget, 0, alpha, _ln_eps(j))
+        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, 0, alpha, _ln_eps(j)))
+        assert abs(lower - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("alpha", (-0.25, math.nan, math.inf))
+    def test_profile_rejects_alpha_outside_domain(self, alpha):
+        # the bracket's direction needs terms that fall with the position
+        ledger, targets = _dyadic_plan(0.0, 8, 20)
+        with pytest.raises(DomainError):
+            dyadic_mean2_profile(ledger, targets, alpha, [3, 5])
+
+    @pytest.mark.parametrize(
+        "z, a, x",
+        [
+            (0.5, 0.5, 1.0),  # Gauss-Legendre at its edge
+            (0.0, 1.0, 1.0),  # continued fractions at both ends
+            (0.5, 1.0, 1.5),
+            (-1.0, 0.25, 3.0),  # series up to b = 1
+            (0.0, 0.25, 100.0),  # series to 1, continued fractions past it
+            (0.5, 1e-3, 1e5),
+        ],
+    )
+    def test_block_integral_matches_quadrature(self, z, a, x):
+        with mp.workdps(40):
+            pieces = [0, 1 / mp.mpf(a)] if 1 / a < x else [0]
+            exact = mp.quad(lambda t: (1 + t) ** (z - 1) * mp.exp(-a * t), pieces + [x])
+        assert abs(_ln_block_integral(z, a, x, math.log(x)) - float(mp.log(exact))) <= 1e-14
+
     def test_unreachable_block_gives_zero(self):
         # 2 eps lo = 2**21 at j = 20: every term is below exp(-760)
-        assert _position_sums(1 << 40, 4, 100, 0, 0.0, [_ln_eps(20), _ln_eps(40)])[0] == 0.0
+        lower, upper = _position_sums(1 << 40, 4, 100, 0, 0.0, [_ln_eps(20), _ln_eps(40)])
+        assert lower[0] == upper[0] == 0.0
 
     def test_deep_radius_matches_400_digits(self):
         ledger, targets = _dyadic_plan(0.0, 64, 400)
         for j, value in dyadic_mean2_profile(ledger, targets, 0.0, [150, 270]):
-            eps = mp.exp(mp.mpf(_ln_eps(j)))
+            eps = math.exp(_ln_eps(j))
             total = mp.mpf(0)
             for rec in ledger.built():
                 weighted = index_weighted(targets.entry(rec.k).series, 0.0).coefficients
                 for j0 in np.flatnonzero(weighted):
                     if 2 * eps * rec.lo <= 760:
-                        s = _oracle_position_sum(rec.lo, rec.gate, rec.budget, int(j0), 0.0, eps)
+                        s = _oracle_position_sum(rec.lo, rec.gate, rec.budget, int(j0), 0.0, _ln_eps(j))
                         total += abs(weighted[j0]) ** 2 * s
             assert abs(value - mp.sqrt(total)) <= 1e-12 * mp.sqrt(total)
 
