@@ -363,7 +363,9 @@ def dyadic_mean2_profile(
 def _position_sums(
     lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: list[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at every ln(eps).
+    """Bounds on sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at every ln(eps).
+
+    Returns the lower ends and the upper ends (`_position_sum`).
 
     A radius whose eps puts the block beyond exp(-_EXP_FLOOR) gives 0.  A
     radius past the block's flat point, 2*eps*v_hi < 2**-_TAIL_BITS, is
@@ -465,17 +467,12 @@ def _geometric_sum(shift: float, a: float, gate: int, budget: int, v0: int, ln_v
     lam_gate_n = a * (gate * budget / v0)
     if lam_gate >= sys.float_info.min:
         return math.exp(-shift) * math.expm1(-lam_gate_n) / math.expm1(-lam_gate)
-    # 1 - q is a * gate / v0 to double precision, and only its logarithm is finite
+    # 1 - q is a * gate / v0 to double precision, and only its logarithm is finite;
+    # so is 1 - q**budget below x = 5e-18, where 1 - exp(-x) = x (1 - x/2 + ...)
     ln_lam_gate = math.log(a) + math.log(gate) - ln_v0
-    ln_head = _ln_one_minus_exp(ln_lam_gate + math.log(budget))
+    ln_x = ln_lam_gate + math.log(budget)
+    ln_head = ln_x if ln_x < -40.0 else math.log(-math.expm1(-math.exp(ln_x)))
     return math.exp(ln_head - ln_lam_gate - shift)
-
-
-def _ln_one_minus_exp(ln_x: float) -> float:
-    """ln(1 - exp(-x)) from ln(x), also where x itself underflows."""
-    if ln_x < -40.0:
-        return ln_x  # 1 - exp(-x) = x (1 - x/2 + ...), x < 5e-18
-    return math.log(-math.expm1(-math.exp(ln_x)))
 
 
 def _log_derivatives(alpha: float, p: float, lam_gate: float) -> tuple[float, float]:

@@ -283,7 +283,7 @@ class TestDegreeZero:
 
 
 def _gamma_difference(z, lam, v_a, v_b):
-    """Gamma(z, lam*v_a) - Gamma(z, lam*v_b) for integers v_a < v_b, 40 digits past its cancellation.
+    """Gamma(z, lam*v_a) - Gamma(z, lam*v_b), integers v_a < v_b, 40 digits past the cancellation.
 
     The integrand t**(z-1) e**-t falls, so the difference is at least w
     times its value at a + w, w = min(b - a, 1); that floor bounds the
@@ -300,19 +300,20 @@ def _gamma_difference(z, lam, v_a, v_b):
 
 
 def _oracle_position_sum(lo, gate, budget, j0, alpha, ln_eps, direct_terms=2000):
-    """The position sum itself, sum_m v**(-2a) exp(-2 eps (v-1)), v = lo + j0 + 1 + gate*m, at 50 digits.
+    """The position sum itself, sum_m v**(-2a) exp(-2 eps (v-1)), at 50 digits.
 
-    eps = exp(ln_eps).  At alpha = 0 the terms form a geometric series,
-    summed in closed form.  Where a term is below exp(-1/16) of the one
-    before (2 eps gate > 1/16) they are summed one by one until they
-    fall below exp(-120) of the first.  Otherwise the terms at
-    v < 64 gate are summed one by one, and so is everything else when
-    at most `direct_terms` remain; past that the rest is Euler-Maclaurin
-    with six derivative corrections, through f^(11).  The k-th
-    derivative of log f is then below (k-1)! / 16**k (k >= 2 at gate /
-    v <= 1/64), so the remainder, under the next correction, is below
-    1e-24 of the sum.  Its integral is an incomplete-gamma difference
-    (`_gamma_difference`).
+    v = lo + j0 + 1 + gate*m, m < budget, and eps = exp(ln_eps).  At
+    alpha = 0 the terms form a geometric series, summed in closed form.
+    Where a term is below exp(-1/16) of the one before (2 eps gate >
+    1/16) they are summed one by one until they fall below exp(-120) of
+    the first.  Otherwise the terms at v < 64 gate are summed one by
+    one, and so is everything else when at most `direct_terms` remain;
+    past that the rest is Euler-Maclaurin with six derivative
+    corrections, through f^(11).  There gate / v <=
+    1/64 and 2 eps gate <= 1/16, so the derivatives of log f shrink
+    geometrically and the remainder, under the next correction, is
+    below 1e-24 of the sum (`test_oracle_series_matches_term_by_term`).
+    Its integral is an incomplete-gamma difference (`_gamma_difference`).
     """
     with mp.workdps(50):
         lam = 2 * mp.exp(mp.mpf(ln_eps))
@@ -540,7 +541,9 @@ class TestPlannedMean:
                 weighted = index_weighted(targets.entry(rec.k).series, 0.0).coefficients
                 for j0 in np.flatnonzero(weighted):
                     if 2 * eps * rec.lo <= 760:
-                        s = _oracle_position_sum(rec.lo, rec.gate, rec.budget, int(j0), 0.0, _ln_eps(j))
+                        s = _oracle_position_sum(
+                            rec.lo, rec.gate, rec.budget, int(j0), 0.0, _ln_eps(j)
+                        )
                         total += abs(weighted[j0]) ** 2 * s
             assert abs(value - mp.sqrt(total)) <= 1e-12 * mp.sqrt(total)
 
