@@ -116,7 +116,7 @@ class ConstructionSpec:
             if self.u is None:
                 object.__setattr__(self, "u", quadratic_schedule)
             validate_schedule(self.u)
-        if self.q != math.inf and self.q < 1.0:
+        if not self.q >= 1.0:
             raise DomainError("conjugate exponent must be >= 1 or infinity")
 
     def base_exponent(self, n: int) -> int:
@@ -211,7 +211,7 @@ def target_gate(l: int, d: int, alpha: float, regime: Regime, q: float = math.in
     if regime is Regime.RS or q == math.inf:
         first = float(l) ** 2 * (1.0 + d) ** (2.0 * a_plus)
     else:
-        if q < 1.0:
+        if not q >= 1.0:
             raise DomainError("conjugate exponent must be >= 1")
         first = float(l) ** q * (1.0 + d) ** (q * a_plus)
     second = d + max(3.0, 3.0 + alpha) * l * l + a_plus * l * math.log(1.0 + d)

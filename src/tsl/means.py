@@ -30,9 +30,11 @@ bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
 2 alpha gate / v0 the terms' first log-decrement and eps = -ln r: below
 2.5e-11 at the crossover when the decay dominates, 4e-6 at lo = 2**10,
 gate 200, alpha = 1/2, j = 16, where the power dominates.  The profile
-reports the lower end.  Exponents stay in log form, so blocks past
-2**1024 give finite sums.  Radii past a block's flat point, where every
-r**(2v) of the block rounds to 1, are clamped to that point.
+reports the lower end.  eps = -ln r is carried as mant * 2**-j
+(`_dyadic_eps`), every power of two applied exactly, and exponents stay
+in log form, so blocks past 2**1024 give finite sums.  Radii past a
+block's flat point, where every r**(2v) of the block rounds to 1, are
+clamped to that point.
 """
 
 from __future__ import annotations
@@ -315,13 +317,17 @@ def fit_growth_exponent(table: RadialMeansTable, p: float) -> GrowthFit:
     )
 
 
-def _ln_eps(j_exp: int) -> float:
-    """ln(-ln r) for r = 1 - 2**-j, exact in the deep-j regime."""
+def _dyadic_eps(j_exp: int) -> tuple[float, int]:
+    """eps = -ln r at r = 1 - 2**-j as (mant, j), eps = mant * 2**-j.
+
+    mant = -log1p(-2**-j) * 2**j is within 1.1e-16 of exact; past j = 60
+    it is 1.0, as -ln(1 - x) = x (1 + x/2 + ...) rounds to x there.
+    """
     if j_exp < 1:
         raise DomainError("dyadic exponent must be >= 1")
-    if j_exp <= 500:
-        return math.log(-math.log1p(-(2.0**-j_exp)))
-    return -j_exp * _LN2
+    if j_exp > 60:
+        return 1.0, j_exp
+    return -math.ldexp(math.log1p(-math.ldexp(1.0, -j_exp)), j_exp), j_exp
 
 
 def dyadic_mean2_profile(
@@ -348,62 +354,49 @@ def dyadic_mean2_profile(
     """
     if not 0.0 <= alpha < math.inf:
         raise DomainError("the planned mean needs a finite alpha >= 0")
-    ln_eps = [_ln_eps(j) for j in j_list]
+    eps = [_dyadic_eps(j) for j in j_list]
     total = np.zeros(len(j_list))
     for rec in ledger.built():
         assert rec.gate is not None and rec.budget is not None and rec.k is not None
         weighted = index_weighted(targets.entry(rec.k).series, alpha).coefficients
         for j0 in np.flatnonzero(weighted):
             wsq = abs(weighted[j0]) ** 2
-            lower, _ = _position_sums(rec.lo, rec.gate, rec.budget, int(j0), alpha, ln_eps)
+            lower, _ = _position_sums(rec.lo, rec.gate, rec.budget, int(j0), alpha, eps)
             total += wsq * lower
     return [(j, math.sqrt(t)) for j, t in zip(j_list, total.tolist())]
 
 
 def _position_sums(
-    lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: list[float]
+    lo: int, gate: int, budget: int, j0: int, alpha: float, eps: list[tuple[float, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at every ln(eps).
+    """Bounds on sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at each eps = mant * 2**-k.
 
     Returns the lower ends and the upper ends (`_position_sum`).
 
     A radius whose eps puts the block beyond exp(-_EXP_FLOOR) gives 0.  A
-    radius past the block's flat point, 2*eps*v_hi < 2**-_TAIL_BITS, is
-    clamped to that point, where every r**(2(v-1)) already rounds to 1;
-    each distinct clamped eps is evaluated once.
+    radius past the block's flat point, k > k_flat, where 2*eps*v <
+    2**-_TAIL_BITS at every position, is clamped to eps = 2**-k_flat,
+    where every r**(2(v-1)) already rounds to 1; each distinct clamped
+    eps is evaluated once.
     """
     e = lo.bit_length() - 1
-    ln_reach = math.log(_EXP_FLOOR) - _LN2 - e * _LN2  # largest ln(eps) with 2*eps*lo in reach
-    ln_flat = -(_TAIL_BITS + 1) * _LN2 - math.log(lo + j0 + 1 + gate * budget)
-    out = np.zeros((2, len(ln_eps)))
-    seen: dict[float, tuple[float, float]] = {}
-    for i, x in enumerate(ln_eps):
-        if x > ln_reach:
+    k_flat = _TAIL_BITS + 1 + (lo + j0 + 1 + gate * budget).bit_length()
+    out = np.zeros((2, len(eps)))
+    seen: dict[tuple[float, int], tuple[float, float]] = {}
+    for i, (mant, k) in enumerate(eps):
+        if e - k >= 9 or math.ldexp(mant, e + 1 - k) > _EXP_FLOOR:  # 2 eps 2**e out of reach
             continue
-        x = max(x, ln_flat)
-        if x not in seen:
-            seen[x] = _position_sum(lo, gate, budget, j0, alpha, x)
-        out[:, i] = seen[x]
+        key = (1.0, k_flat) if k > k_flat else (mant, k)
+        if key not in seen:
+            seen[key] = _position_sum(lo, gate, budget, j0, alpha, *key)
+        out[:, i] = seen[key]
     return out[0], out[1]
 
 
-def _two_eps_times(ln_eps: float, e: int) -> float:
-    """2 * exp(ln_eps) * 2**e, the power of two applied exactly.
-
-    Near and below the subnormal range of eps, ln_eps is -j * _LN2
-    (`_ln_eps`), and k * _LN2 with k = -j gives back the same double,
-    so the mantissa factor is exp(0) = 1 and the result 2**(e + 1 - j).
-    """
-    if ln_eps > -700.0:
-        return math.ldexp(math.exp(ln_eps), e + 1)
-    k = round(ln_eps / _LN2)
-    return math.ldexp(math.exp(ln_eps - k * _LN2), k + e + 1)
-
-
 def _position_sum(
-    lo: int, gate: int, budget: int, j0: int, alpha: float, ln_eps: float
+    lo: int, gate: int, budget: int, j0: int, alpha: float, mant: float, k: int
 ) -> tuple[float, float]:
-    """Lower and upper bound on one position sum, at eps = exp(ln_eps).
+    """Lower and upper bound on one position sum, at eps = mant * 2**-k.
 
     The terms are f(m) = v**(-2a) * exp(-2 eps (v - 1)), v = v0 + gate*m,
     v0 = lo + j0 + 1; they decay by exp(-2 eps gate) per position, so only
@@ -425,19 +418,20 @@ def _position_sum(
       `_ln_block_integral`.
 
     Every exponent is formed in log form from lo's bit length, so blocks
-    beyond 2**1024 give finite values; 2 eps (v0 - 1) is an exact
-    power-of-two scaling of 2 eps (`_two_eps_times`).
+    beyond 2**1024 give finite values; 2 eps (v0 - 1) scales mant by the
+    power of two 2**(e + 1 - k) exactly, 2**e <= lo < 2**(e + 1).
     """
     v0 = lo + j0 + 1
     e = lo.bit_length() - 1
-    two_eps = _two_eps_times(ln_eps, 0)
-    shift = _two_eps_times(ln_eps, e) * (lo / (1 << e)) + two_eps * j0  # 2 eps (v0 - 1)
+    two_eps = math.ldexp(mant, 1 - k)
+    shift = math.ldexp(mant, e + 1 - k) * (lo / (1 << e)) + two_eps * j0  # 2 eps (v0 - 1)
     a = shift + two_eps  # 2 eps v0
+    lam_gate = a * (gate / v0)  # 2 eps gate
     ln_v0 = e * _LN2 + math.log1p((v0 - (1 << e)) / (1 << e))
     if alpha == 0.0:
-        s = _geometric_sum(shift, a, gate, budget, v0, ln_v0)
+        s = _geometric_sum(shift, lam_gate, a * (gate * budget / v0), budget)
         return s, s
-    ln_mcut = math.log(_EXP_FLOOR) - (ln_eps + _LN2 + math.log(gate))
+    ln_mcut = math.log(_EXP_FLOOR) - (math.log(mant) - k * _LN2 + _LN2 + math.log(gate))
     if min(math.log(budget), ln_mcut) <= math.log(_EXACT_TERMS):
         m_count = budget if ln_mcut >= math.log(budget) else min(budget, int(math.exp(ln_mcut)) + 2)
         m = np.arange(m_count, dtype=np.float64)
@@ -453,7 +447,6 @@ def _position_sum(
     integral = math.exp(z * ln_v0 - math.log(gate) - shift + _ln_block_integral(z, a, x_end, ln_x))
     f0 = math.exp(-2.0 * alpha * ln_v0 - shift)
     rho = math.exp(-ax - 2.0 * alpha * math.log1p(x_end)) if ax < _EXP_FLOOR else 0.0  # f(N-1) / f0
-    lam_gate = a * (gate / v0)
     d1_0, d3_0 = _log_derivatives(alpha, gate / v0, lam_gate)
     d1_n, d3_n = _log_derivatives(alpha, gate / (v0 + gate * n1), lam_gate)
     upper = integral + f0 * ((1.0 + rho) / 2.0 + (rho * d1_n - d1_0) / 12.0)
@@ -461,18 +454,15 @@ def _position_sum(
     return lower, upper
 
 
-def _geometric_sum(shift: float, a: float, gate: int, budget: int, v0: int, ln_v0: float) -> float:
-    """exp(-shift) * (1 - q**budget) / (1 - q), q = exp(-a * gate / v0)."""
-    lam_gate = a * (gate / v0)
-    lam_gate_n = a * (gate * budget / v0)
-    if lam_gate >= sys.float_info.min:
-        return math.exp(-shift) * math.expm1(-lam_gate_n) / math.expm1(-lam_gate)
-    # 1 - q is a * gate / v0 to double precision, and only its logarithm is finite;
-    # so is 1 - q**budget below x = 5e-18, where 1 - exp(-x) = x (1 - x/2 + ...)
-    ln_lam_gate = math.log(a) + math.log(gate) - ln_v0
-    ln_x = ln_lam_gate + math.log(budget)
-    ln_head = ln_x if ln_x < -40.0 else math.log(-math.expm1(-math.exp(ln_x)))
-    return math.exp(ln_head - ln_lam_gate - shift)
+def _geometric_sum(shift: float, lam: float, lam_n: float, budget: int) -> float:
+    """exp(-shift) * (1 - q**N) / (1 - q), q = exp(-lam), lam_n = N lam, N = budget.
+
+    The quotient is N h(lam_n) / h(lam), h(y) = (1 - exp(-y)) / y, and the
+    product is formed in log form: lam may be subnormal or 0, N past the
+    float range, and exp(-shift) (1 - q**N) alone may underflow.
+    """
+    h = -math.expm1(-lam) / lam if lam > 0.0 else 1.0
+    return math.exp(math.log(budget) + math.log(-math.expm1(-lam_n) / lam_n / h) - shift)
 
 
 def _log_derivatives(alpha: float, p: float, lam_gate: float) -> tuple[float, float]:

@@ -130,6 +130,14 @@ class TestExitCodes:
         assert _single_error_line(capsys)
         assert not out.exists()
 
+    def test_construct_nan_conjugate_exponent_is_a_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        argv = ["construct", "--regime", "star", "--q", "nan", "--out", str(out),
+                "--ledger", str(tmp_path / "ledger.csv")]
+        assert main(argv) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
     def test_construct_degree_above_limit_is_a_domain_error(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         argv = ["construct", "--max-degree", str(MAX_SERIES_DEGREE + 1), "--out", str(out),

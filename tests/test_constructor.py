@@ -28,9 +28,10 @@ from tsl.constructor import (
 from tsl.errors import DomainError
 from tsl.means import mean_p
 from tsl.polybank import enumerate_targets
-from tsl.repro import uniform_unit_targets, visit_fixture_targets
+from tsl.repro import visit_fixture_targets
 from tsl.series import MAX_SERIES_DEGREE, CoefficientSeries
 from tsl.verify import AsymptoticProbe, lacunary_sum_ratio
+from unit_targets import uniform_unit_targets
 
 
 def dyadic_spec(alpha=0.0, gamma=0.5, regime=Regime.RS, max_degree=1 << 20, q=math.inf):
@@ -75,6 +76,13 @@ class TestTargetGate:
             target_gate(0, 0, 0.0, Regime.RS)
         with pytest.raises(DomainError):
             target_gate(1, -1, 0.0, Regime.RS)
+
+    @pytest.mark.parametrize("q", [0.5, math.nan, -math.inf])
+    def test_rejects_conjugate_exponent_below_one(self, q):
+        with pytest.raises(DomainError):
+            target_gate(1, 0, 0.0, Regime.STAR, q)
+        with pytest.raises(DomainError):
+            dyadic_spec(regime=Regime.STAR, q=q)
 
 
 class TestBlockIndices:

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsl.cli import main
-from tsl.constructor import ConstructionSpec, Regime, Schedule, plan_blocks
+from tsl.constructor import ConstructionSpec, Regime, Schedule, construct, plan_blocks
 from tsl.errors import DomainError
 from tsl.means import (
     RadialMeansTable,
+    _dyadic_eps,
     _ln_block_integral,
-    _ln_eps,
     _position_sums,
     circle_norm,
     circle_samples,
@@ -25,9 +25,9 @@ from tsl.means import (
     mean_p,
     means_table,
 )
-from tsl.polybank import index_weighted
-from tsl.repro import uniform_unit_targets
+from tsl.polybank import enumerate_targets, index_weighted
 from tsl.series import CoefficientSeries
+from unit_targets import uniform_unit_targets
 
 RADII = (0.5, 1.0 - 2.0**-4, 1.0 - 2.0**-8, 0.999)
 
@@ -299,10 +299,16 @@ def _gamma_difference(z, lam, v_a, v_b):
         return mp.gammainc(z, lam * mp.mpf(v_a)) - mp.gammainc(z, lam * mp.mpf(v_b))
 
 
-def _oracle_position_sum(lo, gate, budget, j0, alpha, ln_eps, direct_terms=2000):
+def _oracle_eps(j):
+    """eps = -ln(1 - 2**-j) at 50 digits, from j alone."""
+    with mp.workdps(50):
+        return -mp.log1p(-mp.mpf(2) ** -j)
+
+
+def _oracle_position_sum(lo, gate, budget, j0, alpha, eps, direct_terms=2000):
     """The position sum itself, sum_m v**(-2a) exp(-2 eps (v-1)), at 50 digits.
 
-    v = lo + j0 + 1 + gate*m, m < budget, and eps = exp(ln_eps).  At
+    v = lo + j0 + 1 + gate*m, m < budget, and eps is a 50-digit number.  At
     alpha = 0 the terms form a geometric series, summed in closed form.
     Where a term is below exp(-1/16) of the one before (2 eps gate >
     1/16) they are summed one by one until they fall below exp(-120) of
@@ -316,7 +322,7 @@ def _oracle_position_sum(lo, gate, budget, j0, alpha, ln_eps, direct_terms=2000)
     Its integral is an incomplete-gamma difference (`_gamma_difference`).
     """
     with mp.workdps(50):
-        lam = 2 * mp.exp(mp.mpf(ln_eps))
+        lam = 2 * eps
         v0 = lo + j0 + 1
         s = 2 * mp.mpf(alpha)
 
@@ -352,7 +358,7 @@ def _oracle_position_sum(lo, gate, budget, j0, alpha, ln_eps, direct_terms=2000)
         return total
 
 
-def _rounding_allowance(lo, j0, alpha, ln_eps):
+def _rounding_allowance(lo, j0, alpha, eps):
     """Relative float64 rounding allowance around a position-sum bracket.
 
     Each term or integral the engine adds is exp(y), y a sum of
@@ -366,7 +372,6 @@ def _rounding_allowance(lo, j0, alpha, ln_eps):
     positive terms pairwise.
     """
     v0 = lo + j0 + 1
-    eps = math.exp(ln_eps)
     u = 2.0**-53
     return u * (4.0 * (2.0 * math.log(v0) + 2.0 * eps * v0) + 64.0)
 
@@ -393,6 +398,7 @@ class TestPlannedMean:
         (498, 5, 2000, 0, 0.25, 500),
         (20, 4, 1000, 0, 0.0, 200),  # past the flat point
         (30, 7, 3000, 1, 0.5, 120),  # past the flat point
+        (408, 4, 100, 0, 0.0, 400),  # exp(-512) times 1 - q**100 alone underflows
         (24, 4, (1 << 16) + 1, 0, 0.0, 20),  # the first integral size
         (24, 4, (1 << 16) + 1, 1, 0.25, 20),
         (24, 4, (1 << 16) + 1, 2, 0.5, 20),
@@ -403,29 +409,37 @@ class TestPlannedMean:
         (60, 4, 1 << 40, 0, 0.0, 200),  # past the flat point
         (1024, 172, (1 << 1024) // 172, 0, 0.5, 1025),  # a block at 2**1024, eps subnormal
         (1024, 172, (1 << 1024) // 172, 0, 0.0, 1040),  # 2 eps gate subnormal too
+        # 2 eps lo near 2**7: eps carried as a logarithm put these 1.2e-12 .. 8.8e-12 off
+        (1006, 4, 1 << 20, 0, 0.25, 1000),
+        (506, 4, 1 << 20, 0, 0.25, 500),
+        (306, 4, 1 << 20, 0, 0.5, 300),
     ]
+    SUMMED = 7  # CASES[:SUMMED] take the summed or closed-form route
 
     @pytest.mark.parametrize(
         "e, gate, budget, j0, alpha, j", CASES,
-        ids=[f"lo2^{c[0]}-a{c[4]}-j{c[5]}-{'sum' if i < 6 else 'integral'}" for i, c in enumerate(CASES)],
+        ids=[
+            f"lo2^{c[0]}-a{c[4]}-j{c[5]}-{route}"
+            for c, route in zip(CASES, ["sum"] * SUMMED + ["integral"] * len(CASES))
+        ],
     )
     def test_position_sum_matches_mpmath(self, e, gate, budget, j0, alpha, j):
         lo = 1 << e
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
-        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _ln_eps(j))
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _oracle_eps(j))
         assert lower > 0.0
         assert abs(lower - exact) <= 1e-12 * exact
         assert abs(upper - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize(
-        "e, gate, budget, j0, alpha, j", CASES[:6],
-        ids=[f"lo2^{c[0]}-a{c[4]}-j{c[5]}" for c in CASES[:6]],
+        "e, gate, budget, j0, alpha, j", CASES[:SUMMED],
+        ids=[f"lo2^{c[0]}-a{c[4]}-j{c[5]}" for c in CASES[:SUMMED]],
     )
     def test_summed_position_sum_within_1e13(self, e, gate, budget, j0, alpha, j):
         # 2*eps*lo is formed by an exact power-of-two scaling, not exp(ln 2 + ln eps + e ln 2)
         lo = 1 << e
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
-        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _ln_eps(j))
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _oracle_eps(j))
         assert lower == upper
         assert abs(lower - exact) <= 1e-13 * exact
 
@@ -435,8 +449,8 @@ class TestPlannedMean:
     def test_integral_route_within_midpoint_bound(self, e, alpha, j):
         # the midpoint integral against the float64 fsum of every term of the sum
         lo, gate, budget, j0 = 1 << e, 4, 1 << 20, 0
-        (value,), _ = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
-        eps = math.exp(_ln_eps(j))
+        (value,), _ = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        eps = float(_oracle_eps(j))
         v = lo + j0 + 1 + gate * np.arange(budget, dtype=np.float64)
         exact = math.fsum(np.exp(-2.0 * alpha * np.log(v) - 2.0 * eps * (v - 1.0)).tolist())
         v0 = lo + j0 + 1
@@ -447,13 +461,13 @@ class TestPlannedMean:
         # terms fall by exp(-0.20) per position at first, mostly from the power:
         # the midpoint integral was 6.4e-4 off here
         lo, gate, budget, j0, alpha, j = 1 << 10, 200, 1 << 17, 0, 0.5, 16
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_ln_eps(j)])
-        eps = math.exp(_ln_eps(j))
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        eps = float(_oracle_eps(j))
         v = lo + j0 + 1 + gate * np.arange(budget, dtype=np.float64)
         fsum = math.fsum(np.exp(-2.0 * alpha * np.log(v) - 2.0 * eps * (v - 1.0)).tolist())
-        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _ln_eps(j))
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _oracle_eps(j))
         assert abs(fsum - exact) <= 1e-12 * exact
-        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, j0, alpha, _ln_eps(j)))
+        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, j0, alpha, eps))
         # width about c**4 / 720 of the sum, c = 2 eps gate + 2 alpha gate / v0
         assert (upper - lower) / exact <= 1e-5
 
@@ -475,19 +489,19 @@ class TestPlannedMean:
         # budgets run from 4 terms to 2**48, across the 2**16 crossover
         j = min(300, max(1, e + shift))
         lo, budget = 1 << e, int(2.0**budget_bits)
-        ln_eps = _ln_eps(j)
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [ln_eps])
-        # past the flat point the engine evaluates at the flat point itself
-        ln_flat = -61 * math.log(2.0) - math.log(lo + j0 + 1 + gate * budget)
-        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, max(ln_eps, ln_flat))
-        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, j0, alpha, ln_eps))
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        # past the flat point the engine evaluates at eps = 2**-k_flat
+        k_flat = 61 + (lo + j0 + 1 + gate * budget).bit_length()
+        eps = _oracle_eps(j) if j <= k_flat else mp.mpf(2) ** -k_flat
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, eps)
+        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, j0, alpha, float(eps)))
 
     def test_oracle_series_matches_term_by_term(self):
         # the oracle's Euler-Maclaurin branch against its own sum of all 20,000 terms
         for alpha in (0.25, 1.0):
-            ln_eps = _ln_eps(14)
-            by_parts = _oracle_position_sum(1 << 5, 3, 20000, 0, alpha, ln_eps, direct_terms=0)
-            by_terms = _oracle_position_sum(1 << 5, 3, 20000, 0, alpha, ln_eps, direct_terms=20000)
+            eps = _oracle_eps(14)
+            by_parts = _oracle_position_sum(1 << 5, 3, 20000, 0, alpha, eps, direct_terms=0)
+            by_terms = _oracle_position_sum(1 << 5, 3, 20000, 0, alpha, eps, direct_terms=20000)
             with mp.workdps(50):
                 assert abs(by_parts - by_terms) <= mp.mpf(10) ** -24 * by_terms
 
@@ -498,9 +512,10 @@ class TestPlannedMean:
     def test_alpha_above_half_matches_mpmath(self, e, gate, budget, alpha, j):
         # z = 1 - 2 alpha < 0; at alpha = 1 the series meets z + k = 0 at k = 1
         lo = 1 << e
-        (lower,), (upper,) = _position_sums(lo, gate, budget, 0, alpha, [_ln_eps(j)])
-        exact = _oracle_position_sum(lo, gate, budget, 0, alpha, _ln_eps(j))
-        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, 0, alpha, _ln_eps(j)))
+        (lower,), (upper,) = _position_sums(lo, gate, budget, 0, alpha, [_dyadic_eps(j)])
+        eps = _oracle_eps(j)
+        exact = _oracle_position_sum(lo, gate, budget, 0, alpha, eps)
+        _assert_brackets(lower, upper, exact, _rounding_allowance(lo, 0, alpha, float(eps)))
         assert abs(lower - exact) <= 1e-12 * exact
 
     @pytest.mark.parametrize("alpha", (-0.25, math.nan, math.inf))
@@ -529,23 +544,38 @@ class TestPlannedMean:
 
     def test_unreachable_block_gives_zero(self):
         # 2 eps lo = 2**21 at j = 20: every term is below exp(-760)
-        lower, upper = _position_sums(1 << 40, 4, 100, 0, 0.0, [_ln_eps(20), _ln_eps(40)])
+        lower, upper = _position_sums(1 << 40, 4, 100, 0, 0.0, [_dyadic_eps(20), _dyadic_eps(40)])
         assert lower[0] == upper[0] == 0.0
 
     def test_deep_radius_matches_400_digits(self):
         ledger, targets = _dyadic_plan(0.0, 64, 400)
         for j, value in dyadic_mean2_profile(ledger, targets, 0.0, [150, 270]):
-            eps = math.exp(_ln_eps(j))
+            eps = _oracle_eps(j)
             total = mp.mpf(0)
             for rec in ledger.built():
                 weighted = index_weighted(targets.entry(rec.k).series, 0.0).coefficients
                 for j0 in np.flatnonzero(weighted):
                     if 2 * eps * rec.lo <= 760:
                         s = _oracle_position_sum(
-                            rec.lo, rec.gate, rec.budget, int(j0), 0.0, _ln_eps(j)
+                            rec.lo, rec.gate, rec.budget, int(j0), 0.0, eps
                         )
                         total += abs(weighted[j0]) ** 2 * s
             assert abs(value - mp.sqrt(total)) <= 1e-12 * mp.sqrt(total)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25])
+    def test_profile_matches_dense_parseval(self, alpha, gamma):
+        # planned blocks from degree 2**16 on weigh below r**(2**17) = exp(-128) at j <= 10
+        spec = ConstructionSpec(
+            alpha=alpha, gamma=gamma, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 16
+        )
+        targets = enumerate_targets(64)
+        series, _ = construct(spec, targets)
+        j_list = list(range(1, 11))
+        dense = means_table(series, [2.0], [1.0 - 2.0**-j for j in j_list])
+        planned = dyadic_mean2_profile(plan_blocks(spec, targets, 16), targets, alpha, j_list)
+        for row, (_, value) in zip(dense.rows, planned, strict=True):
+            assert abs(value - row.value) <= 1e-13 * row.value
 
     def test_profile_monotone_at_deep_radii(self):
         ledger, targets = _dyadic_plan(0.0, 8, 300)
