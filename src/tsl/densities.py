@@ -6,15 +6,25 @@ interest (prefix ratios) live entirely in exponent differences.  The
 limsup itself is not computable; callers report maxima of prefix ratios
 along dyadic horizons and label them as such.
 
-Every such sum comes from one engine, `_log_masses`, which walks a
-profile's cuts in increasing order; `log_weight_sum` and
-`prefix_density` are its one-cut cases.  Under these weights the mass of
-[1, N] lives on its last ~N**(1-gamma)/gamma integers, so for each cut
-the engine sums only the terms whose weight lies within 40 + ln c of the
-cut's top weight: together the terms it drops move the log mass by less
-than e**-40, below one ulp of any result.  A cut whose window starts
-inside the previous cut's terms chains onto that cut's running total;
-any other cut restarts the total at its window's first term.
+Under these weights the mass of [1, N] lives on its last
+~N**(1-gamma)/gamma integers, so every sum keeps only the terms whose
+weight lies within 40 + ln c of its top weight (`_window_start`, for a
+sum of c terms): together the terms it drops move the log mass by less
+than e**-40, below one ulp of any result.  Two routes sum that window.
+
+- The integers 1..N, behind every denominator and `log_weight_sum`,
+  take a closed form whose cost does not grow with N
+  (`_log_weight_sums`): 1 + ln N at gamma = 0, the geometric sum at
+  gamma = 1, and in between an exact float64 head followed by
+  Euler-Maclaurin through the f'''/720 term.  The head ends where the
+  remainder bound, the f^(5)/30240 term, falls below 2**-56 of the sum
+  (`_EM_BITS`); against 40-digit sums and the summed integers the
+  result is off by a few ulps at most.
+- The members of a set, behind every numerator, take the windowed
+  engine `_log_masses`, which walks a profile's cuts in increasing
+  order: a cut whose window starts inside the previous cut's terms
+  chains onto that cut's running total, any other cut restarts the
+  total at its window's first term.
 """
 
 from __future__ import annotations
@@ -24,9 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tsl._util import GL_NODES, GL_WEIGHTS
 from tsl.errors import DomainError
 
 _CHUNK = 1 << 22
+_EM_BITS = 56  # Euler-Maclaurin takes over where its remainder bound is below 2**-_EM_BITS
+_INT64_LIMIT = 1 << 63
 
 
 def _check_gamma(gamma: float) -> None:
@@ -35,12 +48,26 @@ def _check_gamma(gamma: float) -> None:
 
 
 def _integers(values: object, what: str) -> np.ndarray:
-    """`values` as int64; a value that is not an integer is a DomainError, not truncated."""
+    """`values` as int64.
+
+    A value that is not an integer is a DomainError, not truncated, and so
+    is an integer outside int64, not wrapped (numpy holds 2**63 as uint64
+    and integers past 64 bits as Python objects).
+    """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu" and not (
-        arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.trunc(arr)))
-    ):
+    if arr.dtype.kind == "O":
+        integral = all(
+            isinstance(v, (int, np.integer)) or (isinstance(v, float) and v.is_integer())
+            for v in arr.flat
+        )
+    else:
+        integral = arr.dtype.kind in "iu" or (
+            arr.dtype.kind == "f" and bool(np.all(np.isfinite(arr) & (arr == np.trunc(arr))))
+        )
+    if not integral:
         raise DomainError(f"{what} must be integral")
+    if not np.all((arr >= -_INT64_LIMIT) & (arr < _INT64_LIMIT)):
+        raise DomainError(f"{what} must lie in [-2**63, 2**63), the int64 range")
     return arr.astype(np.int64)
 
 
@@ -56,11 +83,10 @@ class PrefixSet:
         arr = _integers(self.members, "members")
         if arr.ndim != 1:
             raise DomainError("members must be 1-d")
-        if arr.size:
-            if arr[0] < 1 or arr[-1] > n_max:
-                raise DomainError("members must lie in [1, n_max]")
-            if np.any(np.diff(arr) <= 0):
-                raise DomainError("members must be strictly increasing")
+        if np.any(arr[1:] <= arr[:-1]):  # not np.diff, which wraps past int64
+            raise DomainError("members must be strictly increasing")
+        if arr.size and (arr[0] < 1 or arr[-1] > n_max):
+            raise DomainError("members must lie in [1, n_max]")
         arr.flags.writeable = False
         object.__setattr__(self, "members", arr)
         object.__setattr__(self, "n_max", n_max)
@@ -72,21 +98,21 @@ def _window_start(gamma: float, c: int, members: np.ndarray | None) -> int:
     The terms before it weigh less than exp(x_c**gamma - 40 - ln c), where
     x_c is the c-th term, and there are fewer than c of them, so together
     they change the log mass by less than e**-40.  The first integer kept
-    sits 2 below the root of that threshold, a margin against its rounding.
+    sits 2 below the root of that threshold, a margin against its rounding,
+    and never past x_c itself (near 2**63 that rounding exceeds 2).
     """
     x = c if members is None else int(members[c - 1])
     threshold = x**gamma - 40.0 - math.log(c)
     if threshold <= 0.0:  # always at gamma = 0
         return 0
-    first = max(1, int(threshold ** (1.0 / gamma)) - 2)  # the first integer kept
+    first = min(max(1, int(threshold ** (1.0 / gamma)) - 2), x)  # the first integer kept
     return first - 1 if members is None else int(np.searchsorted(members, first))
 
 
-def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray | None = None) -> np.ndarray:
-    """log of the sum of exp(x**gamma) over the first c terms x, for each cut c.
+def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """log of the sum of exp(x**gamma) over the first c members x, for each cut c.
 
-    The terms are the integers 1, 2, ... or the sorted members; the cuts
-    come in any order, repeats allowed.  Each cut sums only its window,
+    The cuts come in any order, repeats allowed.  Each cut sums only its window,
     from `_window_start` to c, so a cut of zero terms gives -inf.  The
     sorted cuts are walked once: a cut whose window starts at or below the
     previous cut adds the terms between the two cuts to that cut's running
@@ -107,11 +133,7 @@ def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray | None = Non
         if start > prev:
             prev, total = start, -math.inf
         for lo in range(prev, c, _CHUNK):
-            hi = min(lo + _CHUNK, c)
-            if members is None:
-                w = np.arange(lo + 1, hi + 1, dtype=np.float64)
-            else:
-                w = members[lo:hi].astype(np.float64)
+            w = members[lo : min(lo + _CHUNK, c)].astype(np.float64)
             np.power(w, gamma, out=w)
             m = float(w[-1])  # the terms are sorted: the piece's maximum, up to rounding
             w -= m
@@ -122,13 +144,94 @@ def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray | None = Non
     return masses[np.searchsorted(sorted_cuts, cuts)]
 
 
+def _em_start(gamma: float) -> int:
+    """An integer a from which Euler-Maclaurin sums exp(t**gamma), 0 < gamma < 1.
+
+    |f^(6)| <= f * P(t) for f = exp(t**gamma), P(t) = prod_{i<6} (g + i/t),
+    g = f'/f = gamma t**(gamma-1): the complete Bell polynomial of the
+    bounds |(t**gamma)^(j)| <= g (j-1)! / t**(j-1).  P falls in t; a is the
+    first point of a quarter-octave grid of integers with
+    P(a) <= 30240 * 2**-_EM_BITS, or 2**63 where none up to it qualifies.
+    """
+    t = np.ceil(2.0 ** (np.arange(253) / 4.0))  # 1 .. 2**63
+    g = gamma * t ** (gamma - 1.0)
+    bound = np.prod(g + np.arange(6)[:, None] / t, axis=0)
+    ok = np.flatnonzero(bound <= 30240.0 * 2.0**-_EM_BITS)
+    return int(t[ok[0]]) if ok.size else _INT64_LIMIT
+
+
+def _log_weight_sums(gamma: float, horizons: np.ndarray) -> np.ndarray:
+    """log of the sum of exp(k**gamma) over k = 1..N, for each horizon N >= 1.
+
+    gamma = 0 gives 1 + ln N and gamma = 1 the geometric sum; 0 < gamma < 1
+    takes `_log_weight_sum_cut`.  No cost grows with N.
+    """
+    n = horizons.astype(np.float64)
+    if gamma == 0.0:
+        return 1.0 + np.log(n)
+    if gamma == 1.0:  # e**N (1 - e**-N) / (1 - e**-1)
+        return n + np.log1p(-np.exp(-n)) - math.log1p(-math.exp(-1.0))
+    a_em = _em_start(gamma)
+    return np.array([_log_weight_sum_cut(gamma, c, a_em) for c in horizons.tolist()])
+
+
+def _log_weight_sum_cut(gamma: float, n: int, a_em: int) -> float:
+    """log of the sum of exp(k**gamma) over k = 1..n, 0 < gamma < 1.
+
+    The sum keeps `_window_start`'s window, first..n.  Below
+    a = max(first, a_em) the terms are summed exactly in float64; from a
+    to n Euler-Maclaurin gives, with f = exp(t**gamma),
+
+        sum_{k=a..n} f(k) = integral_a^n f + (f(a) + f(n)) / 2
+                            + (f'(n) - f'(a)) / 12 - (f'''(n) - f'''(a)) / 720 + R,
+
+    |R| <= integral_a^n |f^(6)| / 30240: that is |f^(5)(n) - f^(5)(a)| / 30240
+    where f^(6) keeps one sign, and at most 2**-_EM_BITS of the integral
+    past a_em (`_em_start`).  Everything is scaled by f(n).  The integral
+    is n times the integral over s = ln(n/t) in [0, ln(n/a)] of
+    exp(-s - y), y = n**gamma - t**gamma = -n**gamma expm1(-gamma s),
+    formed without cancellation and without a 1/gamma that would overflow
+    for tiny gamma.  The log of that integrand moves by 1 + gamma t**gamma
+    <= 1 + gamma n**gamma per unit of s, so panels 1 / (1 + gamma n**gamma)
+    long or shorter see it move by at most 1, and y by less than 1; each
+    takes the 20-point Gauss-Legendre rule.
+    """
+    first = _window_start(gamma, n, None) + 1
+    top = n**gamma
+    a = max(first, a_em)
+    k = np.arange(first, a if a < n else n + 1, dtype=np.float64)  # the exact head
+    np.power(k, gamma, out=k)
+    k -= top
+    total = float(np.exp(k, out=k).sum())
+    if a < n:
+        s_top = math.log1p((n - a) / a)  # ln(n/a), n - a exact
+        panels = math.ceil(s_top * (1.0 + gamma * top))
+        width = s_top / panels
+        s = (np.arange(panels)[:, None] + GL_NODES) * width  # one row per panel
+        integrand = np.exp(top * np.expm1(-gamma * s) - s)
+        integral = n * width * float((integrand @ GL_WEIGHTS).sum())
+        f_a = math.exp(top * math.expm1(-gamma * s_top))  # f(a) / f(n)
+        d1_a, d3_a = _log_derivatives(gamma, a)
+        d1_n, d3_n = _log_derivatives(gamma, n)
+        total += integral + (f_a + 1.0) / 2.0
+        total += (d1_n - f_a * d1_a) / 12.0 - (d3_n - f_a * d3_a) / 720.0
+    return top + math.log(total)
+
+
+def _log_derivatives(gamma: float, t: int) -> tuple[float, float]:
+    """f'/f and f'''/f of f = exp(t**gamma): g and g**3 + 3 g g' + g''."""
+    g = gamma * t ** (gamma - 1.0)
+    v = (gamma - 1.0) / t  # g'/g
+    return g, g**3 + 3.0 * g * g * v + g * v * (gamma - 2.0) / t
+
+
 def log_weight_sum(n: int, gamma: float) -> float:
     """log of sum_{k=1..n} exp(k**gamma), never materialized in linear scale."""
     n = int(_integers(n, "prefix length"))
     if n < 1:
         raise DomainError("prefix length must be >= 1")
     _check_gamma(gamma)
-    return float(_log_masses(gamma, [n])[0])
+    return float(_log_weight_sums(gamma, np.array([n]))[0])
 
 
 def prefix_density(prefix_set: PrefixSet, gamma: float, n: int) -> float:
@@ -141,8 +244,8 @@ def prefix_density_profile(
 ) -> list[tuple[int, float, float, float]]:
     """Rows (N, ratio, log_num, log_den) for each horizon, in input order.
 
-    One engine pass over the integers gives every denominator, one pass
-    over the members, cut at the member counts, every numerator.
+    The closed form gives every denominator, one engine pass over the
+    members, cut at the member counts, every numerator.
     """
     _check_gamma(gamma)
     h = _integers(horizons, "horizons")
@@ -152,7 +255,7 @@ def prefix_density_profile(
         if n < 1:
             raise DomainError("horizon must be >= 1")
     members = prefix_set.members
-    log_den = _log_masses(gamma, h)
+    log_den = _log_weight_sums(gamma, h)
     log_num = _log_masses(gamma, np.searchsorted(members, h, "right"), members)
     out = []
     for n, num, den in zip(h.tolist(), log_num.tolist(), log_den.tolist()):

@@ -47,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from tsl._util import fmt17
+from tsl._util import GL_NODES, GL_WEIGHTS, fmt17
 from tsl.constructor import BlockLedger
 from tsl.errors import DomainError
 from tsl.polybank import TargetEnumeration, index_weighted
@@ -473,25 +473,6 @@ def _log_derivatives(alpha: float, p: float, lam_gate: float) -> tuple[float, fl
     return u1, u3 + 3.0 * u1 * u2 + u1**3
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
-
-    Newton's method on the Legendre polynomial P_n from the usual cosine
-    guesses, all roots at once (numpy.linalg is not loaded for this).
-    """
-    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(6):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        slope = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / slope
-    return (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(20)
-
-
 def _ln_block_integral(z: float, a: float, x: float, ln_x: float) -> float:
     """ln J, J = integral from 0 to x of (1 + t)**(z-1) * exp(-a t) dt, z <= 1, a > 0.
 
@@ -506,8 +487,8 @@ def _ln_block_integral(z: float, a: float, x: float, ln_x: float) -> float:
     """
     ax = a * x
     if x <= 1.0 and ax <= 1.0:
-        t = x * _GL_NODES
-        return ln_x + math.log(float(_GL_WEIGHTS @ np.exp((z - 1.0) * np.log1p(t) - a * t)))
+        t = x * GL_NODES
+        return ln_x + math.log(float(GL_WEIGHTS @ np.exp((z - 1.0) * np.log1p(t) - a * t)))
     b = a * (1.0 + x)
     tail = math.exp(z * math.log1p(x) - ax) * _gamma_cf(z, b) if ax < _EXP_FLOOR else 0.0
     if a >= 1.0:

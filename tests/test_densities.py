@@ -52,6 +52,19 @@ class TestLogWeightSum:
     def test_integral_float_length_is_the_integer(self):
         assert log_weight_sum(2.0, 1.0) == log_weight_sum(2, 1.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1e-5, 0.5, 0.9, 1.0])
+    def test_largest_int64_length(self, gamma):
+        # at gamma = 0.9 the window's start rounds past 2**63 - 1 itself
+        n = (1 << 63) - 1
+        top = float(n) ** gamma
+        assert top <= log_weight_sum(n, gamma) <= top + 1.0 + math.log(n)
+
+    @pytest.mark.parametrize("n", [1 << 63, (1 << 64) + 5, -(1 << 63) - 1, 2.0**63])
+    def test_rejects_length_outside_int64(self, n):
+        # numpy holds 2**63 as uint64, which a cast to int64 wraps to -2**63
+        with pytest.raises(DomainError, match=r"2\*\*63"):
+            log_weight_sum(n, 0.5)
+
 
 class TestPrefixDensity:
     def test_full_set_density_one(self):
@@ -224,6 +237,26 @@ class TestPrefixSetInvariants:
         with pytest.raises(DomainError):
             PrefixSet(np.array(members), n_max)
 
+    def test_largest_int64_n_max(self):
+        n = (1 << 63) - 1
+        s = PrefixSet([1, 2, n], n)
+        assert s.n_max == n and s.members[-1] == n
+        (_, ratio, log_num, _), = prefix_density_profile(s, 0.5, [n])
+        # the top term's share of the weighted mass is about f'/f = 0.5 / sqrt(n)
+        assert log_num == float(n) ** 0.5
+        assert ratio == pytest.approx(0.5 / math.sqrt(n), rel=1e-9)
+
+    @pytest.mark.parametrize("v", [1 << 63, (1 << 64) + 5])
+    def test_rejects_values_outside_int64(self, v):
+        for members, n_max, horizons in [([1, 2], v, []), ([1, v], 10, []), ([1, 2], 10, [v])]:
+            with pytest.raises(DomainError, match=r"2\*\*63"):
+                prefix_density_profile(PrefixSet(members, n_max), 0.5, horizons)
+
+    def test_rejects_a_drop_that_wraps_int64(self):
+        # 1 -> -2**63 is a drop of 2**63 + 1, which int64 differences wrap to 2**63 - 1
+        with pytest.raises(DomainError, match="increasing"):
+            PrefixSet(np.array([1, -(1 << 63)]), 10)
+
     def test_non_integral_horizon_rejected(self):
         ds = PrefixSet(np.array([1, 2, 3]), 10)
         with pytest.raises(DomainError):
@@ -334,3 +367,48 @@ class TestEngine:
             prefix_density_profile(s, 0.5, [4, 0])
         with pytest.raises(DomainError):
             prefix_density_profile(s, 0.5, [11, 4])
+
+
+@functools.cache
+def _mp_prefix_sums(gamma):
+    """Running 40-digit sums of `_mp_terms`: entry n - 1 sums k = 1 .. n."""
+    with mp.workdps(40):
+        out, total = [], mp.mpf(0)
+        for term in _mp_terms(gamma):
+            total += term
+            out.append(total)
+    return out
+
+
+class TestClosedForm:
+    # log_weight_sum sums a short exact head, then Euler-Maclaurin; at
+    # _EM_BITS = 40 the remainder bound is 2**-40 of the sum and the
+    # Euler-Maclaurin route starts below 2**13 at every gamma here
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        gamma=st.sampled_from([1e-5, 0.01, 0.3, 0.5, 0.7]),
+        horizons=st.lists(st.integers(1, 1 << 14), min_size=1, max_size=8),
+    )
+    def test_matches_high_precision_sums(self, gamma, horizons):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(densities, "_EM_BITS", 40)
+            assert densities._em_start(gamma) < 1 << 13
+            rows = prefix_density_profile(PrefixSet([], 1 << 14), gamma, horizons)
+            singles = [log_weight_sum(n, gamma) for n in horizons]
+        sums = _mp_prefix_sums(gamma)
+        with mp.workdps(40):
+            for (n, _, _, log_den), single in zip(rows, singles):
+                den = float(mp.log(sums[n - 1]))
+                assert abs(log_den - den) <= 1e-13 * abs(den)
+                assert single == log_den
+
+    @pytest.mark.parametrize("gamma", [1e-5, 0.2, 0.3, 0.5])
+    def test_matches_the_summed_members_route(self, gamma):
+        # with every integer a member, each numerator is the windowed float64
+        # sum of the same terms.  At gamma = 1e-5 the window is all of them,
+        # and an integral over y = N**gamma - t**gamma that recovers t as
+        # (N**gamma - y)**(1/gamma) loses 1/gamma ulps: 4e-13 relative
+        horizons = [1 << 20, (1 << 22) - 3, 1 << 22]
+        everything = PrefixSet(np.arange(1, (1 << 22) + 1), 1 << 22)
+        for n, _, log_num, log_den in prefix_density_profile(everything, gamma, horizons):
+            assert abs(log_den - log_num) <= 1e-13 * abs(log_num), n
