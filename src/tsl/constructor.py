@@ -396,7 +396,7 @@ def visit_set(
     along the block subsequence).
     """
     targets.entry(k)  # range check: a target beyond the enumeration is a DomainError
-    visits: list[int] = []
+    visits: list[np.ndarray] = []
     block_ends: list[int] = []
     for rec in ledger.for_target(k):
         if not rec.built:
@@ -405,11 +405,11 @@ def visit_set(
         positions = _family(spec, rec.budget).plus_positions()
         block_visits = rec.lo + rec.gate * positions
         if len(block_visits):
-            visits.extend(int(s) for s in block_visits)
+            visits.append(block_visits)
             block_ends.append(int(block_visits[-1]))
     if not visits:
         return VisitReport(k=k, visits=(), density_estimate=0.0)
-    arr = np.array(sorted(visits), dtype=np.int64)
+    arr = np.sort(np.concatenate(visits))
     prefix = PrefixSet(arr, int(arr[-1]))
     density = max(row[1] for row in prefix_density_profile(prefix, spec.gamma, block_ends))
-    return VisitReport(k=k, visits=tuple(int(v) for v in arr), density_estimate=density)
+    return VisitReport(k=k, visits=tuple(arr.tolist()), density_estimate=density)

@@ -14,7 +14,10 @@ is sized on the degree that radius can see, not on the full degree; at
 r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  Every count
 is derived, none is set: `circle_samples` itself takes the p = infinity
 count.  A mean reduces the sampler's phase blocks one at a time, so it
-never holds all samples at once.
+never holds all samples at once.  Where every nonzero index is one
+residue mod a power of two g, the stride (blocks z**lo * S(z**gate) on
+constant targets), the modulus has period N / g around the circle, so a
+mean transforms N / g points, and its row still names the N it stands for.
 
 `dyadic_mean2_profile` is the one planned-mean entry: it evaluates the
 L^2 mean of a *planned* block construction at radii 1 - 2**-j without
@@ -95,7 +98,7 @@ class MeanRow:
     p: float
     r: float
     value: float
-    quadrature_size: int  # 0 marks the coefficient-side route
+    quadrature_size: int  # circle points the row stands for, 0 on the coefficient-side route
 
 
 @dataclass(frozen=True)
@@ -180,29 +183,41 @@ def effective_degree(r: float, degree: int) -> int:
     return min(degree, int(_TAIL_BITS / -math.log2(r)))
 
 
-def _support(coeffs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Indices of the nonzero coefficients, and the last of them (0 if none)."""
+def _support(coeffs: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Nonzero indices, the last of them (0 if none), and their stride.
+
+    The stride is the largest power of two dividing every index difference (1 if none).
+    """
     support = np.flatnonzero(coeffs)
-    return support, int(support[-1]) if support.size else 0
+    if support.size < 2:
+        return support, int(support[-1]) if support.size else 0, 1
+    spread = int(np.bitwise_or.reduce(support[1:] - support[0]))
+    return support, int(support[-1]), spread & -spread
 
 
-def _phase_blocks(coeffs: np.ndarray, r: float, p: float, last: int) -> Iterator[np.ndarray]:
-    """The values at `_sample_count(D, p)` points, one phase block at a time.
+def _phase_blocks(
+    coeffs: np.ndarray, r: float, p: float, last: int, stride: int, residue: int
+) -> Iterator[np.ndarray]:
+    """Values whose moduli are |P| at `_sample_count(D, p)` points, one phase block at a time.
 
-    `last` is the last nonzero index of `coeffs`.  With m the window's
-    next power of two, the size / m blocks are phase-shifted m-point
-    FFTs (4 at finite p, 8 at p = inf): block a holds the values at
-    indices t * size / m + a of the zero-padded size-point FFT, without
-    its size-long work buffers.
+    `last` is the last nonzero index of `coeffs`; every nonzero index is
+    residue mod g = stride, a power of two at most next_pow2(D + 1).  So
+    |P(r w)|, w = exp(2 pi i k / size), depends on k mod size / g alone:
+    it is |Q(w**g)|, Q the dilated coefficients at residue, residue + g,
+    ... up to D.  With m the window's next power of two, the
+    size / g / m blocks are phase-shifted m-point FFTs of Q: block a
+    holds the values at t * size / g / m + a of the zero-padded
+    (size / g)-point FFT, without its long work buffers.  At g = 1 and
+    residue 0, Q is P and the blocks hold P's values themselves.
     """
     degree = effective_degree(r, last)
-    size = _sample_count(degree, p)
-    window = np.asarray(coeffs[: degree + 1], dtype=np.complex128)
+    points = _sample_count(degree, p) // stride
+    window = np.asarray(coeffs[residue : degree + 1 : stride], dtype=np.complex128)
     if 0.0 < r < 1.0:
-        window = window * np.exp(np.arange(degree + 1, dtype=np.float64) * math.log(r))
-    m = _next_pow2(degree + 1)
-    step = np.exp(2j * math.pi / size * np.arange(degree + 1))
-    for _ in range(size // m):
+        window = window * np.exp(np.arange(residue, degree + 1, stride) * math.log(r))
+    m = _next_pow2(max(1, window.size))
+    step = np.exp(2j * math.pi / points * np.arange(window.size))
+    for _ in range(points // m):
         yield np.fft.ifft(window, n=m, norm="forward")
         window = window * step
 
@@ -218,31 +233,34 @@ def circle_samples(coeffs: np.ndarray, r: float) -> np.ndarray:
     row and exceeds pi * D, so a sampled sup lies within the Bernstein
     factor 1 / (1 - pi * D / N) of the true sup.
     """
-    _, last = _support(coeffs)
-    return np.column_stack(list(_phase_blocks(coeffs, r, math.inf, last))).reshape(-1)
+    _, last, _ = _support(coeffs)
+    return np.column_stack(list(_phase_blocks(coeffs, r, math.inf, last, 1, 0))).reshape(-1)
 
 
 def _mean_row(
     series: CoefficientSeries,
-    support: tuple[np.ndarray, int],
+    support: tuple[np.ndarray, int, int],
     p: float,
     r: float,
 ) -> MeanRow:
     """One (p, r) row from the series' `_support`: Parseval at p = 2, else sampled."""
     _check_p(p)
     a = series.coefficients
-    nonzero, last = support
+    nonzero, last, stride = support
     if p == 2.0:
         dilated = a[nonzero] * np.exp(nonzero * math.log(r))
         return MeanRow(p, r, math.sqrt(float(np.sum(np.abs(dilated) ** 2))), 0)
-    size = _sample_count(effective_degree(r, last), p)
-    blocks = _phase_blocks(a, r, p, last)
+    degree = effective_degree(r, last)
+    size = _sample_count(degree, p)
+    stride = min(stride, _next_pow2(degree + 1))  # size / stride must cover the window
+    residue = int(nonzero[0]) % stride if nonzero.size else 0
+    blocks = _phase_blocks(a, r, p, last, stride, residue)
     # reduce each phase block as it arrives; the samples are never all held
     if p == math.inf:
         value = max(float(np.abs(block).max()) for block in blocks)
     else:
         power_sum = sum(float(np.sum(np.abs(block) ** p)) for block in blocks)
-        value = (power_sum / size) ** (1.0 / p)
+        value = (power_sum / (size // stride)) ** (1.0 / p)  # each sample stands for stride points
     return MeanRow(p, r, value, size)
 
 
@@ -262,8 +280,9 @@ def means_table(
 ) -> RadialMeansTable:
     """One row per (p, r), computed independently, assembled in sorted order.
 
-    Each row's FFT size follows its own radius, so the `quadrature_size`
-    column varies along the grid.
+    Each row's point count N follows its own radius, so the
+    `quadrature_size` column varies along the grid; a series of stride g
+    transforms N / g of those points, which take every modulus the N take.
     """
     if not p_list or not r_grid:
         raise DomainError("p_list and r_grid must be nonempty")

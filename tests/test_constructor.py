@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tsl import series as series_module
 from tsl.constructor import (
     BlockLedger,
+    BlockRecord,
     ConstructionSpec,
     Regime,
     Schedule,
@@ -458,6 +459,24 @@ class TestVisitSet:
         _, ledger = construct(spec, visit_fixture_targets())
         with pytest.raises(DomainError, match="outside enumeration"):
             visit_set(spec, visit_fixture_targets(), k, ledger)
+
+    def test_visits_past_int64_are_not_wrapped(self):
+        # a built block at 2**63 has visits no int64 holds: they raise, never wrap
+        spec = dyadic_spec(max_degree=1 << 5)
+        targets = visit_fixture_targets()
+        _, ledger = construct(spec, targets)
+        far = BlockRecord(n=63, k=2, gate=4, budget=3, lo=1 << 63, hi=(1 << 64) - 1,
+                          skip_reason=None)
+        with pytest.raises(OverflowError):
+            visit_set(spec, targets, 2, BlockLedger(ledger.records + (far,)))
+
+    def test_visits_are_sorted_python_ints(self):
+        spec = dyadic_spec()
+        targets = visit_fixture_targets()
+        _, ledger = construct(spec, targets)
+        report = visit_set(spec, targets, 2, ledger)
+        assert len(report.visits) > 1 and all(type(v) is int for v in report.visits)
+        assert list(report.visits) == sorted(set(report.visits))
 
 
 class TestPlanIteration:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsl import means as means_module
 from tsl.cli import main
 from tsl.constructor import ConstructionSpec, Regime, Schedule, construct, plan_blocks
 from tsl.errors import DomainError
@@ -15,6 +16,7 @@ from tsl.means import (
     _dyadic_eps,
     _ln_block_integral,
     _position_sums,
+    _support,
     circle_norm,
     circle_samples,
     conjugate_exponent,
@@ -248,6 +250,158 @@ class TestMeanRows:
     def test_csv_rejects_malformed_shape(self, text):
         with pytest.raises(DomainError):
             RadialMeansTable.from_csv(text)
+
+
+def lattice_series(stride, residue, terms, seed):
+    """Complex normal coefficients at residue, residue + stride, ..., zeros elsewhere."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = np.zeros(residue + stride * (terms - 1) + 1, dtype=np.complex128)
+    a[residue::stride] = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+    return CoefficientSeries(a)
+
+
+def lattice_moduli(coeffs, stride, residue, r, size):
+    """|P(r w)| at every w = exp(2 pi i k / size) by np.polyval, P(z) = z**residue Q(z**stride)."""
+    k = np.arange(size)
+    z_stride = r**stride * np.exp(2j * np.pi * ((k * stride) % size) / size)
+    return np.abs(np.polyval(coeffs[residue::stride][::-1], z_stride)) * r**residue
+
+
+@pytest.fixture
+def fft_points(monkeypatch):
+    """The length of every inverse FFT `tsl.means` runs, in call order."""
+    seen = []
+    ifft = np.fft.ifft
+
+    def spy(a, n=None, *args, **kwargs):
+        seen.append(len(a) if n is None else n)
+        return ifft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(means_module.np.fft, "ifft", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def growth_series():
+    """The growth benchmark's shape: 8 constant-one targets, RS, dyadic, gamma = 1/2, 2**18."""
+    spec = ConstructionSpec(
+        alpha=0.0, gamma=0.5, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 18
+    )
+    series, _ = construct(spec, uniform_unit_targets(8))
+    return series
+
+
+class TestStridedSampling:
+    """A series on one residue class mod a power of two g is sampled at N / g points."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        shift=st.integers(1, 6),
+        residue=st.integers(0, 63),
+        terms=st.integers(1, 2049),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shift=2, residue=3, terms=2049, seed=7)  # degree 4095
+    @example(shift=6, residue=63, terms=2049, seed=8)  # degree 4095
+    def test_rows_match_direct_evaluation(self, shift, residue, terms, seed):
+        stride = 1 << shift
+        residue %= stride
+        terms = min(terms, (4096 - residue) // stride + 1)  # degree <= 4096
+        series = lattice_series(stride, residue, terms, seed)
+        a, ps = series.coefficients, (1.0, 1.5, 3.0, math.inf)
+        table = means_table(series, list(ps), [0.5, 0.99, 0.999])
+        for r in (0.5, 0.99, 0.999, 1.0):
+            d = effective_degree(r, len(a) - 1)
+            top = 8 * next_pow2(d + 1)  # the p = inf row's points; finite p takes every other
+            moduli = lattice_moduli(a[: d + 1], stride, residue, r, top)
+            for p in ps:
+                size = (8 if p == math.inf else 4) * next_pow2(d + 1)
+                if r < 1.0:
+                    (row,) = [row for row in table.at_p(p) if row.r == r]
+                    assert row.quadrature_size == size
+                value = row.value if r < 1.0 else circle_norm(series, p)
+                vals = moduli[:: top // size]
+                ref = vals.max() if p == math.inf else np.mean(vals**p) ** (1.0 / p)
+                assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+            # the sampled sup stays inside the Bernstein bracket of a 4x finer dense grid
+            dilated = a[: d + 1] * r ** np.arange(d + 1)
+            dense = float(np.abs(np.fft.ifft(dilated, n=4 * top, norm="forward")).max())
+            sup = value  # the p = inf value, last in ps
+            assert (1.0 - math.pi * d / top) * dense <= sup <= dense * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("p", (1.0, math.inf))
+    def test_growth_rows_transform_a_quarter_of_their_points(self, growth_series, fft_points, p):
+        for r in dyadic_radii(1 << 18):
+            fft_points.clear()
+            (row,) = means_table(growth_series, [p], [r]).rows
+            assert 0 < sum(fft_points) <= row.quadrature_size // 4
+        # every nonzero index of the 2**18 growth series is 0 mod 4
+        assert _support(growth_series.coefficients)[2] == 4
+
+    def test_off_lattice_coefficient_takes_every_point(self, growth_series, fft_points):
+        a = growth_series.coefficients.copy()
+        a[17] = 1e-3
+        _, last, stride = _support(a)
+        assert stride == 1
+        for p in (1.0, 1.5, math.inf):
+            for r in (0.5, 0.99, 1.0 - 2.0**-12):
+                fft_points.clear()
+                (row,) = means_table(CoefficientSeries(a), [p], [r]).rows
+                assert sum(fft_points) == row.quadrature_size
+                # the stride-1 phase blocks, reduced as the unstrided sampler reduces them
+                blocks = means_module._phase_blocks(a, r, p, last, 1, 0)
+                if p == math.inf:
+                    assert row.value == max(float(np.abs(b).max()) for b in blocks)
+                else:
+                    power_sum = sum(float(np.sum(np.abs(b) ** p)) for b in blocks)
+                    assert row.value == (power_sum / row.quadrature_size) ** (1.0 / p)
+
+    def test_stride_wider_than_the_window_is_capped(self, fft_points):
+        a = np.zeros((1 << 20) + 1, dtype=np.complex128)
+        a[0], a[-1] = 1.0 - 2.0j, 3.0
+        series = CoefficientSeries(a)
+        assert _support(a)[2] == 1 << 20
+        for p in (1.0, 1.5, math.inf):
+            fft_points.clear()
+            (row,) = means_table(series, [p], [0.5]).rows
+            # at r = 1/2 the effective degree is 60: the window is the constant term alone
+            assert row.quadrature_size == (8 if p == math.inf else 4) * 64
+            assert sum(fft_points) == row.quadrature_size // 64
+            assert row.value == pytest.approx(abs(a[0]), rel=1e-15)
+        # on the unit circle both terms are in reach: z**(2**20) runs over the 8th
+        # (p = 1) or 16th (p = inf) roots of unity
+        for p, roots in ((1.0, 8), (math.inf, 16)):
+            vals = np.abs(a[0] + a[-1] * np.exp(2j * np.pi * np.arange(roots) / roots))
+            ref = vals.max() if p == math.inf else np.mean(vals)
+            assert circle_norm(series, p) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("p", (1.0, 1.5, math.inf))
+    def test_zero_and_single_term_series(self, p):
+        assert _support(np.zeros(9))[1:] == (0, 1)
+        for row in means_table(CoefficientSeries.zero(500), [p], [0.5, 0.99]).rows:
+            assert row.value == 0.0
+        a = np.zeros(1001, dtype=np.complex128)
+        a[700] = 0.5 - 0.25j
+        assert _support(a)[1:] == (700, 1)
+        series = CoefficientSeries(a)
+        low, *rows = means_table(series, [p], [0.5, 0.99, 0.999]).rows
+        assert low.value == 0.0  # index 700 is past the effective degree 60 of r = 1/2
+        for row in rows:
+            assert row.value == pytest.approx(abs(a[700]) * row.r**700, rel=1e-12)
+        assert circle_norm(series, p) == pytest.approx(abs(a[700]), rel=1e-12)
+
+    def test_circle_samples_keep_every_point_of_a_strided_series(self, fft_points):
+        a = lattice_series(8, 3, 60, 5).coefficients
+        assert _support(a)[2] == 8
+        for r in (0.5, 0.99):
+            fft_points.clear()
+            values = circle_samples(a, r)
+            d = effective_degree(r, len(a) - 1)
+            size = 8 * next_pow2(d + 1)
+            assert values.shape == (size,) and sum(fft_points) == size
+            z = r * np.exp(2j * np.pi * np.arange(size) / size)
+            direct = np.polyval(a[: d + 1][::-1], z)
+            assert np.max(np.abs(values - direct)) <= 1e-12 * float(np.sum(np.abs(a)))
 
 
 class TestExponents:
