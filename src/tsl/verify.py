@@ -41,16 +41,18 @@ class OracleVerdict:
 def power_sum_lower_bound(members: np.ndarray, n: int, gamma: float) -> OracleVerdict:
     """Check sum over the subset of (k+1)**gamma against its integral minorant.
 
-    The two displayed bounds split at gamma = 0; both degenerate at
-    gamma = -1 (division by gamma + 1), which is rejected.
+    `members` is strictly increasing.  The two displayed bounds split at
+    gamma = 0; both degenerate at gamma = -1 (division by gamma + 1).
     """
-    if gamma == -1.0:
-        raise DomainError("gamma = -1 is outside the statement")
+    if not math.isfinite(gamma) or gamma == -1.0:
+        raise DomainError("gamma must be finite and not -1, where the statement divides by 0")
     members = np.asarray(members, dtype=np.int64)
-    if members.size and (members.min() < 1 or members.max() > n):
+    if members.ndim != 1 or (members[1:] <= members[:-1]).any():
+        raise DomainError("members must be a strictly increasing sequence")
+    if members.size and (members[0] < 1 or members[-1] > n):
         raise DomainError("subset must lie in {1, ..., N}")
     count = members.size
-    lhs = float(np.sum((members.astype(np.float64) + 1.0) ** gamma))
+    lhs = float(((members.astype(np.float64) + 1.0) ** gamma).sum())
     if gamma >= 0.0:
         rhs = ((count + 1.0) ** (gamma + 1.0) - 1.0) / (gamma + 1.0)
     else:
@@ -68,8 +70,8 @@ def abel_minorant(
 ) -> OracleVerdict:
     """Check the summation-by-parts lower bound along an index subsequence.
 
-    `u`, `v` are 1-indexed nonnegative sequences (v nonincreasing), and
-    `subseq` is N_0 < N_1 < ... < N_l inside [1, len].  Both sides of
+    `u`, `v` are 1-indexed finite nonnegative sequences (v nonincreasing),
+    and `subseq` is N_0 < N_1 < ... < N_l inside [1, len].  Both sides of
 
         sum_{k=N_0+1}^{N_l} u_k v_k  >=  S_{N_l} v_{N_l} - S_{N_0} v_{N_0}
             + sum_j S_{N_{j-1}} (v_{N_{j-1}} - v_{N_j})
@@ -81,21 +83,20 @@ def abel_minorant(
     subseq = np.asarray(subseq, dtype=np.int64)
     if len(u) != len(v):
         raise DomainError("u and v must have equal length")
-    if np.any(u < 0) or np.any(v < 0):
-        raise DomainError("sequences must be nonnegative")
-    if np.any(np.diff(v) > 0):
-        raise DomainError("v must be nonincreasing")
-    if len(subseq) < 2 or np.any(np.diff(subseq) <= 0):
+    if len(subseq) < 2 or (subseq[1:] <= subseq[:-1]).any():
         raise DomainError("need a strictly increasing subsequence N_0 < ... < N_l")
     if subseq[0] < 1 or subseq[-1] > len(u):
         raise DomainError("subsequence indices must lie in [1, len]")
-    s = np.cumsum(u)  # s[i] = S_{i+1}
+    if not (np.isfinite(u).all() and np.isfinite(v).all()) or u.min() < 0 or v.min() < 0:
+        raise DomainError("sequences must be finite and nonnegative")
+    if (v[1:] > v[:-1]).any():
+        raise DomainError("v must be nonincreasing")
+    s = u.cumsum()  # s[i] = S_{i+1}
     n0, nl = int(subseq[0]), int(subseq[-1])
-    lhs = float(np.sum(u[n0:nl] * v[n0:nl]))
+    lhs = float((u[n0:nl] * v[n0:nl]).sum())
     rhs = float(s[nl - 1] * v[nl - 1] - s[n0 - 1] * v[n0 - 1])
-    prev = subseq[:-1]
-    nxt = subseq[1:]
-    rhs += float(np.sum(s[prev - 1] * (v[prev - 1] - v[nxt - 1])))
+    prev, nxt = subseq[:-1] - 1, subseq[1:] - 1
+    rhs += float((s[prev] * (v[prev] - v[nxt])).sum())
     margin = lhs - rhs
     holds = margin >= -_REL_GUARD * max(1.0, abs(rhs))
     witness = None if holds else {"len": len(u), "subseq": subseq.tolist(), "lhs": lhs, "rhs": rhs}
@@ -259,36 +260,35 @@ def check_visit(
     return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree, s + window)
 
 
-def _spawn_rngs(master_seed: int, count: int) -> list[np.random.Generator]:
-    seqs = np.random.SeedSequence(master_seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(sq)) for sq in seqs]
-
-
 def run_power_sum_suite(
     n_instances: int, master_seed: int, n_max: int = 10_000
 ) -> list[OracleVerdict]:
-    """Randomized instances of the power-sum bound; gamma in [-0.9, 3]."""
-    verdicts = []
-    for rng in _spawn_rngs(master_seed, n_instances):
-        n = int(rng.integers(1, n_max + 1))
-        density = float(rng.uniform(0.0, 1.0))
-        members = np.nonzero(rng.random(n) < density)[0] + 1
-        gamma = float(rng.uniform(-0.9, 3.0))
-        verdicts.append(power_sum_lower_bound(members, n, gamma))
-    return verdicts
+    """Randomized instances of the power-sum bound; gamma in [-0.9, 3].
+
+    One PCG64(master_seed) draws every n, density and gamma, then each subset
+    in instance order: a seed names other instances than per-instance seeds did.
+    """
+    rng = np.random.Generator(np.random.PCG64(master_seed))
+    ns = rng.integers(1, n_max + 1, size=n_instances).tolist()
+    densities, gammas = rng.uniform([0.0, -0.9], [1.0, 3.0], size=(n_instances, 2)).T.tolist()
+    return [
+        power_sum_lower_bound(np.flatnonzero(rng.random(n) < density) + 1, n, gamma)
+        for n, density, gamma in zip(ns, densities, gammas)
+    ]
 
 
 def run_abel_suite(
     n_instances: int, master_seed: int, max_len: int = 2000
 ) -> list[OracleVerdict]:
-    """Randomized instances of the summation-by-parts bound."""
+    """Randomized instances of the summation-by-parts bound, drawn as in `run_power_sum_suite`."""
+    rng = np.random.Generator(np.random.PCG64(master_seed))
+    lengths = rng.integers(2, max_len + 1, size=n_instances)
+    scales = rng.uniform(0.5, 10.0, size=n_instances).tolist()
+    point_counts = rng.integers(2, np.minimum(lengths, 12) + 1).tolist()
     verdicts = []
-    for rng in _spawn_rngs(master_seed, n_instances):
-        length = int(rng.integers(2, max_len + 1))
-        u = rng.random(length) * float(rng.uniform(0.5, 10.0))
-        steps = rng.random(length)
-        v = np.flip(np.cumsum(np.flip(steps)))  # nonincreasing, nonnegative
-        n_points = int(rng.integers(2, min(length, 12) + 1))
-        subseq = np.sort(rng.choice(np.arange(1, length + 1), size=n_points, replace=False))
+    for length, scale, n_points in zip(lengths.tolist(), scales, point_counts):
+        u = rng.random(length) * scale
+        v = rng.random(length)[::-1].cumsum()[::-1]  # nonincreasing, nonnegative
+        subseq = np.sort(rng.choice(length, size=n_points, replace=False)) + 1
         verdicts.append(abel_minorant(u, v, subseq))
     return verdicts

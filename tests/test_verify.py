@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,14 @@ from tsl.errors import DomainError
 from tsl.polybank import TargetEntry, TargetEnumeration
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
 from tsl.means import effective_degree
-from tsl.verify import check_visit, truncation_tail_bound
+from tsl.verify import (
+    abel_minorant,
+    check_visit,
+    power_sum_lower_bound,
+    run_abel_suite,
+    run_power_sum_suite,
+    truncation_tail_bound,
+)
 
 DEGREE = 1 << 12
 
@@ -142,3 +150,110 @@ class TestCheckVisit:
         assert check_visit(f, spec, targets, 1, 4090) >= 1.0
         # effective degree 60 at radius 1/2; the window stops at max_degree
         assert cuts == [(1024, 1024 + 61), (4090, DEGREE + 1)]
+
+
+class TestPowerSumOracle:
+    def test_hand_computed_instances(self):
+        # gamma = 1: lhs 2 + 3, rhs ((2 + 1)**2 - 1) / 2
+        verdict = power_sum_lower_bound([1, 2], 5, 1.0)
+        assert verdict.holds and verdict.witness is None
+        assert verdict.margin == 1.0
+        # gamma = -1/2, n = 3: rhs = 2 sqrt(5) (1 - sqrt(2/5)) = 2 sqrt(5) - 2 sqrt(2)
+        verdict = power_sum_lower_bound(np.array([1, 2, 3]), 3, -0.5)
+        lhs = 1 / math.sqrt(2) + 1 / math.sqrt(3) + 1 / 2
+        assert verdict.holds
+        assert verdict.margin == pytest.approx(lhs - 2 * math.sqrt(5) + 2 * math.sqrt(2), rel=1e-14)
+
+    def test_empty_subset(self):
+        assert power_sum_lower_bound([], 4, 0.5).margin == 0.0
+
+    def test_every_three_subset_holds(self):
+        for members in itertools.combinations(range(1, 6), 3):
+            assert power_sum_lower_bound(list(members), 5, -0.5).holds
+
+    @pytest.mark.parametrize(
+        "members, n, gamma",
+        [
+            ([1, 2], 5, -1.0),
+            ([1, 2], 5, math.nan),
+            ([1, 2], 5, math.inf),
+            ([1, 2], 5, -math.inf),
+            ([0, 1], 5, 0.5),
+            ([1, 6], 5, 0.5),
+            ([5, 5, 5], 5, -0.5),
+            ([3, 1], 5, 0.5),
+            ([[1, 2], [3, 4]], 5, 0.5),
+        ],
+    )
+    def test_rejects(self, members, n, gamma):
+        with pytest.raises(DomainError):
+            power_sum_lower_bound(members, n, gamma)
+
+
+class TestAbelOracle:
+    def test_hand_computed_instance(self):
+        # lhs = 2*3 + 3*2 + 4*1 = 16; S = 1, 3, 6, 10;
+        # rhs = S_4 v_4 - S_1 v_1 + S_1 (v_1 - v_2) + S_2 (v_2 - v_4) = 10 - 5 + 2 + 6
+        verdict = abel_minorant([1.0, 2.0, 3.0, 4.0], [5.0, 3.0, 2.0, 1.0], [1, 2, 4])
+        assert verdict.holds and verdict.witness is None
+        assert verdict.margin == 3.0
+
+    @pytest.mark.parametrize(
+        "u, v, subseq",
+        [
+            ([1.0, 1.0], [1.0], [1, 2]),
+            ([1.0, -1.0], [2.0, 1.0], [1, 2]),
+            ([1.0, 1.0], [2.0, -1.0], [1, 2]),
+            ([1.0, 1.0], [1.0, 2.0], [1, 2]),
+            ([1.0, 1.0], [2.0, 1.0], [1]),
+            ([1.0, 1.0, 1.0], [3.0, 2.0, 1.0], [2, 2]),
+            ([1.0, 1.0, 1.0], [3.0, 2.0, 1.0], [3, 1]),
+            ([1.0, 1.0], [2.0, 1.0], [0, 2]),
+            ([1.0, 1.0], [2.0, 1.0], [1, 3]),
+            ([1.0, math.nan], [2.0, 1.0], [1, 2]),
+            ([1.0, 1.0], [math.nan, 1.0], [1, 2]),
+            ([1.0, 1.0], [2.0, math.nan], [1, 2]),
+            ([math.inf, 1.0], [2.0, 1.0], [1, 2]),
+            ([1.0, 1.0], [math.inf, 1.0], [1, 2]),
+        ],
+    )
+    def test_rejects(self, u, v, subseq):
+        with pytest.raises(DomainError):
+            abel_minorant(u, v, subseq)
+
+
+class TestOracleSuites:
+    SUITES = (run_power_sum_suite, run_abel_suite)
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_same_seed_same_margins(self, suite):
+        first = [v.margin for v in suite(200, 5)]
+        assert [v.margin for v in suite(200, 5)] == first
+        assert [v.margin for v in suite(200, 6)] != first
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_zero_and_one_instances(self, suite):
+        assert suite(0, 5) == []
+        assert len(suite(1, 5)) == 1
+
+    @pytest.mark.parametrize("seed", (7, 99, 2024))
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_holds_everywhere(self, suite, seed):
+        verdicts = suite(1000, seed)
+        assert len(verdicts) == 1000
+        assert all(v.holds for v in verdicts)
+
+    @pytest.mark.parametrize(
+        "suite, oracle", [(run_power_sum_suite, "power_sum_lower_bound"), (run_abel_suite, "abel_minorant")]
+    )
+    def test_every_instance_goes_through_the_oracle(self, monkeypatch, suite, oracle):
+        public = getattr(verify, oracle)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return public(*args)
+
+        monkeypatch.setattr(verify, oracle, spy)
+        assert len(suite(40, 11)) == 40
+        assert len(calls) == 40
