@@ -28,8 +28,8 @@ the sum over v = v0, v0 + gate, ... of v**(-2 alpha) r**(2(v-1)), comes
 as a float64 lower and upper bound (`_position_sum`): at alpha = 0 the
 geometric closed form; at alpha > 0 the exact sum while at most 2**16
 terms matter, and past that an Euler-Maclaurin bracket whose integral
-is a scaled incomplete-gamma difference.  Where the two ends differ the
-bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
+takes Gauss-Legendre panels (`_ln_block_integral`).  Where the two ends
+differ the bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
 2 alpha gate / v0 the terms' first log-decrement and eps = -ln r: below
 2.5e-11 at the crossover when the decay dominates, 4e-6 at lo = 2**10,
 gate 200, alpha = 1/2, j = 16, where the power dominates.  The profile
@@ -495,71 +495,25 @@ def _log_derivatives(alpha: float, p: float, lam_gate: float) -> tuple[float, fl
 def _ln_block_integral(z: float, a: float, x: float, ln_x: float) -> float:
     """ln J, J = integral from 0 to x of (1 + t)**(z-1) * exp(-a t) dt, z <= 1, a > 0.
 
-    This is e**a * a**-z * (Gamma(z, a) - Gamma(z, b)), b = a (1 + x),
-    scaled to its left end.  A narrow interval, x <= 1 and a x <= 1,
-    where that difference would cancel, takes the 20-point
-    Gauss-Legendre rule: the integrand is entire in its exponential and
-    its power's branch point t = -1 lies at least one interval length
-    away.  Otherwise Gamma(z, t) e**t t**-z is the continued fraction
-    `_gamma_cf` where t >= 1 and the power series `_gamma_series` where
-    t < 1; the difference then keeps all but about one bit.
+    A narrow interval, x <= 1 and a x <= 1, takes one panel of the 20-point
+    Gauss-Legendre rule in t: the integrand is entire in its exponential
+    and its power's branch point t = -1 lies at least one interval length
+    away; ln_x carries an x below the float range.  Otherwise J is the
+    integral over s = ln(1 + t) in [0, s_top] of exp(z s - a expm1(s)),
+    whose log moves by at most |z| + a e**s_top per unit of s, so
+    ceil(s_top (|z| + a e**s_top)) uniform panels see it move by at most 1
+    each, and each takes the same rule.  The interval is cut at t = c / a,
+    c = 43 + (1 - z) ln 2 + max(0, -ln a): the tail past the cut is below
+    e**-c / a, and J >= min(1, 1/a) 2**(z-1) / e, the integrand's floor on
+    [0, min(1, 1/a)], which lies inside [0, x] here; so the tail is at
+    most e**(1-c) 2**(1-z) / min(1, a) <= 2**-60 of J.
     """
-    ax = a * x
-    if x <= 1.0 and ax <= 1.0:
+    if x <= 1.0 and a * x <= 1.0:
         t = x * GL_NODES
         return ln_x + math.log(float(GL_WEIGHTS @ np.exp((z - 1.0) * np.log1p(t) - a * t)))
-    b = a * (1.0 + x)
-    tail = math.exp(z * math.log1p(x) - ax) * _gamma_cf(z, b) if ax < _EXP_FLOOR else 0.0
-    if a >= 1.0:
-        return math.log(_gamma_cf(z, a) - tail)
-    if b <= 1.0:
-        return math.log(_gamma_series(z, a, math.log1p(x)))
-    ln_a = math.log(a)
-    head = _gamma_series(z, a, -ln_a) + math.exp(a - 1.0 - z * ln_a) * _gamma_cf(z, 1.0)
-    return math.log(head - tail)
-
-
-def _gamma_cf(z: float, t: float) -> float:
-    """e**t * t**-z * Gamma(z, t) for t >= 1, z <= 1: the modified Lentz continued fraction."""
-    b = t + 1.0 - z
-    c = math.inf
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - z)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) <= 2.0**-52:
-            break
-    return h
-
-
-def _gamma_series(z: float, a: float, ln_ratio: float) -> float:
-    """e**a * a**-z * integral from a to c of t**(z-1) e**-t dt, c = a e**ln_ratio <= 1.
-
-    Termwise in e**-t = sum (-t)**k / k!: with s = z + k, term k is
-    (-1)**k / k! * (c**s - a**s) / s, which is a**s * expm1(s ln_ratio) / s
-    while s < 1 and the log term a**s * ln_ratio where s = 0 (z a
-    nonpositive integer, alpha = 1/2, 1, ...).  Scaled by a**-z.
-    """
-    c = a * math.exp(ln_ratio)
-    scale = math.exp(z * ln_ratio)  # (c / a)**z
-    total = 0.0
-    a_k = c_k = 1.0  # a**k / k!, c**k / k!
-    for k in range(60):
-        s = z + k
-        if s == 0.0:
-            term = a_k * ln_ratio
-        elif s < 1.0:
-            term = a_k * math.expm1(s * ln_ratio) / s
-        else:
-            term = (c_k * scale - a_k) / s
-        total += -term if k % 2 else term
-        if s >= 1.0 and abs(term) <= 2.0**-54 * abs(total):
-            break
-        a_k *= a / (k + 1)
-        c_k *= c / (k + 1)
-    return math.exp(a) * total
+    c = 43.0 + (1.0 - z) * _LN2 + max(0.0, -math.log(a))
+    s_top = math.log1p(min(x, c / a))
+    panels = math.ceil(s_top * (abs(z) + a * math.exp(s_top)))
+    width = s_top / panels
+    s = (np.arange(panels)[:, None] + GL_NODES) * width  # one row per panel
+    return math.log(width * float((np.exp(z * s - a * np.expm1(s)) @ GL_WEIGHTS).sum()))

@@ -30,6 +30,7 @@ from tsl.constructor import (
     visit_set,
 )
 from tsl.densities import prefix_density, prefix_density_profile, separating_set
+from tsl.errors import DomainError
 from tsl.means import (
     _line_fit,
     circle_norm,
@@ -365,9 +366,14 @@ REGISTRY: dict[str, Callable[[int], dict[str, Any]]] = {
 
 
 def run_named(name: str, seed: int = DEFAULT_SEED) -> list[dict[str, Any]]:
-    """Run one named check, or all of them; each report gains its wall time, `seconds`."""
+    """Run one named check, or all of them; each report gains its wall time, `seconds`.
+
+    The checks seed PCG64 with seed + k, k >= 0, so a negative seed is a DomainError.
+    """
     if name != "all" and name not in REGISTRY:
         raise KeyError(name)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0 (got {seed})")
     reports = []
     for fn in REGISTRY.values() if name == "all" else [REGISTRY[name]]:
         t0 = time.perf_counter()

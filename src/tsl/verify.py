@@ -23,6 +23,8 @@ from tsl.polybank import TargetEnumeration, index_weighted
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
 
 _REL_GUARD = 1e-9  # tolerance for pure floating-point noise in literal comparisons
+_POWER_SUM_N_MAX = 10_000  # largest n of a power-sum suite instance
+_ABEL_MAX_LEN = 2000  # longest sequence of an Abel suite instance
 
 
 @dataclass(frozen=True)
@@ -260,16 +262,14 @@ def check_visit(
     return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree, s + window)
 
 
-def run_power_sum_suite(
-    n_instances: int, master_seed: int, n_max: int = 10_000
-) -> list[OracleVerdict]:
+def run_power_sum_suite(n_instances: int, master_seed: int) -> list[OracleVerdict]:
     """Randomized instances of the power-sum bound; gamma in [-0.9, 3].
 
     One PCG64(master_seed) draws every n, density and gamma, then each subset
     in instance order: a seed names other instances than per-instance seeds did.
     """
     rng = np.random.Generator(np.random.PCG64(master_seed))
-    ns = rng.integers(1, n_max + 1, size=n_instances).tolist()
+    ns = rng.integers(1, _POWER_SUM_N_MAX + 1, size=n_instances).tolist()
     densities, gammas = rng.uniform([0.0, -0.9], [1.0, 3.0], size=(n_instances, 2)).T.tolist()
     return [
         power_sum_lower_bound(np.flatnonzero(rng.random(n) < density) + 1, n, gamma)
@@ -277,12 +277,10 @@ def run_power_sum_suite(
     ]
 
 
-def run_abel_suite(
-    n_instances: int, master_seed: int, max_len: int = 2000
-) -> list[OracleVerdict]:
+def run_abel_suite(n_instances: int, master_seed: int) -> list[OracleVerdict]:
     """Randomized instances of the summation-by-parts bound, drawn as in `run_power_sum_suite`."""
     rng = np.random.Generator(np.random.PCG64(master_seed))
-    lengths = rng.integers(2, max_len + 1, size=n_instances)
+    lengths = rng.integers(2, _ABEL_MAX_LEN + 1, size=n_instances)
     scales = rng.uniform(0.5, 10.0, size=n_instances).tolist()
     point_counts = rng.integers(2, np.minimum(lengths, 12) + 1).tolist()
     verdicts = []

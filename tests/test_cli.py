@@ -162,6 +162,14 @@ class TestExitCodes:
         assert _single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("theorem, seed", [("all", "-1"), ("lemma-oracles", "-3")])
+    def test_negative_seed_is_a_domain_error(self, tmp_path, capsys, theorem, seed):
+        # the checks seed PCG64 with seed + k, which numpy rejects below 0
+        out = tmp_path / "repro.json"
+        assert main(["repro", "--theorem", theorem, "--seed", seed, "--out", str(out)]) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -453,6 +453,19 @@ def _gamma_difference(z, lam, v_a, v_b):
         return mp.gammainc(z, lam * mp.mpf(v_a)) - mp.gammainc(z, lam * mp.mpf(v_b))
 
 
+def _oracle_ln_block_integral(z, a, x):
+    """ln of the integral from 0 to x of (1 + t)**(z-1) e**(-a t) dt, by mp.quad at 40 digits.
+
+    The interval is split at every power of ten and at 1/a, 10/a and 100/a
+    inside it, so each piece sees one scale of the power and of the decay.
+    """
+    with mp.workdps(40):
+        z, a, x = mp.mpf(z), mp.mpf(a), mp.mpf(x)
+        cuts = [mp.mpf(10) ** k for k in range(-3, 13)] + [1 / a, 10 / a, 100 / a]
+        pieces = [mp.mpf(0)] + sorted(t for t in cuts if t < x) + [x]
+        return float(mp.log(mp.quad(lambda t: (1 + t) ** (z - 1) * mp.exp(-a * t), pieces)))
+
+
 def _oracle_eps(j):
     """eps = -ln(1 - 2**-j) at 50 digits, from j alone."""
     with mp.workdps(50):
@@ -521,9 +534,9 @@ def _rounding_allowance(lo, j0, alpha, eps):
     a log1p, 2 eps (v - 1) as a power-of-two scaling of a correctly
     rounded exp).  So y is off by at most 4u (2 ln v0 + 2 eps v0), u =
     2**-53, and exp(y) by that much relative.  On top: 64u for exp
-    itself, the evaluation of J (a difference that loses at most one
-    bit, continued fractions stopped at u) and summing up to 2**16
-    positive terms pairwise.
+    itself, the evaluation of J (Gauss-Legendre panels of positive terms,
+    the cut tail below 2**-60) and summing up to 2**16 positive terms
+    pairwise.
     """
     v0 = lo + j0 + 1
     u = 2.0**-53
@@ -634,7 +647,7 @@ class TestPlannedMean:
         alpha=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 0.5)),
         shift=st.integers(-7, 30),
     )
-    # one block integral route each: continued fractions, series to b = 1, series then fractions
+    # block integrals in s: cut at a = 2, uncut at a x = 1, cut at a = 1/8
     @example(e=20, gate=4, budget_bits=30.0, j0=0, alpha=0.25, shift=0)
     @example(e=10, gate=4, budget_bits=17.0, j0=1, alpha=0.5, shift=10)
     @example(e=10, gate=4, budget_bits=20.0, j0=0, alpha=0.375, shift=4)
@@ -682,19 +695,33 @@ class TestPlannedMean:
     @pytest.mark.parametrize(
         "z, a, x",
         [
-            (0.5, 0.5, 1.0),  # Gauss-Legendre at its edge
-            (0.0, 1.0, 1.0),  # continued fractions at both ends
-            (0.5, 1.0, 1.5),
-            (-1.0, 0.25, 3.0),  # series up to b = 1
-            (0.0, 0.25, 100.0),  # series to 1, continued fractions past it
-            (0.5, 1e-3, 1e5),
+            (0.5, 0.5, 1.0),  # the narrow panel at its edge
+            (0.0, 1.0, 1.0),  # the narrow panel's corner, x = a x = 1
+            (0.5, 1.0, 1.5),  # panels in s
+            (-1.0, 0.25, 3.0),
+            (0.0, 0.25, 100.0),  # a x = 25, below the cut c / a = 180
+            (0.5, 1e-3, 1e5),  # cut at c / a = 5.0e4
+            (0.5, 1e-8, 1e8),  # tiny a, a x = 1: the cut c / a = 6.2e9 lies past x
+            (0.5, 1e-8, 1e12),  # tiny a, cut at c / a = 6.2e9: about 1,400 panels
+            (0.0, 500.0, 1.0),  # a x = 500 at x = 1, cut at c / a = 0.087
+            (-3.0, 0.1, 50.0),
+            (0.5, 0.5, 1.0 + 2.0**-20),  # x just past 1 with a x < 1: panels, not the narrow one
         ],
     )
     def test_block_integral_matches_quadrature(self, z, a, x):
-        with mp.workdps(40):
-            pieces = [0, 1 / mp.mpf(a)] if 1 / a < x else [0]
-            exact = mp.quad(lambda t: (1 + t) ** (z - 1) * mp.exp(-a * t), pieces + [x])
-        assert abs(_ln_block_integral(z, a, x, math.log(x)) - float(mp.log(exact))) <= 1e-14
+        ln_j = _ln_block_integral(z, a, x, math.log(x))
+        assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        z=st.floats(-3.0, 1.0),
+        log_a=st.floats(-8.0, 3.0),
+        log_x=st.floats(-3.0, 8.0),
+    )
+    def test_block_integral_property(self, z, log_a, log_x):
+        a, x = 10.0**log_a, 10.0**log_x
+        ln_j = _ln_block_integral(z, a, x, math.log(x))
+        assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
 
     def test_unreachable_block_gives_zero(self):
         # 2 eps lo = 2**21 at j = 20: every term is below exp(-760)
