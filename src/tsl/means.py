@@ -23,12 +23,13 @@ mean transforms N / g points, and its row still names the N it stands for.
 L^2 mean of a *planned* block construction at radii 1 - 2**-j without
 materializing coefficients, so schedules whose blocks live at
 astronomically large degrees remain measurable.  It makes one pass over
-the blocks, each block answering the whole j grid.  Each position sum,
-the sum over v = v0, v0 + gate, ... of v**(-2 alpha) r**(2(v-1)), comes
-as a float64 lower and upper bound (`_position_sum`): at alpha = 0 the
-geometric closed form; at alpha > 0 the exact sum while at most 2**16
-terms matter, and past that an Euler-Maclaurin bracket whose integral
-takes Gauss-Legendre panels (`_ln_block_integral`).  Where the two ends
+the blocks, each block answering the whole j grid in array expressions
+(`_position_sums`).  Each position sum, the sum over v = v0, v0 + gate,
+... of v**(-2 alpha) r**(2(v-1)), comes as a float64 lower and upper
+bound: at alpha = 0 the geometric closed form; at alpha > 0 the exact
+sum while at most 2**16 terms matter, and past that an Euler-Maclaurin
+bracket whose integral takes Gauss-Legendre panels
+(`_ln_block_integral`).  Where the two ends
 differ the bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
 2 alpha gate / v0 the terms' first log-decrement and eps = -ln r: below
 2.5e-11 at the crossover when the decay dominates, 4e-6 at lo = 2**10,
@@ -336,17 +337,23 @@ def fit_growth_exponent(table: RadialMeansTable, p: float) -> GrowthFit:
     )
 
 
-def _dyadic_eps(j_exp: int) -> tuple[float, int]:
-    """eps = -ln r at r = 1 - 2**-j as (mant, j), eps = mant * 2**-j.
+def _dyadic_eps(j_list: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """eps = -ln r at each r = 1 - 2**-j, as arrays (mant, k) with eps = mant * 2**-k.
 
     mant = -log1p(-2**-j) * 2**j is within 1.1e-16 of exact; past j = 60
-    it is 1.0, as -ln(1 - x) = x (1 + x/2 + ...) rounds to x there.
+    it is 1.0, as -ln(1 - x) = x (1 + x/2 + ...) rounds to x there.  k is
+    j capped at 2**62, past every block's flat point (`_position_sums`),
+    so the cap moves no row.  A j that is not an integer, a bool
+    included, or is below 1 is a DomainError.
     """
-    if j_exp < 1:
-        raise DomainError("dyadic exponent must be >= 1")
-    if j_exp > 60:
-        return 1.0, j_exp
-    return -math.ldexp(math.log1p(-math.ldexp(1.0, -j_exp)), j_exp), j_exp
+    kinds = set(map(type, j_list))
+    if any(t is bool or not issubclass(t, (int, np.integer)) for t in kinds) or min(j_list, default=1) < 1:
+        raise DomainError("dyadic exponents must be integers >= 1")
+    k = np.minimum(np.array(j_list, dtype=object), 1 << 62).astype(np.int64)
+    mant = np.ones(k.size)
+    short = np.flatnonzero(k <= 60)
+    mant[short] = [-math.ldexp(math.log1p(-math.ldexp(1.0, -j)), j) for j in k[short].tolist()]
+    return mant, k
 
 
 def dyadic_mean2_profile(
@@ -365,67 +372,54 @@ def dyadic_mean2_profile(
                 |b_j0|^2 (j0+1)^(2a) (lo + gate*m + j0 + 1)^(-2a)
                 * r^(2 (lo + gate*m + j0)).
 
-    One pass over the built blocks and their nonzero weighted
-    coefficients; each pair contributes its position sums over the whole
-    j grid at once (`_position_sums`), taken at the lower end of their
-    bracket.  Repeated j are allowed.  alpha must be finite and >= 0:
+    The grid's (mant, k) arrays are formed once, and each target's
+    weighted coefficients once.  One pass over the built blocks and their
+    nonzero weighted coefficients j0; each pair answers the whole j grid
+    in array expressions (`_position_sums`), taken at the lower end of
+    its bracket.  Repeated j are allowed.  alpha must be finite and >= 0:
     the bracket's direction rests on terms that fall with the position.
+    A plan whose M_2**2 exceeds the float range is a DomainError.
     """
     if not 0.0 <= alpha < math.inf:
         raise DomainError("the planned mean needs a finite alpha >= 0")
-    eps = [_dyadic_eps(j) for j in j_list]
+    eps = _dyadic_eps(j_list)
     total = np.zeros(len(j_list))
-    for rec in ledger.built():
-        assert rec.gate is not None and rec.budget is not None and rec.k is not None
-        weighted = index_weighted(targets.entry(rec.k).series, alpha).coefficients
-        for j0 in np.flatnonzero(weighted):
-            wsq = abs(weighted[j0]) ** 2
-            lower, _ = _position_sums(rec.lo, rec.gate, rec.budget, int(j0), alpha, eps)
-            total += wsq * lower
+    weighted: dict[int, np.ndarray] = {}
+    with np.errstate(over="ignore"):  # a sum past the float range reads inf, rejected below
+        for rec in ledger.built():
+            assert rec.gate is not None and rec.budget is not None and rec.k is not None
+            if rec.k not in weighted:
+                weighted[rec.k] = index_weighted(targets.entry(rec.k).series, alpha).coefficients
+            coeffs = weighted[rec.k]
+            for j0 in np.flatnonzero(coeffs):
+                lower, _ = _position_sums(rec.lo, rec.gate, rec.budget, int(j0), alpha, eps)
+                total += abs(coeffs[j0]) ** 2 * lower
+    if not np.isfinite(total).all():
+        raise DomainError("M_2**2 of this plan exceeds the float range at some radius")
     return [(j, math.sqrt(t)) for j, t in zip(j_list, total.tolist())]
 
 
 def _position_sums(
-    lo: int, gate: int, budget: int, j0: int, alpha: float, eps: list[tuple[float, int]]
+    lo: int, gate: int, budget: int, j0: int, alpha: float, eps: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds on sum_m v**(-2a) * r**(2(v-1)), v = lo + j0 + 1 + gate*m, at each eps = mant * 2**-k.
+    """Lower and upper bounds on sum_m v**(-2a) * r**(2(v-1)) at each eps = mant * 2**-k.
 
-    Returns the lower ends and the upper ends (`_position_sum`).
+    v = v0 + gate*m, v0 = lo + j0 + 1, m < N = budget; eps = (mant, k) is
+    `_dyadic_eps` of the grid.  The terms decay by exp(-2 eps gate) per
+    position, so only the first _EXP_FLOOR / (2 eps gate) of them matter.
 
     A radius whose eps puts the block beyond exp(-_EXP_FLOOR) gives 0.  A
     radius past the block's flat point, k > k_flat, where 2*eps*v <
     2**-_TAIL_BITS at every position, is clamped to eps = 2**-k_flat,
-    where every r**(2(v-1)) already rounds to 1; each distinct clamped
-    eps is evaluated once.
-    """
-    e = lo.bit_length() - 1
-    k_flat = _TAIL_BITS + 1 + (lo + j0 + 1 + gate * budget).bit_length()
-    out = np.zeros((2, len(eps)))
-    seen: dict[tuple[float, int], tuple[float, float]] = {}
-    for i, (mant, k) in enumerate(eps):
-        if e - k >= 9 or math.ldexp(mant, e + 1 - k) > _EXP_FLOOR:  # 2 eps 2**e out of reach
-            continue
-        key = (1.0, k_flat) if k > k_flat else (mant, k)
-        if key not in seen:
-            seen[key] = _position_sum(lo, gate, budget, j0, alpha, *key)
-        out[:, i] = seen[key]
-    return out[0], out[1]
-
-
-def _position_sum(
-    lo: int, gate: int, budget: int, j0: int, alpha: float, mant: float, k: int
-) -> tuple[float, float]:
-    """Lower and upper bound on one position sum, at eps = mant * 2**-k.
-
-    The terms are f(m) = v**(-2a) * exp(-2 eps (v - 1)), v = v0 + gate*m,
-    v0 = lo + j0 + 1; they decay by exp(-2 eps gate) per position, so only
-    the first _EXP_FLOOR / (2 eps gate) of them matter.  Three routes:
+    where every r**(2(v-1)) already rounds to 1; that radius is evaluated
+    once.  Every other radius takes one of three routes, each an array
+    expression over the radii that take it:
 
     - alpha = 0: the geometric closed form, exp(-2 eps (v0-1)) times
-      expm1(-2 eps gate N) / expm1(-2 eps gate), N = budget; both ends
-      are that value.
-    - alpha > 0, at most _EXACT_TERMS terms matter: their float64 sum;
-      both ends are that value.
+      expm1(-2 eps gate N) / expm1(-2 eps gate); both ends are that value.
+    - alpha > 0, at most _EXACT_TERMS terms matter: their float64 sum,
+      every such radius reading one array of position logarithms; both
+      ends are that value.
     - alpha > 0, more terms: Euler-Maclaurin over m = 0 .. N-1.  The
       terms are completely monotone in m, so the sum lies between the
       partial sum through the f'/12 term (upper end) and that sum minus
@@ -438,53 +432,75 @@ def _position_sum(
 
     Every exponent is formed in log form from lo's bit length, so blocks
     beyond 2**1024 give finite values; 2 eps (v0 - 1) scales mant by the
-    power of two 2**(e + 1 - k) exactly, 2**e <= lo < 2**(e + 1).
+    power of two 2**(e + 1 - k) exactly, 2**e <= lo < 2**(e + 1).  Each
+    radius gets the value it gets when evaluated alone.
     """
-    v0 = lo + j0 + 1
+    mant, k = eps
     e = lo.bit_length() - 1
-    two_eps = math.ldexp(mant, 1 - k)
-    shift = math.ldexp(mant, e + 1 - k) * (lo / (1 << e)) + two_eps * j0  # 2 eps (v0 - 1)
+    k_flat = _TAIL_BITS + 1 + (lo + j0 + 1 + gate * budget).bit_length()
+    flat = k > k_flat
+    live = ~flat & (e - k < 9)  # past that 2 eps 2**e is out of reach, and ldexp could overflow
+    live[live] = np.ldexp(mant[live], e + 1 - k[live]) <= _EXP_FLOOR
+    live_at, flat_at = np.flatnonzero(live), np.flatnonzero(flat)
+    at = np.append(live_at, flat_at[:1])  # one flat radius, whose mant is 1.0, stands for all
+    mant, k = mant[at], np.minimum(k[at], k_flat)
+    v0 = lo + j0 + 1
+    two_eps = np.ldexp(mant, 1 - k)
+    shift = np.ldexp(mant, e + 1 - k) * (lo / (1 << e)) + two_eps * j0  # 2 eps (v0 - 1)
     a = shift + two_eps  # 2 eps v0
     lam_gate = a * (gate / v0)  # 2 eps gate
     ln_v0 = e * _LN2 + math.log1p((v0 - (1 << e)) / (1 << e))
     if alpha == 0.0:
-        s = _geometric_sum(shift, lam_gate, a * (gate * budget / v0), budget)
-        return s, s
-    ln_mcut = math.log(_EXP_FLOOR) - (math.log(mant) - k * _LN2 + _LN2 + math.log(gate))
-    if min(math.log(budget), ln_mcut) <= math.log(_EXACT_TERMS):
-        m_count = budget if ln_mcut >= math.log(budget) else min(budget, int(math.exp(ln_mcut)) + 2)
-        m = np.arange(m_count, dtype=np.float64)
+        lower = upper = _geometric_sum(shift, lam_gate, a * (gate * budget / v0), budget)
+    else:
+        lower, upper = np.empty(at.size), np.empty(at.size)
+        ln_mcut = math.log(_EXP_FLOOR) - (np.log(mant) - k * _LN2 + _LN2 + math.log(gate))
+        short = np.minimum(math.log(budget), ln_mcut) <= math.log(_EXACT_TERMS)
+        exact, em = np.flatnonzero(short), np.flatnonzero(~short)
+        counts = [
+            budget if ln_mcut[i] >= math.log(budget) else min(budget, int(math.exp(ln_mcut[i])) + 2)
+            for i in exact
+        ]
+        m = np.arange(max(counts, default=0), dtype=np.float64)
         lnv = e * _LN2 + np.log1p((v0 - (1 << e)) / (1 << e) + m * math.ldexp(gate, -e))
-        s = float(np.exp(-2.0 * alpha * lnv - shift - two_eps * gate * m).sum())
-        return s, s
-    z = 1.0 - 2.0 * alpha
-    n1 = budget - 1
-    x_end = gate * n1 / v0  # the last position's offset, in units of v0
-    ln_x = math.log(x_end) if x_end >= sys.float_info.min else math.log(gate * n1) - math.log(v0)
-    ax = a * x_end  # 2 eps gate (N - 1)
-    # the integral of f over [0, N-1] is f(0) * (v0 / gate) * J
-    integral = math.exp(z * ln_v0 - math.log(gate) - shift + _ln_block_integral(z, a, x_end, ln_x))
-    f0 = math.exp(-2.0 * alpha * ln_v0 - shift)
-    rho = math.exp(-ax - 2.0 * alpha * math.log1p(x_end)) if ax < _EXP_FLOOR else 0.0  # f(N-1) / f0
-    d1_0, d3_0 = _log_derivatives(alpha, gate / v0, lam_gate)
-    d1_n, d3_n = _log_derivatives(alpha, gate / (v0 + gate * n1), lam_gate)
-    upper = integral + f0 * ((1.0 + rho) / 2.0 + (rho * d1_n - d1_0) / 12.0)
-    lower = upper - f0 * (rho * d3_n - d3_0) / 720.0
-    return lower, upper
+        power = -2.0 * alpha * lnv
+        for i, count in zip(exact, counts):
+            lower[i] = upper[i] = np.exp(power[:count] - shift[i] - two_eps[i] * gate * m[:count]).sum()
+        if em.size:
+            z = 1.0 - 2.0 * alpha
+            n1 = budget - 1
+            x_end = gate * n1 / v0  # the last position's offset, in units of v0
+            ln_x = math.log(x_end) if x_end >= sys.float_info.min else math.log(gate * n1) - math.log(v0)
+            shift, a, lam_gate = shift[em], a[em], lam_gate[em]
+            ax = a * x_end  # 2 eps gate (N - 1)
+            # the integral of f over [0, N-1] is f(0) * (v0 / gate) * J
+            ln_j = _ln_block_integral(z, a, x_end, ln_x)
+            integral = np.exp(z * ln_v0 - math.log(gate) - shift + ln_j)
+            f0 = np.exp(-2.0 * alpha * ln_v0 - shift)
+            # f(N-1) / f0
+            rho = np.where(ax < _EXP_FLOOR, np.exp(-ax - 2.0 * alpha * math.log1p(x_end)), 0.0)
+            d1_0, d3_0 = _log_derivatives(alpha, gate / v0, lam_gate)
+            d1_n, d3_n = _log_derivatives(alpha, gate / (v0 + gate * n1), lam_gate)
+            upper[em] = integral + f0 * ((1.0 + rho) / 2.0 + (rho * d1_n - d1_0) / 12.0)
+            lower[em] = upper[em] - f0 * (rho * d3_n - d3_0) / 720.0
+    out = np.zeros((2, flat.size))
+    out[:, at] = lower, upper
+    out[:, flat_at] = out[:, at[live_at.size :]]
+    return out[0], out[1]
 
 
-def _geometric_sum(shift: float, lam: float, lam_n: float, budget: int) -> float:
+def _geometric_sum(shift: np.ndarray, lam: np.ndarray, lam_n: np.ndarray, budget: int) -> np.ndarray:
     """exp(-shift) * (1 - q**N) / (1 - q), q = exp(-lam), lam_n = N lam, N = budget.
 
     The quotient is N h(lam_n) / h(lam), h(y) = (1 - exp(-y)) / y, and the
     product is formed in log form: lam may be subnormal or 0, N past the
     float range, and exp(-shift) (1 - q**N) alone may underflow.
     """
-    h = -math.expm1(-lam) / lam if lam > 0.0 else 1.0
-    return math.exp(math.log(budget) + math.log(-math.expm1(-lam_n) / lam_n / h) - shift)
+    h = np.divide(-np.expm1(-lam), lam, out=np.ones_like(lam), where=lam > 0.0)
+    return np.exp(math.log(budget) + np.log(-np.expm1(-lam_n) / lam_n / h) - shift)
 
 
-def _log_derivatives(alpha: float, p: float, lam_gate: float) -> tuple[float, float]:
+def _log_derivatives(alpha: float, p: float, lam_gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f'/f and f'''/f of f(m) = v**(-2a) exp(-2 eps v), at p = gate / v."""
     u1 = -(2.0 * alpha * p + lam_gate)
     u2 = 2.0 * alpha * p * p
@@ -492,13 +508,15 @@ def _log_derivatives(alpha: float, p: float, lam_gate: float) -> tuple[float, fl
     return u1, u3 + 3.0 * u1 * u2 + u1**3
 
 
-def _ln_block_integral(z: float, a: float, x: float, ln_x: float) -> float:
-    """ln J, J = integral from 0 to x of (1 + t)**(z-1) * exp(-a t) dt, z <= 1, a > 0.
+def _ln_block_integral(z: float, a: np.ndarray, x: float, ln_x: float) -> np.ndarray:
+    """ln J at each a, J = integral from 0 to x of (1 + t)**(z-1) * exp(-a t) dt, z <= 1, a > 0.
 
     A narrow interval, x <= 1 and a x <= 1, takes one panel of the 20-point
     Gauss-Legendre rule in t: the integrand is entire in its exponential
     and its power's branch point t = -1 lies at least one interval length
-    away; ln_x carries an x below the float range.  Otherwise J is the
+    away; ln_x carries an x below the float range.  Those a form one
+    (a, node) array, each row summed by itself: a BLAS product's order of
+    summation would depend on the number of rows.  Otherwise J is the
     integral over s = ln(1 + t) in [0, s_top] of exp(z s - a expm1(s)),
     whose log moves by at most |z| + a e**s_top per unit of s, so
     ceil(s_top (|z| + a e**s_top)) uniform panels see it move by at most 1
@@ -508,12 +526,16 @@ def _ln_block_integral(z: float, a: float, x: float, ln_x: float) -> float:
     [0, min(1, 1/a)], which lies inside [0, x] here; so the tail is at
     most e**(1-c) 2**(1-z) / min(1, a) <= 2**-60 of J.
     """
-    if x <= 1.0 and a * x <= 1.0:
-        t = x * GL_NODES
-        return ln_x + math.log(float(GL_WEIGHTS @ np.exp((z - 1.0) * np.log1p(t) - a * t)))
-    c = 43.0 + (1.0 - z) * _LN2 + max(0.0, -math.log(a))
-    s_top = math.log1p(min(x, c / a))
-    panels = math.ceil(s_top * (abs(z) + a * math.exp(s_top)))
-    width = s_top / panels
-    s = (np.arange(panels)[:, None] + GL_NODES) * width  # one row per panel
-    return math.log(width * float((np.exp(z * s - a * np.expm1(s)) @ GL_WEIGHTS).sum()))
+    out = np.empty(a.size)
+    narrow = (x <= 1.0) & (a * x <= 1.0)
+    t = x * GL_NODES
+    rows = np.exp((z - 1.0) * np.log1p(t) - a[narrow, None] * t)
+    out[narrow] = ln_x + np.log((rows * GL_WEIGHTS).sum(axis=1))
+    for i in np.flatnonzero(~narrow):
+        c = 43.0 + (1.0 - z) * _LN2 + max(0.0, -math.log(a[i]))
+        s_top = math.log1p(min(x, c / a[i]))
+        panels = math.ceil(s_top * (abs(z) + a[i] * math.exp(s_top)))
+        width = s_top / panels
+        s = (np.arange(panels)[:, None] + GL_NODES) * width  # one row per panel
+        out[i] = math.log(width * float((np.exp(z * s - a[i] * np.expm1(s)) @ GL_WEIGHTS).sum()))
+    return out

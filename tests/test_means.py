@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from tsl import means as means_module
 from tsl.cli import main
-from tsl.constructor import ConstructionSpec, Regime, Schedule, construct, plan_blocks
+from tsl.constructor import (
+    ConstructionSpec,
+    Regime,
+    Schedule,
+    construct,
+    plan_blocks,
+    quadratic_schedule,
+)
 from tsl.errors import DomainError
 from tsl.means import (
     RadialMeansTable,
@@ -592,7 +599,7 @@ class TestPlannedMean:
     )
     def test_position_sum_matches_mpmath(self, e, gate, budget, j0, alpha, j):
         lo = 1 << e
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps([j]))
         exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _oracle_eps(j))
         assert lower > 0.0
         assert abs(lower - exact) <= 1e-12 * exact
@@ -605,7 +612,7 @@ class TestPlannedMean:
     def test_summed_position_sum_within_1e13(self, e, gate, budget, j0, alpha, j):
         # 2*eps*lo is formed by an exact power-of-two scaling, not exp(ln 2 + ln eps + e ln 2)
         lo = 1 << e
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps([j]))
         exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _oracle_eps(j))
         assert lower == upper
         assert abs(lower - exact) <= 1e-13 * exact
@@ -616,7 +623,7 @@ class TestPlannedMean:
     def test_integral_route_within_midpoint_bound(self, e, alpha, j):
         # the midpoint integral against the float64 fsum of every term of the sum
         lo, gate, budget, j0 = 1 << e, 4, 1 << 20, 0
-        (value,), _ = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        (value,), _ = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps([j]))
         eps = float(_oracle_eps(j))
         v = lo + j0 + 1 + gate * np.arange(budget, dtype=np.float64)
         exact = math.fsum(np.exp(-2.0 * alpha * np.log(v) - 2.0 * eps * (v - 1.0)).tolist())
@@ -628,7 +635,7 @@ class TestPlannedMean:
         # terms fall by exp(-0.20) per position at first, mostly from the power:
         # the midpoint integral was 6.4e-4 off here
         lo, gate, budget, j0, alpha, j = 1 << 10, 200, 1 << 17, 0, 0.5, 16
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps([j]))
         eps = float(_oracle_eps(j))
         v = lo + j0 + 1 + gate * np.arange(budget, dtype=np.float64)
         fsum = math.fsum(np.exp(-2.0 * alpha * np.log(v) - 2.0 * eps * (v - 1.0)).tolist())
@@ -656,12 +663,44 @@ class TestPlannedMean:
         # budgets run from 4 terms to 2**48, across the 2**16 crossover
         j = min(300, max(1, e + shift))
         lo, budget = 1 << e, int(2.0**budget_bits)
-        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, [_dyadic_eps(j)])
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps([j]))
         # past the flat point the engine evaluates at eps = 2**-k_flat
         k_flat = 61 + (lo + j0 + 1 + gate * budget).bit_length()
         eps = _oracle_eps(j) if j <= k_flat else mp.mpf(2) ** -k_flat
         exact = _oracle_position_sum(lo, gate, budget, j0, alpha, eps)
         _assert_brackets(lower, upper, exact, _rounding_allowance(lo, j0, alpha, float(eps)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        e=st.integers(4, 40),
+        gate=st.integers(1, 300),
+        budget_bits=st.floats(2.0, 40.0),
+        j0=st.integers(0, 3),
+        alpha=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1.0)),
+        extra=st.lists(st.integers(1, 140), max_size=16),
+        sample=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+    )
+    # every kind in one grid: unreachable (j = 1), summed (j <= 9), bracketed
+    # (j >= 10) and flat-clamped (j >= 95) radii, with repeats
+    @example(e=10, gate=4, budget_bits=30.0, j0=0, alpha=0.25, extra=[5, 95, 20], sample=[3, 5, 7])
+    # 71 bracketed radii on the one-panel integral, j = 22 .. 92 (a BLAS product fails here)
+    @example(e=30, gate=4, budget_bits=20.0, j0=1, alpha=0.5, extra=list(range(22, 93)), sample=[0, 40])
+    def test_grid_equals_each_radius_alone(self, e, gate, budget_bits, j0, alpha, extra, sample):
+        lo, budget = 1 << e, int(2.0**budget_bits)
+        k_flat = 61 + (lo + j0 + 1 + gate * budget).bit_length()
+        grid = [1, 2, max(1, e - 8), e, e + 4, 9, 10, 20, k_flat, k_flat + 1, k_flat + 7, 2**70]
+        grid += extra + grid[:3]
+        lower, upper = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps(grid))
+        for j, lower_j, upper_j in zip(grid, lower, upper):
+            (alone_lower,), (alone_upper,) = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps([j]))
+            assert (lower_j, upper_j) == (alone_lower, alone_upper), j
+            assert lower_j <= upper_j
+        reached = np.flatnonzero(lower > 0.0)
+        for i in sorted({reached[s % reached.size] for s in sample}) if reached.size else []:
+            j = grid[i]
+            eps = _oracle_eps(j) if j <= k_flat else mp.mpf(2) ** -k_flat
+            exact = _oracle_position_sum(lo, gate, budget, j0, alpha, eps)
+            _assert_brackets(lower[i], upper[i], exact, _rounding_allowance(lo, j0, alpha, float(eps)))
 
     def test_oracle_series_matches_term_by_term(self):
         # the oracle's Euler-Maclaurin branch against its own sum of all 20,000 terms
@@ -679,7 +718,7 @@ class TestPlannedMean:
     def test_alpha_above_half_matches_mpmath(self, e, gate, budget, alpha, j):
         # z = 1 - 2 alpha < 0; at alpha = 1 the series meets z + k = 0 at k = 1
         lo = 1 << e
-        (lower,), (upper,) = _position_sums(lo, gate, budget, 0, alpha, [_dyadic_eps(j)])
+        (lower,), (upper,) = _position_sums(lo, gate, budget, 0, alpha, _dyadic_eps([j]))
         eps = _oracle_eps(j)
         exact = _oracle_position_sum(lo, gate, budget, 0, alpha, eps)
         _assert_brackets(lower, upper, exact, _rounding_allowance(lo, 0, alpha, float(eps)))
@@ -709,7 +748,7 @@ class TestPlannedMean:
         ],
     )
     def test_block_integral_matches_quadrature(self, z, a, x):
-        ln_j = _ln_block_integral(z, a, x, math.log(x))
+        (ln_j,) = _ln_block_integral(z, np.array([a]), x, math.log(x))
         assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -720,12 +759,22 @@ class TestPlannedMean:
     )
     def test_block_integral_property(self, z, log_a, log_x):
         a, x = 10.0**log_a, 10.0**log_x
-        ln_j = _ln_block_integral(z, a, x, math.log(x))
+        (ln_j,) = _ln_block_integral(z, np.array([a]), x, math.log(x))
         assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
+
+    def test_block_integral_mixed_branches_in_one_array(self):
+        # x <= 1: a x <= 1 takes the narrow panel, the rest panels in s, all in one call
+        z, x = 0.5, 0.9
+        a = np.array([1e-3, 0.5, 1.0, 1.0 / 0.9, 1.2, 5.0, 100.0, 1e3])
+        narrow = a * x <= 1.0
+        assert narrow.any() and not narrow.all()
+        ln_j = _ln_block_integral(z, a, x, math.log(x))
+        for value, a_i in zip(ln_j, a):
+            assert abs(value - _oracle_ln_block_integral(z, a_i, x)) <= 1e-14
 
     def test_unreachable_block_gives_zero(self):
         # 2 eps lo = 2**21 at j = 20: every term is below exp(-760)
-        lower, upper = _position_sums(1 << 40, 4, 100, 0, 0.0, [_dyadic_eps(20), _dyadic_eps(40)])
+        lower, upper = _position_sums(1 << 40, 4, 100, 0, 0.0, _dyadic_eps([20, 40]))
         assert lower[0] == upper[0] == 0.0
 
     def test_deep_radius_matches_400_digits(self):
@@ -774,3 +823,31 @@ class TestPlannedMean:
         ledger, targets = _dyadic_plan(0.0, 8, 20)
         with pytest.raises(DomainError):
             dyadic_mean2_profile(ledger, targets, 0.0, [3, 0])
+
+    @pytest.mark.parametrize("j", [2.5, 3.0, True, "3", None])
+    def test_rejects_exponent_that_is_not_an_integer(self, j):
+        # 2.5 was a bare TypeError from math.ldexp; an int64 cast would truncate it to 2
+        ledger, targets = _dyadic_plan(0.0, 8, 20)
+        with pytest.raises(DomainError):
+            _dyadic_eps([3, j])
+        with pytest.raises(DomainError):
+            dyadic_mean2_profile(ledger, targets, 0.0, [3, j])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_exponent_past_int64_reads_the_flat_point(self, alpha):
+        # every block of this plan is flat well before j = 2000
+        ledger, targets = _dyadic_plan(alpha, 8, 60)
+        rows = dyadic_mean2_profile(ledger, targets, alpha, [2000, 2**70, np.int64(3000), np.int64(9)])
+        assert [j for j, _ in rows] == [2000, 2**70, 3000, 9]
+        assert rows[0][1] == rows[1][1] == rows[2][1] > 0.0
+        assert rows[3] == dyadic_mean2_profile(ledger, targets, alpha, [9])[0]
+
+    def test_profile_past_the_float_range_is_a_domain_error(self):
+        # alpha = 0 on the quadratic schedule: at 60 blocks M_2**2 passes the float range by j = 3000
+        spec = ConstructionSpec(
+            alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.U_SCHEDULE,
+            max_degree=1 << 20, u=quadratic_schedule,
+        )
+        targets = enumerate_targets(16)
+        with pytest.raises(DomainError):
+            dyadic_mean2_profile(plan_blocks(spec, targets, 60), targets, 0.0, [1100, 3000])
