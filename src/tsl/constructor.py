@@ -318,7 +318,7 @@ def _block_content(
 ) -> np.ndarray:
     """Dense content of a built block over [lo, lo + span].
 
-    Raises ConstructionError if the product would overrun the interval.
+    Raises ConstructionError if the product would overrun the interval, DomainError on overflow.
     """
     assert rec.k is not None and rec.gate is not None and rec.budget is not None
     entry = targets.entry(rec.k)
@@ -339,7 +339,10 @@ def _block_content(
         if weighted[j] != 0:
             content[j : j + gate * budget : gate] = family * weighted[j]
     idx = rec.lo + np.arange(span + 1, dtype=np.float64)
-    content *= (idx + 1.0) ** (-spec.alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        content *= (idx + 1.0) ** (-spec.alpha)
+    if not np.isfinite(content.view(np.float64)).all():
+        raise DomainError(f"block n={rec.n} (target {rec.k}) overflows the float range")
     return content
 
 
@@ -367,7 +370,7 @@ def construct(
         records.append(rec)
     ledger = BlockLedger(tuple(records))
     ledger.assert_disjoint_supports()
-    return CoefficientSeries(arr), ledger
+    return CoefficientSeries._adopt(arr), ledger
 
 
 def plan_blocks(

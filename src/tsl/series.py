@@ -21,11 +21,12 @@ N + 1 coefficients.  A zero coefficient stored as -0.0 reads back as
 +0.0; every other value round-trips exactly.  This module
 is the only one that knows the layout.
 
-Reading a file allocates all N + 1 coefficients, so N may not exceed
-MAX_SERIES_DEGREE = 2**24, 16 times the largest degree the package
-builds (2**20).  The reader and `constructor.construct` allocate through
-`zero_coefficients`, which raises DomainError for a larger N before
-anything is allocated.
+The reader and `constructor.construct` allocate all N + 1 coefficients
+via `zero_coefficients`: an N above MAX_SERIES_DEGREE = 2**24 (16 times
+the largest degree built) is a DomainError before anything is allocated.
+`construct` hands its array to its series uncopied, so pages no block
+wrote stay unallocated; the reader copies, because freeing its source
+raises glibc's mmap threshold and keeps later FFT scratch on the heap.
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ class CoefficientSeries:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coefficients, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("coefficients must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise DomainError("coefficients must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", arr)
+        arr = np.array(self.coefficients, dtype=np.complex128)  # a copy: the caller keeps theirs
+        object.__setattr__(self, "coefficients", _sealed(arr))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "CoefficientSeries":
+        """The series of a complex128 array that nothing else references, taken without a copy."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "coefficients", _sealed(arr))
+        return series
 
     @property
     def max_degree(self) -> int:
@@ -121,6 +123,16 @@ class CoefficientSeries:
         coeffs.real[j] = values[:, 0]
         coeffs.imag[j] = values[:, 1]
         return cls(coeffs)
+
+
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """`arr` itself, made read-only, once it is a nonempty, finite 1-d complex128 array."""
+    if arr.ndim != 1 or arr.size == 0:
+        raise DomainError("coefficients must be a nonempty 1-d sequence")
+    if not np.isfinite(arr.view(np.float64)).all():
+        raise DomainError("coefficients must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 def zero_coefficients(max_degree: int) -> np.ndarray:

@@ -146,6 +146,15 @@ class TestExitCodes:
         assert _single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_construct_overflowing_block_weights_is_a_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        argv = ["construct", "--alpha", "-120", "--gamma", "0", "--max-degree", "4096",
+                "--out", str(out), "--ledger", str(tmp_path / "ledger.csv")]
+        assert main(argv) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
     def test_verification_failure(self, tmp_path, monkeypatch, capsys):
         def failing(seed):
             return {"name": "orbit-visits", "passed": False}

@@ -28,7 +28,7 @@ from tsl.constructor import (
 )
 from tsl.errors import DomainError
 from tsl.means import mean_p
-from tsl.polybank import enumerate_targets
+from tsl.polybank import enumerate_targets, index_weighted, rudin_shapiro, vdlp_star
 from tsl.repro import visit_fixture_targets
 from tsl.series import MAX_SERIES_DEGREE, CoefficientSeries
 from tsl.verify import AsymptoticProbe, lacunary_sum_ratio
@@ -205,6 +205,44 @@ class TestConstruct:
         assert series.max_degree == 64
         with pytest.raises(DomainError, match="series limit"):
             construct(dyadic_spec(max_degree=65), enumerate_targets(8))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_block_weights_are_a_domain_error(self):
+        spec = dyadic_spec(alpha=-120.0, gamma=0.0, max_degree=1 << 12)
+        with pytest.raises(DomainError, match=r"block n=8 \(target 3\) overflows"):
+            construct(spec, enumerate_targets(8))
+
+    def test_coefficients_are_read_only(self):
+        series, _ = construct(dyadic_spec(max_degree=1 << 12), enumerate_targets(8))
+        assert not series.coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            series.coefficients[0] = 1.0
+
+    @pytest.mark.parametrize("schedule", ["dyadic", "u2", "root32"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0])
+    @pytest.mark.parametrize("regime", [Regime.RS, Regime.STAR])
+    def test_equals_blocks_built_through_public_constructor(self, regime, alpha, schedule):
+        """Bit for bit: each built block from the formula, loop over family terms, copied in."""
+        u = {"dyadic": None, "u2": quadratic_schedule, "root32": root32_schedule}[schedule]
+        spec = ConstructionSpec(
+            alpha=alpha, gamma=0.0, regime=regime, q=3.0, max_degree=1 << 16,
+            schedule=Schedule.DYADIC if u is None else Schedule.U_SCHEDULE, u=u,
+        )
+        targets = enumerate_targets(8)
+        series, ledger = construct(spec, targets)
+        ref = CoefficientSeries.zero(spec.max_degree)
+        for rec in ledger.built():
+            weighted = index_weighted(targets.entry(rec.k).series, alpha).coefficients
+            fam = (rudin_shapiro if regime is Regime.RS else vdlp_star)(rec.budget).coefficients
+            block = np.zeros(rec.gate * (rec.budget - 1) + len(weighted), dtype=np.complex128)
+            for m, f in enumerate(fam.astype(np.float64)):
+                block[rec.gate * m : rec.gate * m + len(weighted)] = f * weighted
+            block *= (rec.lo + np.arange(len(block), dtype=np.float64) + 1.0) ** -alpha
+            head, tail = ref.coefficients[: rec.lo], ref.coefficients[rec.lo + len(block) :]
+            ref = CoefficientSeries(np.concatenate([head, block, tail]))
+        if schedule != "u2":  # on u2 block 2 is gated and block 4 ends at 2**25 - 1
+            assert ledger.built()
+        assert series.coefficients.view(np.uint64).tolist() == ref.coefficients.view(np.uint64).tolist()
 
     def test_ledger_csv_header(self):
         _, ledger = construct(dyadic_spec(max_degree=1 << 8), enumerate_targets(4))

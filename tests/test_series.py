@@ -162,6 +162,13 @@ class TestInvariantsAndJson:
         with pytest.raises(ValueError):
             s.coefficients[0] = 9
 
+    def test_constructor_copies_its_input(self):
+        a = np.array([1.0, 2.0 + 1j, 0.0])
+        s = CoefficientSeries(a)
+        a[:] = np.nan
+        assert a.flags.writeable
+        np.testing.assert_array_equal(s.coefficients, [1.0, 2.0 + 1j, 0.0])
+
     def test_json_round_trip(self):
         s = series_of(1 + 2j, -0.5, 0, 3j, 0)
         obj = s.to_json_obj()
