@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from io import StringIO
 from pathlib import Path
 from typing import Callable, TypeVar
@@ -212,15 +213,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     fit = fit_growth_exponent(table, args.p)
     predicted = critical_exponent(args.p, args.gamma) - args.alpha
     verdict = "PASS" if abs(fit.slope - predicted) <= args.tol else "FAIL"
-    payload = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual_rms": fit.residual_rms,
-        "r_window": list(fit.r_window),
-        "predicted": predicted,
-        "tolerance": args.tol,
-        "verdict": verdict,
-    }
+    payload = {**asdict(fit), "predicted": predicted, "tolerance": args.tol, "verdict": verdict}
     atomic_write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
     print(f"{verdict}: slope {fmt17(fit.slope)} vs predicted {fmt17(predicted)} (tol {args.tol})")
     return 0

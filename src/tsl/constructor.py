@@ -25,17 +25,19 @@ up to max_degree, `plan_blocks` its first records, and the tail bound in
 `tsl.verify` past the series; the first two raise DomainError on a
 "no-target" record (`construct` only on one starting at or below max_degree).
 
-An explicit schedule u is accepted by `validate_schedule`, the one check
-of explicit schedules (the lacunary probe in `tsl.verify` calls it too):
-on u(0), ..., u(SCHEDULE_CHECK_PREFIX) it must be strictly increasing,
-and its degree ratios 2**(u(n+1) - u(n)) must be at least 4 from index 3
-on.  The construction itself needs only the strict increase: it makes the
+`ConstructionSpec` holds the one check of explicit schedules u: on
+u(0), ..., u(SCHEDULE_CHECK_PREFIX) it must be strictly increasing, and
+its degree ratios 2**(u(n+1) - u(n)) must be at least 4 from index 3 on.
+Gaps that grow without bound cannot be decided on a finite prefix, and
+they need not be monotone: floor(n**1.5) has gaps 5, 4 at n = 8..10.
+The construction itself needs only the strict increase: it makes the
 block intervals disjoint, and since every gate is at least d + 4, a
 block's span stays below 2**u(n) and fits its interval.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -43,7 +45,6 @@ from io import StringIO
 from itertools import count, islice
 from typing import Callable, Iterator, Optional
 
-import mpmath as mp
 import numpy as np
 
 from tsl.densities import PrefixSet, prefix_density_profile
@@ -76,23 +77,6 @@ def quadratic_schedule(n: int) -> int:
     return n * n
 
 
-def validate_schedule(u: Callable[[int], int]) -> None:
-    """Reject an explicit schedule u that fails the rule on its checked prefix.
-
-    u must be strictly increasing on 0..SCHEDULE_CHECK_PREFIX, with gaps
-    u(n+1) - u(n) >= 2 (degree ratios >= 4) from index 3 on.  Gaps that
-    grow without bound cannot be decided on a finite prefix, and they
-    need not be monotone: floor(n**1.5) has gaps 5, 4 at n = 8..10.
-    """
-    vals = [int(u(n)) for n in range(SCHEDULE_CHECK_PREFIX + 1)]
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    if any(g <= 0 for g in gaps):
-        raise DomainError("schedule must be strictly increasing")
-    bad = [i for i in range(3, len(gaps)) if gaps[i] < 2]
-    if bad:
-        raise DomainError(f"degree ratio below 4 at index {bad[0]}")
-
-
 @dataclass(frozen=True)
 class ConstructionSpec:
     """All knobs of the block construction."""
@@ -115,7 +99,13 @@ class ConstructionSpec:
         if self.schedule is Schedule.U_SCHEDULE:
             if self.u is None:
                 object.__setattr__(self, "u", quadratic_schedule)
-            validate_schedule(self.u)
+            vals = [int(self.u(n)) for n in range(SCHEDULE_CHECK_PREFIX + 1)]
+            gaps = [b - a for a, b in zip(vals, vals[1:])]
+            if any(g <= 0 for g in gaps):
+                raise DomainError("schedule must be strictly increasing")
+            bad = [i for i in range(3, len(gaps)) if gaps[i] < 2]
+            if bad:
+                raise DomainError(f"degree ratio below 4 at index {bad[0]}")
         if not self.q >= 1.0:
             raise DomainError("conjugate exponent must be >= 1 or infinity")
 
@@ -252,9 +242,9 @@ def _budget(spec: ConstructionSpec, n: int, gate: int) -> int:
     """floor(2**x / gate) as an exact integer, x = base_exponent(n) * (1 - gamma) in float64.
 
     An integral x is integer division.  Otherwise 2**x is irrational, so
-    2**x / gate is no integer: it is evaluated with floor(x) + 64 bits,
-    and the precision doubles until the value widened by 2**16 units in
-    its last place contains no integer.
+    2**x / gate is no integer: it is evaluated in decimal to the digits of
+    floor(x) + 64 bits, and the precision doubles until the value widened
+    by 2**16 units in its last bit contains no integer.
     """
     x = spec.base_exponent(n) * (1.0 - spec.gamma)
     ix = math.floor(x)
@@ -262,10 +252,12 @@ def _budget(spec: ConstructionSpec, n: int, gate: int) -> int:
         return (1 << ix) // gate
     prec = ix + 64
     while True:
-        with mp.workprec(prec):
-            value = mp.ldexp(mp.power(2, x - ix), ix) / gate
-            slack = mp.ldexp(value, 16 - prec)
-            lo, hi = int(mp.floor(value - slack)), int(mp.floor(value + slack))
+        # digits at least as fine as prec bits; Emax lifts the exponent limit
+        ctx = decimal.Context(prec=math.ceil(prec * math.log10(2.0)) + 1, Emax=decimal.MAX_EMAX)
+        with decimal.localcontext(ctx):
+            value = decimal.Decimal(2) ** decimal.Decimal(x - ix) * (1 << ix) / gate
+            slack = value / (1 << (prec - 16))
+            lo, hi = int(value - slack), int(value + slack)  # both positive: int() floors
         if lo == hi:
             return lo
         prec *= 2

@@ -298,4 +298,4 @@ def enumerate_targets(target_count: int) -> TargetEnumeration:
 def index_weighted(series: CoefficientSeries, alpha: float) -> CoefficientSeries:
     """Scale coefficient j by (j+1)**alpha."""
     j = np.arange(len(series.coefficients), dtype=np.float64)
-    return CoefficientSeries(series.coefficients * (j + 1.0) ** alpha)
+    return CoefficientSeries._adopt(series.coefficients * (j + 1.0) ** alpha)

@@ -25,8 +25,10 @@ The reader and `constructor.construct` allocate all N + 1 coefficients
 via `zero_coefficients`: an N above MAX_SERIES_DEGREE = 2**24 (16 times
 the largest degree built) is a DomainError before anything is allocated.
 `construct` hands its array to its series uncopied, so pages no block
-wrote stay unallocated; the reader copies, because freeing its source
-raises glibc's mmap threshold and keeps later FFT scratch on the heap.
+wrote stay unallocated; the shifts and `polybank.index_weighted` hand
+over their fresh products the same way.  The reader copies, because
+freeing its source raises glibc's mmap threshold and keeps later FFT
+scratch on the heap.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def apply_shift(series: CoefficientSeries, params: ShiftParams) -> CoefficientSe
         return CoefficientSeries.zero(0)
     j = np.arange(len(a) - 1, dtype=np.float64)
     w = ((j + 2.0) / (j + 1.0)) ** params.alpha
-    return CoefficientSeries(a[1:] * w)
+    return CoefficientSeries._adopt(a[1:] * w)
 
 
 def apply_shift_power(
@@ -177,4 +179,4 @@ def apply_shift_power(
         return series if stop == len(a) else CoefficientSeries(a[:stop])
     j = np.arange(stop - n, dtype=np.float64)
     w = ((j + n + 1.0) / (j + 1.0)) ** params.alpha
-    return CoefficientSeries(a[n:stop] * w)
+    return CoefficientSeries._adopt(a[n:stop] * w)

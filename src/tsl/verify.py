@@ -1,22 +1,24 @@
-"""Runnable oracles for the proved inequalities, and the orbit-visit checker.
+"""Runnable oracles for the power-sum and summation-by-parts bounds, and the orbit-visit checker.
 
 The inequality oracles evaluate both sides of their statements literally,
 with no algebraic simplification, so a failure indicts the implementation
-rather than the statement.  `check_visit` measures how far an orbit point
-of the shift lands from its target polynomial on the target's test
-circle, and adds an explicit bound for the part of the orbit lost to
-truncation instead of pretending the finite series is the infinite one.
+rather than the statement.  The paper's lacunary lemma has no oracle
+here: `repro`'s critical check reads it off a block plan's L^2 profile.
+`check_visit` measures how far an orbit point of the shift lands from
+its target polynomial on the target's test circle, and adds an explicit
+bound for the part of the orbit lost to truncation instead of pretending
+the finite series is the infinite one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from tsl.constructor import ConstructionSpec, iter_plan, validate_schedule
+from tsl.constructor import ConstructionSpec, iter_plan
 from tsl.errors import DomainError
 from tsl.means import circle_samples, effective_degree
 from tsl.polybank import TargetEnumeration, index_weighted
@@ -103,68 +105,6 @@ def abel_minorant(
     holds = margin >= -_REL_GUARD * max(1.0, abs(rhs))
     witness = None if holds else {"len": len(u), "subseq": subseq.tolist(), "lhs": lhs, "rhs": rhs}
     return OracleVerdict(holds=holds, margin=margin, witness=witness)
-
-
-@dataclass(frozen=True)
-class AsymptoticProbe:
-    """Data feeding the lacunary-sum comparison.
-
-    `a(n)` is a bounded nonnegative sequence with divergent sum, the
-    exponent schedule puts mass at degrees 2**u(n), and `h_inverse`
-    inverts the continuous interpolant of n -> u(n) composed with exp2,
-    i.e. h_inverse(2**u(n)) = n.  The schedule must pass the same rule as
-    the construction's explicit schedules, `constructor.validate_schedule`:
-    strictly increasing, with degree ratios >= 4 from index 3 on.
-    """
-
-    a: Callable[[int], float]
-    u: Callable[[int], int]
-    h_inverse: Callable[[float], float]
-
-    def theta(self, x: float) -> float:
-        """Prefix sum of a up to floor(x)."""
-        if x < 0:
-            return 0.0
-        return float(sum(self.a(i) for i in range(int(math.floor(x)) + 1)))
-
-
-def unit_quadratic_probe() -> AsymptoticProbe:
-    """a = 1, u(n) = n**2; h_inverse(y) = sqrt(log2(y))."""
-    return AsymptoticProbe(
-        a=lambda n: 1.0,
-        u=lambda n: n * n,
-        h_inverse=lambda y: math.sqrt(max(0.0, math.log2(y))),
-    )
-
-
-def lacunary_sum_ratio(probe: AsymptoticProbe, r: float) -> float:
-    """Ratio of sum a_n r**(2**u(n)) to its prefix-sum prediction.
-
-    Terms are accumulated through exponent * log r until they fall below
-    1e-300; powers are never formed directly, so huge exponents cannot
-    overflow.  The prediction is theta(h_inverse(1/(1-r))).
-    """
-    validate_schedule(probe.u)
-    if not (0.0 < r < 1.0):
-        raise DomainError("radius must lie in (0, 1)")
-    if r < 1.0 - 2.0 ** -int(probe.u(3)):
-        raise DomainError("radius too small for the probed schedule; need r >= 1 - 2**-u(3)")
-    log_r = math.log(r)
-    ln_neg = math.log(-log_r)
-    total = 0.0
-    n = 0
-    while True:
-        ln_mag = probe.u(n) * math.log(2.0) + ln_neg  # ln(2**u(n) * |log r|)
-        expo = -math.exp(ln_mag) if ln_mag < 710.0 else -math.inf
-        term = math.exp(expo) if expo > -691.0 else 0.0  # e^-691 ~ 1e-300
-        if term < 1e-300:
-            break
-        total += probe.a(n) * term
-        n += 1
-    denom = probe.theta(probe.h_inverse(1.0 / (1.0 - r)))
-    if denom <= 0:
-        raise DomainError("prediction is zero on this prefix")
-    return total / denom
 
 
 def truncation_tail_bound(

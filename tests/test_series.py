@@ -15,6 +15,7 @@ from tsl.series import (
     apply_shift,
     apply_shift_power,
 )
+from tsl.polybank import index_weighted
 
 ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -274,3 +275,34 @@ class TestShiftPowerWindow:
     def test_rejects_empty_window(self):
         with pytest.raises(DomainError):
             apply_shift_power(series_of(1, 2, 3), 1, ShiftParams(0.0), length=0)
+
+
+class TestProductsHandedOver:
+    """Shift and weighting products become their series without a copy."""
+
+    SOURCE = CoefficientSeries(np.exp(0.7j * np.arange(12)) * np.linspace(-2.0, 3.0, 12))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_products_are_sealed_and_match_the_copying_route(self, alpha):
+        a = self.SOURCE.coefficients
+        j = np.arange(len(a), dtype=np.float64)
+        step = ((j[:-1] + 2.0) / (j[:-1] + 1.0)) ** alpha
+        cases = [
+            (apply_shift(self.SOURCE, ShiftParams(alpha)), a[1:] * step),
+            (apply_shift_power(self.SOURCE, 3, ShiftParams(alpha)),
+             a[3:] * ((j[:-3] + 4.0) / (j[:-3] + 1.0)) ** alpha),
+            (apply_shift_power(self.SOURCE, 3, ShiftParams(alpha), length=4),
+             a[3:7] * ((j[:4] + 4.0) / (j[:4] + 1.0)) ** alpha),
+            (index_weighted(self.SOURCE, alpha), a * (j + 1.0) ** alpha),
+        ]
+        for got, product in cases:
+            out = got.coefficients
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, a)
+            assert out.tobytes() == CoefficientSeries(product).coefficients.tobytes()
+
+    def test_zero_power_window_still_copies(self):
+        out = apply_shift_power(self.SOURCE, 0, ShiftParams(0.5), length=5).coefficients
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, self.SOURCE.coefficients)
+        assert out.tobytes() == self.SOURCE.coefficients[:5].tobytes()
