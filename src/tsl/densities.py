@@ -8,7 +8,7 @@ along dyadic horizons and label them as such.
 
 Under these weights the mass of [1, N] lives on its last
 ~N**(1-gamma)/gamma integers, so every sum keeps only the terms whose
-weight lies within 40 + ln c of its top weight (`_window_start`, for a
+weight lies within 40 + ln c of its top weight (`_first_kept`, for a
 sum of c terms): together the terms it drops move the log mass by less
 than e**-40, below one ulp of any result.  Two routes sum that window.
 
@@ -16,10 +16,12 @@ than e**-40, below one ulp of any result.  Two routes sum that window.
   take a closed form whose cost does not grow with N
   (`_log_weight_sums`): 1 + ln N at gamma = 0, the geometric sum at
   gamma = 1, and in between an exact float64 head followed by
-  Euler-Maclaurin through the f'''/720 term.  The head ends where the
-  remainder bound, the f^(5)/30240 term, falls below 2**-56 of the sum
-  (`_EM_BITS`); against 40-digit sums and the summed integers the
-  result is off by a few ulps at most.
+  Euler-Maclaurin through the f'''/720 term, from the one panel integral
+  and the one set of end terms that the planned mean uses too
+  (`tsl._util`).  The head ends where the remainder bound, the
+  f^(5)/30240 term, falls below 2**-56 of the sum (`_EM_BITS`); against
+  40-digit sums and the summed integers the result is off by a few ulps
+  at most.
 - The members of a set, behind every numerator, take the windowed
   engine `_log_masses`, which walks a profile's cuts in increasing
   order: a cut whose window starts inside the previous cut's terms
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tsl._util import GL_NODES, GL_WEIGHTS
+from tsl._util import em_end_terms, ln_panel_integrals
 from tsl.errors import DomainError
 
 _CHUNK = 1 << 22
@@ -92,28 +94,29 @@ class PrefixSet:
         object.__setattr__(self, "n_max", n_max)
 
 
-def _window_start(gamma: float, c: int, members: np.ndarray | None) -> int:
-    """Index of the first term the cut after c terms still sums.
+def _first_kept(gamma: float, x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The first integer the cut after c terms still sums, x its c-th term, for int64 arrays.
 
-    The terms before it weigh less than exp(x_c**gamma - 40 - ln c), where
-    x_c is the c-th term, and there are fewer than c of them, so together
-    they change the log mass by less than e**-40.  The first integer kept
-    sits 2 below the root of that threshold, a margin against its rounding,
-    and never past x_c itself (near 2**63 that rounding exceeds 2).
+    The terms before it weigh less than exp(x**gamma - 40 - ln c), and
+    there are fewer than c of them, so together they change the log mass
+    by less than e**-40.  The first integer kept sits 2 below the root of
+    that threshold, a margin against its rounding, and never past x itself
+    (near 2**63 that rounding exceeds 2).
     """
-    x = c if members is None else int(members[c - 1])
-    threshold = x**gamma - 40.0 - math.log(c)
-    if threshold <= 0.0:  # always at gamma = 0
-        return 0
-    first = min(max(1, int(threshold ** (1.0 / gamma)) - 2), x)  # the first integer kept
-    return first - 1 if members is None else int(np.searchsorted(members, first))
+    if gamma == 0.0:  # the threshold is below 0: every term is kept
+        return np.ones_like(x)
+    x_f = x.astype(np.float64)
+    root = np.maximum(x_f**gamma - 40.0 - np.log(c), 0.0) ** (1.0 / gamma)
+    inside = root < x_f
+    first = np.where(inside, root, 0.0).astype(np.int64) - 2
+    return np.where(inside, np.clip(first, 1, x), x)
 
 
 def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray) -> np.ndarray:
     """log of the sum of exp(x**gamma) over the first c members x, for each cut c.
 
     The cuts come in any order, repeats allowed.  Each cut sums only its window,
-    from `_window_start` to c, so a cut of zero terms gives -inf.  The
+    from `_first_kept` to c, so a cut of zero terms gives -inf.  The
     sorted cuts are walked once: a cut whose window starts at or below the
     previous cut adds the terms between the two cuts to that cut's running
     total (whatever the previous cut dropped lies below this cut's bound
@@ -123,13 +126,12 @@ def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray) -> np.ndarr
     are chained by a running logaddexp (the online-normalizer trick).
     """
     cuts = np.asarray(cuts, dtype=np.int64)
-    sorted_cuts = sorted(set(cuts.tolist()))
-    masses = np.full(len(sorted_cuts), -math.inf)
+    sorted_cuts = np.array(sorted(set(cuts.tolist())), dtype=np.int64)  # np.unique imports numpy.ma
+    live = sorted_cuts[sorted_cuts > 0]
+    starts = np.searchsorted(members, _first_kept(gamma, members[live - 1], live))
+    masses = np.full(sorted_cuts.size, -math.inf)
     prev, total = 0, -math.inf
-    for i, c in enumerate(sorted_cuts):
-        if c == 0:
-            continue
-        start = _window_start(gamma, c, members)
+    for i, c, start in zip(range(sorted_cuts.size - live.size, sorted_cuts.size), live.tolist(), starts):
         if start > prev:
             prev, total = start, -math.inf
         for lo in range(prev, c, _CHUNK):
@@ -151,78 +153,60 @@ def _em_start(gamma: float) -> int:
     g = f'/f = gamma t**(gamma-1): the complete Bell polynomial of the
     bounds |(t**gamma)^(j)| <= g (j-1)! / t**(j-1).  P falls in t; a is the
     first point of a quarter-octave grid of integers with
-    P(a) <= 30240 * 2**-_EM_BITS, or 2**63 where none up to it qualifies.
+    P(a) <= 30240 * 2**-_EM_BITS, or 2**63 - 1 where none below it qualifies.
     """
-    t = np.ceil(2.0 ** (np.arange(253) / 4.0))  # 1 .. 2**63
+    t = np.ceil(2.0 ** (np.arange(252) / 4.0))  # 1 .. 2**62.75
     g = gamma * t ** (gamma - 1.0)
     bound = np.prod(g + np.arange(6)[:, None] / t, axis=0)
     ok = np.flatnonzero(bound <= 30240.0 * 2.0**-_EM_BITS)
-    return int(t[ok[0]]) if ok.size else _INT64_LIMIT
+    return int(t[ok[0]]) if ok.size else _INT64_LIMIT - 1
 
 
 def _log_weight_sums(gamma: float, horizons: np.ndarray) -> np.ndarray:
-    """log of the sum of exp(k**gamma) over k = 1..N, for each horizon N >= 1.
+    """log of the sum of exp(k**gamma) over k = 1..N, for each int64 horizon N >= 1.
 
-    gamma = 0 gives 1 + ln N and gamma = 1 the geometric sum; 0 < gamma < 1
-    takes `_log_weight_sum_cut`.  No cost grows with N.
+    gamma = 0 gives 1 + ln N and gamma = 1 the geometric sum.  For
+    0 < gamma < 1, horizon n sums first = `_first_kept` .. n: the head
+    below a = max(first, a_em) term by term, each integer converted from
+    int64 on its own, and a .. n by Euler-Maclaurin (`em_end_terms`) on
+    f = exp(t**gamma) / f(n), whose remainder is below |f^(5)(n) -
+    f^(5)(a)| / 30240 <= 2**-_EM_BITS of the integral (`_em_start`).  The
+    integral is n times that of exp(-s - y) over s = ln(n/t) in
+    [0, ln(n/a)], y = n**gamma - t**gamma = -n**gamma expm1(-gamma s),
+    with no cancellation and no 1/gamma to overflow for tiny gamma; its
+    log moves by at most 1 + gamma n**gamma per unit of s
+    (`ln_panel_integrals`).  The heads lie end to end, each summed by
+    itself (`np.add.reduceat`), and all tails take one panel integral, so
+    no horizon's value depends on the others.
     """
-    n = horizons.astype(np.float64)
+    n_f = horizons.astype(np.float64)
     if gamma == 0.0:
-        return 1.0 + np.log(n)
+        return 1.0 + np.log(n_f)
     if gamma == 1.0:  # e**N (1 - e**-N) / (1 - e**-1)
-        return n + np.log1p(-np.exp(-n)) - math.log1p(-math.exp(-1.0))
-    a_em = _em_start(gamma)
-    return np.array([_log_weight_sum_cut(gamma, c, a_em) for c in horizons.tolist()])
-
-
-def _log_weight_sum_cut(gamma: float, n: int, a_em: int) -> float:
-    """log of the sum of exp(k**gamma) over k = 1..n, 0 < gamma < 1.
-
-    The sum keeps `_window_start`'s window, first..n.  Below
-    a = max(first, a_em) the terms are summed exactly in float64; from a
-    to n Euler-Maclaurin gives, with f = exp(t**gamma),
-
-        sum_{k=a..n} f(k) = integral_a^n f + (f(a) + f(n)) / 2
-                            + (f'(n) - f'(a)) / 12 - (f'''(n) - f'''(a)) / 720 + R,
-
-    |R| <= integral_a^n |f^(6)| / 30240: that is |f^(5)(n) - f^(5)(a)| / 30240
-    where f^(6) keeps one sign, and at most 2**-_EM_BITS of the integral
-    past a_em (`_em_start`).  Everything is scaled by f(n).  The integral
-    is n times the integral over s = ln(n/t) in [0, ln(n/a)] of
-    exp(-s - y), y = n**gamma - t**gamma = -n**gamma expm1(-gamma s),
-    formed without cancellation and without a 1/gamma that would overflow
-    for tiny gamma.  The log of that integrand moves by 1 + gamma t**gamma
-    <= 1 + gamma n**gamma per unit of s, so panels 1 / (1 + gamma n**gamma)
-    long or shorter see it move by at most 1, and y by less than 1; each
-    takes the 20-point Gauss-Legendre rule.
-    """
-    first = _window_start(gamma, n, None) + 1
-    top = n**gamma
-    a = max(first, a_em)
-    k = np.arange(first, a if a < n else n + 1, dtype=np.float64)  # the exact head
-    np.power(k, gamma, out=k)
-    k -= top
-    total = float(np.exp(k, out=k).sum())
-    if a < n:
-        s_top = math.log1p((n - a) / a)  # ln(n/a), n - a exact
-        panels = math.ceil(s_top * (1.0 + gamma * top))
-        width = s_top / panels
-        s = (np.arange(panels)[:, None] + GL_NODES) * width  # one row per panel
-        integrand = np.exp(top * np.expm1(-gamma * s) - s)
-        integral = n * width * float((integrand @ GL_WEIGHTS).sum())
-        f_a = math.exp(top * math.expm1(-gamma * s_top))  # f(a) / f(n)
-        d1_a, d3_a = _log_derivatives(gamma, a)
-        d1_n, d3_n = _log_derivatives(gamma, n)
-        total += integral + (f_a + 1.0) / 2.0
-        total += (d1_n - f_a * d1_a) / 12.0 - (d3_n - f_a * d3_a) / 720.0
-    return top + math.log(total)
-
-
-def _log_derivatives(gamma: float, t: int) -> tuple[float, float]:
-    """f'/f and f'''/f of f = exp(t**gamma): g and g**3 + 3 g g' + g''."""
-    g = gamma * t ** (gamma - 1.0)
-    v = (gamma - 1.0) / t  # g'/g
-    return g, g**3 + 3.0 * g * g * v + g * v * (gamma - 2.0) / t
+        return n_f + np.log1p(-np.exp(-n_f)) - math.log1p(-math.exp(-1.0))
+    n, top = horizons, n_f**gamma
+    first = _first_kept(gamma, n, n)
+    a = np.maximum(first, _em_start(gamma))
+    tail = a < n
+    count = np.where(tail, a - first, n - first + 1)  # the head: first .. first + count - 1
+    start = np.cumsum(count) - count
+    w = (np.arange(count.sum()) + np.repeat(first - start, count)).astype(np.float64) ** gamma
+    w = np.exp(w - np.repeat(top, count))
+    total = np.zeros(n.size)
+    total[count > 0] = np.add.reduceat(w, start[count > 0])
+    if tail.any():
+        n, a, top_n = n[tail], a[tail], top[tail]
+        s_top = np.log1p((n - a) / a)  # ln(n/a), n - a exact
+        ln_integral = ln_panel_integrals(
+            lambda s, i: top_n[i] * np.expm1(-gamma * s) - s, s_top, 1.0 + gamma * top_n
+        )
+        t = np.stack([a, n]).astype(np.float64)
+        u1 = gamma * t ** (gamma - 1.0)  # the derivatives of ln f = t**gamma
+        u2 = u1 * (gamma - 1.0) / t
+        f_a = np.exp(top_n * np.expm1(-gamma * s_top))  # f(a) / f(n)
+        through_f1, f3_term = em_end_terms(f_a, 1.0, u1, u2, u2 * (gamma - 2.0) / t)
+        total[tail] += n * np.exp(ln_integral) + through_f1 - f3_term
+    return top + np.log(total)
 
 
 def log_weight_sum(n: int, gamma: float) -> float:
@@ -245,7 +229,10 @@ def prefix_density_profile(
     """Rows (N, ratio, log_num, log_den) for each horizon, in input order.
 
     The closed form gives every denominator, one engine pass over the
-    members, cut at the member counts, every numerator.
+    members, cut at the member counts, every numerator.  Each log is held to
+    one ulp of N**gamma, so past N**gamma = 2**40 or so a ratio loses precision:
+    at gamma = 0.9 the separating set reads e**-0.5, 1 or e**-4 for about 0.6
+    at N = 2**54 .. 2**60.
     """
     _check_gamma(gamma)
     h = _integers(horizons, "horizons")

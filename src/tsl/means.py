@@ -28,8 +28,8 @@ the blocks, each block answering the whole j grid in array expressions
 ... of v**(-2 alpha) r**(2(v-1)), comes as a float64 lower and upper
 bound: at alpha = 0 the geometric closed form; at alpha > 0 the exact
 sum while at most 2**16 terms matter, and past that an Euler-Maclaurin
-bracket whose integral takes Gauss-Legendre panels
-(`_ln_block_integral`).  Where the two ends
+bracket from the one panel integral and the one set of end terms that
+the density weight sums use too (`tsl._util`).  Where the two ends
 differ the bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
 2 alpha gate / v0 the terms' first log-decrement and eps = -ln r: below
 2.5e-11 at the crossover when the decay dominates, 4e-6 at lo = 2**10,
@@ -51,7 +51,7 @@ from typing import Iterator
 
 import numpy as np
 
-from tsl._util import GL_NODES, GL_WEIGHTS, fmt17
+from tsl._util import em_end_terms, fmt17, ln_panel_integrals
 from tsl.constructor import BlockLedger
 from tsl.errors import DomainError
 from tsl.polybank import TargetEnumeration, index_weighted
@@ -427,8 +427,8 @@ def _position_sums(
       the f^(5)/30240 term.  The width, |f'''(0)| / 720, is about
       c**4 / 720 of the sum while the terms fall by exp(-c) per
       position, c = 2 eps gate + 2a gate / v0: below 2.5e-11 at the
-      crossover from the decay alone.  The integral is
-      `_ln_block_integral`.
+      crossover from the decay alone.  The end terms come from
+      `em_end_terms`, the integral from `_ln_block_integral`.
 
     Every exponent is formed in log form from lo's bit length, so blocks
     beyond 2**1024 give finite values; 2 eps (v0 - 1) scales mant by the
@@ -479,10 +479,12 @@ def _position_sums(
             f0 = np.exp(-2.0 * alpha * ln_v0 - shift)
             # f(N-1) / f0
             rho = np.where(ax < _EXP_FLOOR, np.exp(-ax - 2.0 * alpha * math.log1p(x_end)), 0.0)
-            d1_0, d3_0 = _log_derivatives(alpha, gate / v0, lam_gate)
-            d1_n, d3_n = _log_derivatives(alpha, gate / (v0 + gate * n1), lam_gate)
-            upper[em] = integral + f0 * ((1.0 + rho) / 2.0 + (rho * d1_n - d1_0) / 12.0)
-            lower[em] = upper[em] - f0 * (rho * d3_n - d3_0) / 720.0
+            p = np.array([[gate / v0], [gate / (v0 + gate * n1)]])  # gate / v at both ends
+            through_f1, f3_term = em_end_terms(  # ln f = -2a ln v - 2 eps v in m
+                1.0, rho, -(2.0 * alpha * p + lam_gate), 2.0 * alpha * p * p, -4.0 * alpha * p**3
+            )
+            upper[em] = integral + f0 * through_f1
+            lower[em] = upper[em] - f0 * f3_term
     out = np.zeros((2, flat.size))
     out[:, at] = lower, upper
     out[:, flat_at] = out[:, at[live_at.size :]]
@@ -500,42 +502,21 @@ def _geometric_sum(shift: np.ndarray, lam: np.ndarray, lam_n: np.ndarray, budget
     return np.exp(math.log(budget) + np.log(-np.expm1(-lam_n) / lam_n / h) - shift)
 
 
-def _log_derivatives(alpha: float, p: float, lam_gate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f'/f and f'''/f of f(m) = v**(-2a) exp(-2 eps v), at p = gate / v."""
-    u1 = -(2.0 * alpha * p + lam_gate)
-    u2 = 2.0 * alpha * p * p
-    u3 = -4.0 * alpha * p**3
-    return u1, u3 + 3.0 * u1 * u2 + u1**3
-
-
 def _ln_block_integral(z: float, a: np.ndarray, x: float, ln_x: float) -> np.ndarray:
     """ln J at each a, J = integral from 0 to x of (1 + t)**(z-1) * exp(-a t) dt, z <= 1, a > 0.
 
-    A narrow interval, x <= 1 and a x <= 1, takes one panel of the 20-point
-    Gauss-Legendre rule in t: the integrand is entire in its exponential
-    and its power's branch point t = -1 lies at least one interval length
-    away; ln_x carries an x below the float range.  Those a form one
-    (a, node) array, each row summed by itself: a BLAS product's order of
-    summation would depend on the number of rows.  Otherwise J is the
-    integral over s = ln(1 + t) in [0, s_top] of exp(z s - a expm1(s)),
-    whose log moves by at most |z| + a e**s_top per unit of s, so
-    ceil(s_top (|z| + a e**s_top)) uniform panels see it move by at most 1
-    each, and each takes the same rule.  The interval is cut at t = c / a,
-    c = 43 + (1 - z) ln 2 + max(0, -ln a): the tail past the cut is below
-    e**-c / a, and J >= min(1, 1/a) 2**(z-1) / e, the integrand's floor on
-    [0, min(1, 1/a)], which lies inside [0, x] here; so the tail is at
-    most e**(1-c) 2**(1-z) / min(1, a) <= 2**-60 of J.
+    J is the integral over s = ln(1 + t) in [0, s_top] of exp(z s - a
+    expm1(s)), whose log moves by at most |z| + a e**s_top per unit of s,
+    the rate `ln_panel_integrals` takes for every a at once.  The interval
+    is cut at t = c / a, c = 43 + (1 - z) ln 2 + max(0, -ln a): the tail
+    past the cut is below e**-c / a, and J >= min(1, 1/a) 2**(z-1) / e, the
+    integrand's floor on [0, min(1, 1/a)], which lies inside [0, x] wherever
+    the cut does; so the tail is at most e**(1-c) 2**(1-z) / min(1, a) <=
+    2**-60 of J.  An x below the float range gives ln J = ln_x: the
+    integrand is 1 to within (a + 1 - z) x there.
     """
-    out = np.empty(a.size)
-    narrow = (x <= 1.0) & (a * x <= 1.0)
-    t = x * GL_NODES
-    rows = np.exp((z - 1.0) * np.log1p(t) - a[narrow, None] * t)
-    out[narrow] = ln_x + np.log((rows * GL_WEIGHTS).sum(axis=1))
-    for i in np.flatnonzero(~narrow):
-        c = 43.0 + (1.0 - z) * _LN2 + max(0.0, -math.log(a[i]))
-        s_top = math.log1p(min(x, c / a[i]))
-        panels = math.ceil(s_top * (abs(z) + a[i] * math.exp(s_top)))
-        width = s_top / panels
-        s = (np.arange(panels)[:, None] + GL_NODES) * width  # one row per panel
-        out[i] = math.log(width * float((np.exp(z * s - a[i] * np.expm1(s)) @ GL_WEIGHTS).sum()))
-    return out
+    if x < sys.float_info.min:
+        return np.full(a.size, ln_x)
+    c = 43.0 + (1.0 - z) * _LN2 + np.maximum(0.0, -np.log(a))
+    s_top = np.log1p(np.minimum(x, c / a))
+    return ln_panel_integrals(lambda s, i: z * s - a[i] * np.expm1(s), s_top, abs(z) + a * np.exp(s_top))

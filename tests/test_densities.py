@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsl import densities
@@ -412,3 +412,44 @@ class TestClosedForm:
         everything = PrefixSet(np.arange(1, (1 << 22) + 1), 1 << 22)
         for n, _, log_num, log_den in prefix_density_profile(everything, gamma, horizons):
             assert abs(log_den - log_num) <= 1e-13 * abs(log_num), n
+
+    @pytest.mark.parametrize("gamma, n", [(0.9, 1 << 54), (0.9, (1 << 60) + 12345), (0.99, 1 << 55)])
+    def test_past_2_53_matches_50_digit_sums(self, gamma, n):
+        # past 2**53 float64 skips integers, so the exact head must count them in int64
+        got = log_weight_sum(n, gamma)
+        # below n - span each term weighs under e**-50 / n of the top one
+        span = int((50.0 + math.log(n)) / (gamma * n ** (gamma - 1.0))) + 1
+        with mp.workdps(50):
+            top = mp.mpf(n) ** gamma
+            exact = top + mp.log(mp.fsum(mp.exp(mp.mpf(k) ** gamma - top) for k in range(n - span, n + 1)))
+        assert abs(got - float(exact)) <= 2 * math.ulp(got)
+
+
+def _assert_each_horizon_alone(gamma, horizons):
+    rows = densities._log_weight_sums(gamma, horizons)
+    for n, row in zip(horizons.tolist(), rows.tolist()):
+        (alone,) = densities._log_weight_sums(gamma, np.array([n]))
+        assert row == alone, n
+
+
+class TestWeightSumsPerHorizon:
+    # unsorted and repeated horizons, across the head-only and head + Euler-Maclaurin routes
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        gamma=st.one_of(st.sampled_from([0.0, 1e-5, 0.5, 0.9, 0.99, 1.0]), st.floats(1e-6, 0.999)),
+        horizons=st.lists(
+            st.one_of(st.integers(1, 1 << 14), st.integers(1, (1 << 63) - 1)), min_size=1, max_size=12
+        ),
+        repeats=st.integers(0, 3),
+    )
+    @example(gamma=0.5, horizons=[1 << 40, 5, 3000, 1 << 20, 5], repeats=2)
+    def test_each_horizon_equals_it_alone(self, gamma, horizons, repeats):
+        _assert_each_horizon_alone(gamma, np.array(horizons + horizons[:repeats], dtype=np.int64))
+
+    @pytest.mark.parametrize("gamma", [1e-5, 0.3, 0.5, 0.7])
+    def test_head_only_and_tail_rows_in_one_call(self, gamma):
+        horizons = np.array([1 << 40, 2, 1 << 12, 10**6, 2, (1 << 63) - 1, 7], dtype=np.int64)
+        first = densities._first_kept(gamma, horizons, horizons)
+        tail = np.maximum(first, densities._em_start(gamma)) < horizons
+        assert tail.any() and not tail.all()
+        _assert_each_horizon_alone(gamma, horizons)

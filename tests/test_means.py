@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -683,7 +684,7 @@ class TestPlannedMean:
     # every kind in one grid: unreachable (j = 1), summed (j <= 9), bracketed
     # (j >= 10) and flat-clamped (j >= 95) radii, with repeats
     @example(e=10, gate=4, budget_bits=30.0, j0=0, alpha=0.25, extra=[5, 95, 20], sample=[3, 5, 7])
-    # 71 bracketed radii on the one-panel integral, j = 22 .. 92 (a BLAS product fails here)
+    # 71 bracketed radii of one to three panels each, j = 22 .. 92 (a BLAS product fails here)
     @example(e=30, gate=4, budget_bits=20.0, j0=1, alpha=0.5, extra=list(range(22, 93)), sample=[0, 40])
     def test_grid_equals_each_radius_alone(self, e, gate, budget_bits, j0, alpha, extra, sample):
         lo, budget = 1 << e, int(2.0**budget_bits)
@@ -734,8 +735,8 @@ class TestPlannedMean:
     @pytest.mark.parametrize(
         "z, a, x",
         [
-            (0.5, 0.5, 1.0),  # the narrow panel at its edge
-            (0.0, 1.0, 1.0),  # the narrow panel's corner, x = a x = 1
+            (0.5, 0.5, 1.0),  # x = 1, a x < 1: two panels in s
+            (0.0, 1.0, 1.0),  # x = a x = 1: two panels
             (0.5, 1.0, 1.5),  # panels in s
             (-1.0, 0.25, 3.0),
             (0.0, 0.25, 100.0),  # a x = 25, below the cut c / a = 180
@@ -744,7 +745,7 @@ class TestPlannedMean:
             (0.5, 1e-8, 1e12),  # tiny a, cut at c / a = 6.2e9: about 1,400 panels
             (0.0, 500.0, 1.0),  # a x = 500 at x = 1, cut at c / a = 0.087
             (-3.0, 0.1, 50.0),
-            (0.5, 0.5, 1.0 + 2.0**-20),  # x just past 1 with a x < 1: panels, not the narrow one
+            (0.5, 0.5, 1.0 + 2.0**-20),  # x just past 1 with a x < 1
         ],
     )
     def test_block_integral_matches_quadrature(self, z, a, x):
@@ -762,15 +763,26 @@ class TestPlannedMean:
         (ln_j,) = _ln_block_integral(z, np.array([a]), x, math.log(x))
         assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
 
-    def test_block_integral_mixed_branches_in_one_array(self):
-        # x <= 1: a x <= 1 takes the narrow panel, the rest panels in s, all in one call
+    def test_block_integral_ragged_panels_in_one_array(self):
+        # one call lays out every a's panels, from one at a = 1e-3 to 52 at a = 100
         z, x = 0.5, 0.9
         a = np.array([1e-3, 0.5, 1.0, 1.0 / 0.9, 1.2, 5.0, 100.0, 1e3])
-        narrow = a * x <= 1.0
-        assert narrow.any() and not narrow.all()
         ln_j = _ln_block_integral(z, a, x, math.log(x))
         for value, a_i in zip(ln_j, a):
+            assert value == _ln_block_integral(z, np.array([a_i]), x, math.log(x))[0]
             assert abs(value - _oracle_ln_block_integral(z, a_i, x)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "e, gate, budget_bits, j0, alpha, j", [(1100, 4, 17, 0, 0.01, 1100), (2100, 28, 18, 1, 0.1, 2101)]
+    )
+    def test_last_offset_below_the_float_range(self, e, gate, budget_bits, j0, alpha, j):
+        # x = gate (N - 1) / v0 rounds to 0: ln x comes from the integers, not from x
+        lo, budget = 1 << e, 1 << budget_bits
+        assert gate * (budget - 1) / (lo + j0 + 1) < sys.float_info.min
+        (lower,), (upper,) = _position_sums(lo, gate, budget, j0, alpha, _dyadic_eps([j]))
+        exact = _oracle_position_sum(lo, gate, budget, j0, alpha, _oracle_eps(j))
+        assert abs(lower - exact) <= 1e-12 * exact
+        assert abs(upper - exact) <= 1e-12 * exact
 
     def test_unreachable_block_gives_zero(self):
         # 2 eps lo = 2**21 at j = 20: every term is below exp(-760)

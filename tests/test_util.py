@@ -1,8 +1,10 @@
+import math
 import os
 
+import numpy as np
 import pytest
 
-from tsl._util import atomic_write_text
+from tsl._util import atomic_write_text, em_end_terms, ln_panel_integrals
 
 
 class TestAtomicWrite:
@@ -26,3 +28,21 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert not list(tmp_path.glob("*.tmp"))
         assert os.listdir(tmp_path) == ["out.txt"]
+
+
+class TestQuadratureEngine:
+    def test_panel_integrals_of_exponentials(self):
+        # the integral of exp(-lam s) over [0, s_top] is -expm1(-lam s_top) / lam
+        lam = np.array([1e-3, 0.5, 3.0, 40.0])
+        s_top = np.array([2.0, 1.0, 5.0, 0.25])
+        got = ln_panel_integrals(lambda s, i: -lam[i] * s, s_top, lam)
+        assert np.abs(got - np.log(-np.expm1(-lam * s_top) / lam)).max() <= 1e-15
+
+    def test_end_terms_sum_a_geometric_series(self):
+        # f(m) = exp(c m): (ln f)' = c and the higher derivatives vanish; the
+        # remainder is the f^(5) / 30240 term, and without the f''' term the sum is 1.4e-11 off
+        c, hi = -0.01, 300
+        through_f1, f3_term = em_end_terms(1.0, math.exp(c * hi), np.full(2, c), np.zeros(2), np.zeros(2))
+        exact = math.fsum(math.exp(c * m) for m in range(hi + 1))
+        assert abs(math.expm1(c * hi) / c + through_f1 - f3_term - exact) <= 1e-14 * exact
+        assert abs(math.expm1(c * hi) / c + through_f1 - exact) > 1e-12 * exact
