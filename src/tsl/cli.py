@@ -159,15 +159,18 @@ def _parse_p_list(text: str) -> list[float]:
 
 
 def _parse_grid(text: str, max_degree: int) -> list[float]:
-    if text.startswith("dyadic") and ":" not in text:
+    """Exactly 'dyadic', 'dyadic:J' with an integer J >= 1, or a comma list of radii."""
+    if text == "dyadic":
         return dyadic_radii(max_degree)
+    head, _, top = text.partition(":")
+    if head == "dyadic" and top.isdecimal() and int(top) >= 1:
+        # the default grid of degree 2**(J + 1) runs j = 1 .. J
+        return dyadic_radii(1 << (int(top) + 1))
     try:
-        if text.startswith("dyadic"):
-            top = int(text.split(":", 1)[1])
-            return [1.0 - 2.0**-j for j in range(1, top + 1)]
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise DomainError(f"--grid must be 'dyadic[:J]' or a comma list of radii: {text!r}") from exc
+        msg = "--grid must be 'dyadic', 'dyadic:J' with J >= 1, or a comma list of radii"
+        raise DomainError(f"{msg}: {text!r}") from exc
 
 
 def _cmd_targets(args: argparse.Namespace) -> int:

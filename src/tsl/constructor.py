@@ -17,15 +17,18 @@ star polynomial of length
     budget = floor(base**(1 - gamma) / gate),
 
 with base = 2**n on the dyadic schedule and base = 2**u(n) otherwise.
+`construct` writes them in place, at block_start + j + gate*m per target term j.
 
 `iter_plan` is the one walk over the blocks: one ledger record per block
 number, in order, without coefficients; a block whose target index lies
 beyond the enumeration gives a "no-target" record.  `construct` reads it
 up to max_degree, `plan_blocks` its first records, and the tail bound in
-`tsl.verify` past the series; the first two raise DomainError on a
-"no-target" record (`construct` only on one starting at or below max_degree).
+`tsl.verify` from the first block that reaches the visit time on; the
+first two raise DomainError on a "no-target" record (`construct` only on
+one starting at or below max_degree).
 
-`ConstructionSpec` holds the one check of explicit schedules u: on
+`ConstructionSpec` rejects a u on the dyadic schedule, which would ignore
+it, and holds the one check of explicit schedules u: on
 u(0), ..., u(SCHEDULE_CHECK_PREFIX) it must be strictly increasing, and
 its degree ratios 2**(u(n+1) - u(n)) must be at least 4 from index 3 on.
 Gaps that grow without bound cannot be decided on a finite prefix, and
@@ -96,6 +99,8 @@ class ConstructionSpec:
             raise DomainError("gamma must lie in [0, 1)")
         if self.max_degree < 4:
             raise DomainError("max_degree must be >= 4")
+        if self.schedule is Schedule.DYADIC and self.u is not None:
+            raise DomainError("u belongs to the explicit schedule; the dyadic one takes none")
         if self.schedule is Schedule.U_SCHEDULE:
             if self.u is None:
                 object.__setattr__(self, "u", quadratic_schedule)
@@ -283,14 +288,14 @@ def _classify(n: int, spec: ConstructionSpec, targets: TargetEnumeration) -> Blo
     return BlockRecord(n, k, gate, budget, lo, hi, None)
 
 
-def iter_plan(spec: ConstructionSpec, targets: TargetEnumeration) -> Iterator[BlockRecord]:
-    """Endless stream of ledger records in block order; consumers break.
+def iter_plan(spec: ConstructionSpec, targets: TargetEnumeration, start: int = 0) -> Iterator[BlockRecord]:
+    """Endless stream of ledger records in block order from block `start`; consumers break.
 
     A block whose target index falls beyond the enumeration is a
     "no-target" record, so tail scans past the enumerated horizon stay
     usable.
     """
-    for n in count():
+    for n in count(start):
         yield _classify(n, spec, targets)
 
 
@@ -305,37 +310,33 @@ def _family(spec: ConstructionSpec, budget: int) -> SignedPolynomial | StarPolyn
     return rudin_shapiro(budget) if spec.regime is Regime.RS else vdlp_star(budget)
 
 
-def _block_content(
-    rec: BlockRecord, spec: ConstructionSpec, targets: TargetEnumeration
-) -> np.ndarray:
-    """Dense content of a built block over [lo, lo + span].
+def _write_block(
+    arr: np.ndarray, rec: BlockRecord, spec: ConstructionSpec, targets: TargetEnumeration
+) -> None:
+    """Write built block `rec` into `arr`: family_m * w_j * (i + 1)**(-alpha) at i = lo + j + gate*m.
 
-    Raises ConstructionError if the product would overrun the interval, DomainError on overflow.
+    w is the weighted target; the gate exceeds its degree, so the rows j
+    are disjoint.  Raises ConstructionError if the block would overrun
+    its interval, DomainError on overflow.
     """
     assert rec.k is not None and rec.gate is not None and rec.budget is not None
     entry = targets.entry(rec.k)
     gate, budget = rec.gate, rec.budget
-    weighted = index_weighted(entry.series, spec.alpha).coefficients
-    d = entry.degree
-    span = gate * (budget - 1) + d
+    span = gate * (budget - 1) + entry.degree
     if rec.lo + span > rec.hi:
         raise ConstructionError(
             f"block n={rec.n} (target {rec.k}, budget {budget}) spans {span + 1} "
             f"coefficients but its interval holds {rec.hi - rec.lo + 1}"
         )
+    weighted = index_weighted(entry.series, spec.alpha).coefficients
     family = _family(spec, budget).coefficients.astype(np.float64, copy=False)
-    content = np.zeros(span + 1, dtype=np.complex128)
-    # product of the gate-dilated family with the weighted target: the gate
-    # exceeds the target degree, so each output index has a unique term
-    for j in range(d + 1):
-        if weighted[j] != 0:
-            content[j : j + gate * budget : gate] = family * weighted[j]
-    idx = rec.lo + np.arange(span + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        content *= (idx + 1.0) ** (-spec.alpha)
-    if not np.isfinite(content.view(np.float64)).all():
-        raise DomainError(f"block n={rec.n} (target {rec.k}) overflows the float range")
-    return content
+    first_row = rec.lo + 1.0 + gate * np.arange(budget, dtype=np.float64)  # i + 1 on row j = 0
+    for j in np.flatnonzero(weighted[: entry.degree + 1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = family * weighted[j] * (first_row + j) ** (-spec.alpha)
+        if not np.isfinite(row.view(np.float64)).all():
+            raise DomainError(f"block n={rec.n} (target {rec.k}) overflows the float range")
+        arr[rec.lo + j : rec.lo + j + gate * budget : gate] = row
 
 
 def construct(
@@ -343,9 +344,10 @@ def construct(
 ) -> tuple[CoefficientSeries, BlockLedger]:
     """Sum of all blocks whose interval fits below max_degree.
 
-    Blocks are disjoint, so the sum is a concatenation; blocks whose
-    interval sticks out beyond max_degree are dropped and recorded.  A
-    max_degree above `series.MAX_SERIES_DEGREE` is a DomainError.
+    Blocks are disjoint, so each built block is written in place into the
+    one array the series then adopts; blocks whose interval sticks out
+    beyond max_degree are dropped and recorded.  A max_degree above
+    `series.MAX_SERIES_DEGREE` is a DomainError.
     """
     arr = zero_coefficients(spec.max_degree)
     records: list[BlockRecord] = []
@@ -356,9 +358,7 @@ def construct(
         if rec.hi > spec.max_degree:
             rec = replace(rec, skip_reason="max-degree")
         elif rec.built:
-            content = _block_content(rec, spec, targets)
-            arr[rec.lo : rec.lo + len(content)] = content
-            del content  # freed before the next block is built, not after
+            _write_block(arr, rec, spec, targets)
         records.append(rec)
     ledger = BlockLedger(tuple(records))
     ledger.assert_disjoint_supports()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, product
 from typing import Any, Iterator
@@ -117,12 +117,23 @@ def vdlp_star(n_terms: int) -> StarPolynomial:
 
 @dataclass(frozen=True)
 class TargetEntry:
-    """One enumerated target: exact coefficients, float image, bound and degree."""
+    """One enumerated target: exact coefficients and the bound l_k on their l^1 norm.
+
+    The float image `series` and the degree (index of the last nonzero
+    coefficient, 0 for the zero polynomial) are derived from `exact` when
+    the entry is made, so they cannot disagree with it.
+    """
 
     exact: tuple[tuple[int, int, int], ...]  # (a, b, c): (a + b*i)/c per index
-    series: CoefficientSeries
     l_bound: int
-    degree: int
+    series: CoefficientSeries = field(init=False, compare=False, repr=False)
+    degree: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        coeffs = np.array([complex(a, b) / c for a, b, c in self.exact])
+        object.__setattr__(self, "series", CoefficientSeries(coeffs))
+        degree = max((j for j, (a, b, _) in enumerate(self.exact) if a or b), default=0)
+        object.__setattr__(self, "degree", degree)
 
 
 @dataclass(frozen=True)
@@ -135,11 +146,8 @@ class TargetEnumeration:
             if e.l_bound < prev:
                 raise DomainError("l_k must be nondecreasing")
             prev = e.l_bound
-            lo, hi = _l1_bounds(e.exact)
-            if hi > e.l_bound:
+            if _l1_bounds(e.exact)[1] > e.l_bound:
                 raise DomainError(f"l1 norm of target {k} exceeds its bound l_k")
-            if e.degree != _exact_degree(e.exact):
-                raise DomainError(f"degree of target {k} is wrong")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -173,16 +181,11 @@ class TargetEnumeration:
                 "...]} with integers, l >= 1 and c >= 1"
             )
         entries = []
-        for rec in obj:
-            exact = tuple(tuple(t) for t in rec["coefficients"])
-            entries.append(
-                TargetEntry(
-                    exact=exact,
-                    series=_exact_to_series(exact),
-                    l_bound=rec["l_k"],
-                    degree=rec["degree"],
-                )
-            )
+        for k, rec in enumerate(obj, start=1):
+            entry = TargetEntry(tuple(tuple(t) for t in rec["coefficients"]), rec["l_k"])
+            if entry.degree != rec["degree"]:
+                raise DomainError(f"degree of target {k} disagrees with its coefficients")
+            entries.append(entry)
         return cls(tuple(entries))
 
     @classmethod
@@ -200,18 +203,6 @@ def _is_target_obj(rec: Any) -> bool:
         isinstance(t, list) and len(t) == 3 and all(type(v) is int for v in t) and t[2] >= 1
         for t in coeffs
     )
-
-
-def _exact_degree(exact: tuple[tuple[int, int, int], ...]) -> int:
-    deg = 0
-    for j, (a, b, _) in enumerate(exact):
-        if a != 0 or b != 0:
-            deg = j
-    return deg
-
-
-def _exact_to_series(exact: tuple[tuple[int, int, int], ...]) -> CoefficientSeries:
-    return CoefficientSeries(np.array([complex(a, b) / c for a, b, c in exact]))
 
 
 def _l1_bounds(exact: tuple[tuple[int, int, int], ...]) -> tuple[Fraction, Fraction]:
@@ -282,14 +273,7 @@ def enumerate_targets(target_count: int) -> TargetEnumeration:
                 # k + ceil(l1) alone can dip after a large-norm target;
                 # the running max keeps the bounds nondecreasing
                 prev = entries[-1].l_bound if entries else 1
-                entries.append(
-                    TargetEntry(
-                        exact=tup,
-                        series=_exact_to_series(tup),
-                        l_bound=max(prev, k + l1_ceil(tup)),
-                        degree=_exact_degree(tup),
-                    )
-                )
+                entries.append(TargetEntry(tup, max(prev, k + l1_ceil(tup))))
                 if len(entries) == target_count:
                     return TargetEnumeration(tuple(entries))
     raise AssertionError("unreachable")

@@ -59,9 +59,7 @@ DEFAULT_SEED = 20240601
 
 def _constant_entry(c: int) -> TargetEntry:
     """The constant target c with the smallest legal bound, l = 1."""
-    return TargetEntry(
-        exact=((c, 0, 1),), series=CoefficientSeries(np.array([complex(c)])), l_bound=1, degree=0
-    )
+    return TargetEntry(((c, 0, 1),), 1)
 
 
 def visit_fixture_targets() -> TargetEnumeration:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 import numpy as np
@@ -112,27 +113,29 @@ def truncation_tail_bound(
     targets: TargetEnumeration,
     s: int,
     radius: float,
-    max_degree: int,
     cut: int,
 ) -> float:
     """Bound on the orbit coordinates the sampled window [s, cut) misses.
 
-    With cut = max_degree + 1 the window is everything the series holds.
-    Two parts of the planned function fall outside it: coefficients of
-    built blocks at indices >= cut, and blocks the truncation at
-    max_degree dropped whole, from index s on.  For each such block the
-    bound is an envelope max|c| * (i - s + 1)**(-alpha) * radius**(i - s)
-    over the block's occupied indices i; blocks beyond the radius' reach
-    add hard zeros and stop the scan.  The scan is O(blocks): it never
-    reads the series' coefficients.
+    The series is truncated at spec.max_degree; with cut = max_degree + 1
+    the window is everything it holds.  Two parts of the planned function
+    fall outside it: coefficients of built blocks at indices >= cut, and
+    blocks the truncation dropped whole, from index s on.  For each such
+    block the bound is an envelope max|c| * (i - s + 1)**(-alpha) *
+    radius**(i - s) over the block's occupied indices i; blocks beyond the
+    radius' reach add hard zeros and stop the scan.  The scan starts at the
+    first block that reaches s (earlier ones miss nothing), found from
+    `spec.base_exponent` alone, and never reads the series' coefficients.
     """
-    if not s < cut <= max_degree + 1:
-        raise DomainError("cut must lie in (s, max_degree + 1]")
+    if not 0 <= s < cut <= spec.max_degree + 1:
+        raise DomainError("need 0 <= s < cut <= max_degree + 1")
     if radius == 0.0:
         return 0.0
+    # block n ends at 2**base_exponent(n + 1) - 1, which is >= s once 2**base_exponent(n + 1) > s
+    first = next(n for n in count() if spec.base_exponent(n + 1) >= int(s).bit_length())
     log_rho = math.log(radius)
     total = 0.0
-    for rec in iter_plan(spec, targets):
+    for rec in iter_plan(spec, targets, first):
         gap = min(rec.lo - s, 1 << 60)  # clamp before the int -> float product
         if rec.lo >= cut and gap * log_rho < -745.0:
             break
@@ -143,7 +146,7 @@ def truncation_tail_bound(
         span_end = rec.lo + rec.gate * (rec.budget - 1) + entry.degree
         # a block the series holds is missed from the cut on; a dropped one
         # from s on (its coefficients below max_degree are zeros in the series)
-        start = max(rec.lo, s) if rec.hi > max_degree else max(rec.lo, cut)
+        start = max(rec.lo, s) if rec.hi > spec.max_degree else max(rec.lo, cut)
         if start > span_end:
             continue
         weighted = index_weighted(entry.series, spec.alpha).coefficients
@@ -184,12 +187,14 @@ def check_visit(
     1 / (1 - pi * D / N) of the sup.  The result is the sampled maximum of
     |orbit - target| plus `truncation_tail_bound` from
     min(s + D + 1, max_degree + 1) on, which covers both the coefficients
-    past the window and the blocks the truncation dropped.
+    past the window and the blocks the truncation dropped.  A series whose
+    degree is not spec.max_degree is a DomainError: its window and that
+    tail would describe two different functions.
     """
-    if s > f.max_degree:
-        raise DomainError("visit time exceeds the series degree")
-    if s < 0:
-        raise DomainError("visit time must be >= 0")
+    if f.max_degree != spec.max_degree:
+        raise DomainError(f"series degree {f.max_degree} is not the spec's max_degree {spec.max_degree}")
+    if not 0 <= s <= f.max_degree:
+        raise DomainError("visit time must lie in [0, series degree]")
     entry = targets.entry(k)
     radius = 1.0 - 1.0 / entry.l_bound
     window = effective_degree(radius, f.max_degree - s) + 1
@@ -199,7 +204,7 @@ def check_visit(
     gap[: len(orbit)] = orbit
     gap[: len(target)] -= target
     err = float(np.max(np.abs(circle_samples(gap, radius))))
-    return err + truncation_tail_bound(spec, targets, s, radius, f.max_degree, s + window)
+    return err + truncation_tail_bound(spec, targets, s, radius, s + window)
 
 
 def run_power_sum_suite(n_instances: int, master_seed: int) -> list[OracleVerdict]:

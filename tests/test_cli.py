@@ -75,6 +75,12 @@ class TestExitCodes:
             ("means", '{"max_degree": 1, "terms": []}', ["--p", "abc"]),
             ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:x"]),
             ("means", '{"max_degree": 1, "terms": []}', ["--grid", "0.5,foo"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadicXYZ"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:0"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:-1"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:2.5"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "0.5,,0.75"]),
             ("means", None, []),
             ("means", b"\xff\xfe{", []),
             ("construct", None, []),
@@ -85,6 +91,8 @@ class TestExitCodes:
             ("construct", '[{"k": 1, "degree": 0, "l_k": 1, "coefficients": [[1.5, 0, 1]]}]', []),
             ("construct", '[{"k": 1, "degree": 0, "l_k": 0, "coefficients": [[0, 0, 1]]}]', []),
             ("construct", '[{"degree": 0, "l_k": 1, "coefficients": [[1%s, 0, 1]]}]' % ("0" * 400), []),
+            ("construct", '[{"k": 1, "degree": 1, "l_k": 1, "coefficients": [[1, 0, 1]]}]', []),
+            ("construct", '[{"k": 1, "degree": 0, "l_k": 1, "coefficients": [[1, 1, 1]]}]', []),
             ("fit", "p,r,value,quadrature_size\n2,0.5,1\n", []),
             ("fit", "p,r,value,quadrature_size\n2,half,1.0,0\n", []),
             ("fit", "p,r,value\n2,0.5,1.0\n", []),
@@ -95,10 +103,12 @@ class TestExitCodes:
             ("fit", FOUR_ROWS + "2,0.9375,100,0\n", []),
         ],
         ids=[
-            "p-abc", "grid-dyadic-x", "grid-foo", "series-missing", "series-not-utf8",
+            "p-abc", "grid-dyadic-x", "grid-foo", "grid-dyadic-suffix", "grid-dyadic-0",
+            "grid-dyadic-negative", "grid-dyadic-fraction", "grid-dyadic-empty", "grid-empty-radius",
+            "series-missing", "series-not-utf8",
             "targets-missing", "targets-no-keys", "targets-not-json", "targets-not-a-list",
             "targets-zero-denominator", "targets-float-coefficient", "targets-zero-bound",
-            "targets-huge-coefficient",
+            "targets-huge-coefficient", "targets-wrong-degree", "targets-bound-below-norm",
             "means-three-columns", "means-non-numeric-r", "means-wrong-header", "means-missing",
             "means-radius-past-one", "means-radius-one", "means-negative-size",
             "means-repeated-row",
@@ -227,6 +237,25 @@ class TestPipeline:
         assert paths["means.csv"].read_text() == table.to_csv()
         fit = json.loads(paths["fit.json"].read_text())
         assert fit["slope"] == fit_growth_exponent(table, 2.0).slope
+
+
+class TestMeansGrid:
+    @pytest.mark.parametrize(
+        "grid, radii",
+        [
+            ("dyadic", dyadic_radii(4096)),
+            ("dyadic:3", [0.5, 0.75, 0.875]),
+            ("dyadic:12", dyadic_radii(1 << 13)),
+            ("0.5, 0.9", [0.5, 0.9]),
+        ],
+    )
+    def test_documented_grids(self, tmp_path, grid, radii):
+        series = tmp_path / "f.json"
+        series.write_text('{"max_degree": 4096, "terms": [[0, 1.0, 0.0], [4096, 1.0, 0.0]]}')
+        out = tmp_path / "m.csv"
+        assert main(["means", "--in", str(series), "--grid", grid, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in rows] == radii
 
 
 class TestTinyGammaDensity:

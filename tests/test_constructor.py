@@ -28,7 +28,14 @@ from tsl.constructor import (
 )
 from tsl.errors import DomainError
 from tsl.means import mean_p
-from tsl.polybank import enumerate_targets, index_weighted, rudin_shapiro, vdlp_star
+from tsl.polybank import (
+    TargetEntry,
+    TargetEnumeration,
+    enumerate_targets,
+    index_weighted,
+    rudin_shapiro,
+    vdlp_star,
+)
 from tsl.repro import visit_fixture_targets
 from tsl.series import MAX_SERIES_DEGREE, CoefficientSeries
 from unit_targets import uniform_unit_targets
@@ -243,6 +250,48 @@ class TestConstruct:
             assert ledger.built()
         assert series.coefficients.view(np.uint64).tolist() == ref.coefficients.view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("schedule", ["dyadic", "u2", "root32"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -1.0, 1.5])
+    @pytest.mark.parametrize("regime", [Regime.RS, Regime.STAR])
+    def test_equals_dense_block_reference(self, regime, alpha, gamma, schedule):
+        """Blocks written row by row in place equal each block materialized densely and copied in."""
+        u = {"dyadic": None, "u2": quadratic_schedule, "root32": root32_schedule}[schedule]
+        spec = ConstructionSpec(
+            alpha=alpha, gamma=gamma, regime=regime, q=3.0, max_degree=1 << 16,
+            schedule=Schedule.DYADIC if u is None else Schedule.U_SCHEDULE, u=u,
+        )
+        # a degree-2 target with a zero middle coefficient, a constant, a
+        # degree-1 target and the zero polynomial, all at l = 1
+        targets = TargetEnumeration(
+            tuple(
+                TargetEntry(exact, 1)
+                for exact in (
+                    ((1, 0, 2), (0, 0, 1), (0, 1, 2)),
+                    ((1, 0, 1),),
+                    ((1, 0, 2), (0, -1, 2)),
+                    ((0, 0, 1),),
+                )
+            )
+        )
+        series, ledger = construct(spec, targets)
+        dense = np.zeros(spec.max_degree + 1, dtype=np.complex128)
+        for rec in ledger.built():
+            entry = targets.entry(rec.k)
+            weighted = index_weighted(entry.series, alpha).coefficients
+            fam = (rudin_shapiro if regime is Regime.RS else vdlp_star)(rec.budget).coefficients
+            fam = fam.astype(np.float64)
+            span = rec.gate * (rec.budget - 1) + entry.degree
+            content = np.zeros(span + 1, dtype=np.complex128)
+            for j in range(entry.degree + 1):
+                if weighted[j] != 0:
+                    content[j : j + rec.gate * rec.budget : rec.gate] = fam * weighted[j]
+            content *= (rec.lo + np.arange(span + 1, dtype=np.float64) + 1.0) ** -alpha
+            dense[rec.lo : rec.lo + span + 1] = content
+        if schedule != "u2":  # on u2 block 2 is gated and block 4 ends at 2**25 - 1
+            assert ledger.built()
+        assert np.array_equal(series.coefficients, dense)
+
     def test_ledger_csv_header(self):
         _, ledger = construct(dyadic_spec(max_degree=1 << 8), enumerate_targets(4))
         lines = ledger.to_csv().splitlines()
@@ -268,6 +317,13 @@ class TestSchedules:
             max_degree=1 << 20,
         )
         assert spec.base_exponent(5) == 25
+
+    def test_dyadic_schedule_rejects_u(self):
+        with pytest.raises(DomainError, match="u belongs to the explicit schedule"):
+            ConstructionSpec(
+                alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.DYADIC,
+                max_degree=1 << 10, u=lambda n: n**3,
+            )
 
     def test_rejects_nonincreasing(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ from tsl.means import circle_norm
 from tsl.polybank import (
     SignedPolynomial,
     StarPolynomial,
+    TargetEntry,
     TargetEnumeration,
     enumerate_targets,
     index_weighted,
@@ -191,6 +193,40 @@ class TestEnumeration:
     def test_json_rejects_malformed_shape(self, obj):
         with pytest.raises(DomainError):
             TargetEnumeration.from_json_obj(obj)
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"degree": 1, "l_k": 1, "coefficients": [[1, 0, 1]]},
+            {"degree": 0, "l_k": 1, "coefficients": [[1, 0, 2], [1, 0, 2]]},
+            {"degree": 1, "l_k": 1, "coefficients": [[1, 0, 2], [0, 0, 1]]},
+        ],
+        ids=["above", "below", "trailing-zero"],
+    )
+    def test_json_rejects_degree_that_disagrees_with_coefficients(self, rec):
+        with pytest.raises(DomainError, match="degree of target 1 disagrees"):
+            TargetEnumeration.from_json_obj([rec])
+
+    @pytest.mark.parametrize(
+        "coefficients", [[[2, 0, 1]], [[1, 1, 1]], [[3, 4, 6], [1, 0, 2]]], ids=["2", "sqrt2", "3"]
+    )
+    def test_json_rejects_bound_below_l1_norm(self, coefficients):
+        degree = len(coefficients) - 1
+        rec = {"degree": degree, "l_k": 1, "coefficients": coefficients}
+        with pytest.raises(DomainError, match="exceeds its bound"):
+            TargetEnumeration.from_json_obj([rec])
+        rec["l_k"] = l1_ceil(tuple(map(tuple, coefficients)))
+        assert TargetEnumeration.from_json_obj([rec]).entry(1).l_bound == rec["l_k"]
+
+    def test_entry_derives_series_and_degree_from_exact(self):
+        assert [f.name for f in fields(TargetEntry) if f.init] == ["exact", "l_bound"]
+        entry = TargetEntry(((1, 0, 2), (0, 0, 1), (0, -3, 4), (0, 0, 5)), 2)
+        np.testing.assert_array_equal(entry.series.coefficients, [0.5, 0, -0.75j, 0])
+        assert entry.degree == 2
+        assert TargetEntry(((0, 0, 1), (0, 0, 3)), 1).degree == 0
+        # a float image that disagrees with the exact coefficients cannot be given
+        with pytest.raises(TypeError):
+            TargetEntry(exact=((1, 0, 1),), series=as_series([100]), l_bound=1, degree=0)
 
     def test_rejects_decreasing_l(self):
         t = enumerate_targets(3)

@@ -1,11 +1,22 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tsl import verify
-from tsl.constructor import ConstructionSpec, Regime, Schedule, construct, visit_set
+from tsl.constructor import (
+    ConstructionSpec,
+    Regime,
+    Schedule,
+    construct,
+    iter_plan,
+    quadratic_schedule,
+    visit_set,
+)
 from tsl.errors import DomainError
 from tsl.polybank import TargetEntry, TargetEnumeration
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
@@ -24,17 +35,8 @@ DEGREE = 1 << 12
 
 def half_targets(count=4, degree=1):
     """Every slot holds (1 + z)/2 (or the constant 1) with l_k = 2: test circles of radius 1/2."""
-    if degree == 1:
-        exact, coeffs = ((1, 0, 2), (1, 0, 2)), [0.5, 0.5]
-    else:
-        exact, coeffs = ((1, 0, 1),), [1.0]
-    entry = TargetEntry(
-        exact=exact,
-        series=CoefficientSeries(np.array(coeffs, dtype=np.complex128)),
-        l_bound=2,
-        degree=degree,
-    )
-    return TargetEnumeration((entry,) * count)
+    exact = ((1, 0, 2), (1, 0, 2)) if degree == 1 else ((1, 0, 1),)
+    return TargetEnumeration((TargetEntry(exact, 2),) * count)
 
 
 def spec_at(alpha, max_degree):
@@ -65,19 +67,48 @@ class TestTailBound:
     def test_bounds_missed_coordinates(self, alpha, s, width, degree):
         cut = min(s + width, DEGREE + 1)
         targets = half_targets(degree=degree)
-        bound = truncation_tail_bound(spec_at(alpha, DEGREE), targets, s, 0.5, DEGREE, cut)
+        bound = truncation_tail_bound(spec_at(alpha, DEGREE), targets, s, 0.5, cut)
         assert missed_mass(alpha, s, cut, degree) <= bound
 
     def test_dropped_block_at_the_last_index_counts(self):
         # block 12 = [4096, 8191] is dropped whole, so f_4096 = 0 while the
         # planned function's coefficient there is +-1
         targets = half_targets(degree=0)
-        bound = truncation_tail_bound(spec_at(0.0, DEGREE), targets, DEGREE, 0.5, DEGREE, DEGREE + 1)
+        bound = truncation_tail_bound(spec_at(0.0, DEGREE), targets, DEGREE, 0.5, DEGREE + 1)
         assert bound >= missed_mass(0.0, DEGREE, DEGREE + 1, degree=0) >= 1.0
 
     def test_cut_must_follow_s(self):
         with pytest.raises(DomainError):
-            truncation_tail_bound(spec_at(0.0, DEGREE), half_targets(), 100, 0.5, DEGREE, 100)
+            truncation_tail_bound(spec_at(0.0, DEGREE), half_targets(), 100, 0.5, 100)
+        with pytest.raises(DomainError):
+            truncation_tail_bound(spec_at(0.0, DEGREE), half_targets(), -1, 0.5, 100)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        schedule=st.sampled_from(["dyadic", "u2"]),
+        alpha=st.sampled_from([-0.5, 0.0, 0.5]),
+        s=st.integers(0, DEGREE),
+        width=st.integers(1, DEGREE + 1),
+        radius=st.floats(0.01, 0.999),
+    )
+    @example(schedule="dyadic", alpha=0.0, s=1023, width=3, radius=0.5)  # last index of block 9
+    @example(schedule="dyadic", alpha=0.5, s=1024, width=61, radius=0.5)  # first index of block 10
+    @example(schedule="dyadic", alpha=-0.5, s=DEGREE, width=1, radius=0.999)
+    @example(schedule="u2", alpha=0.0, s=0, width=DEGREE + 1, radius=0.9)
+    @example(schedule="u2", alpha=0.5, s=511, width=2, radius=0.999)
+    def test_walk_from_s_equals_walk_from_block_zero(self, schedule, alpha, s, width, radius):
+        # the walk skips the blocks that end before s; a reference that walks
+        # from block 0 classifies them too and must read the same bits
+        spec = ConstructionSpec(
+            alpha=alpha, gamma=0.5, regime=Regime.RS, max_degree=DEGREE,
+            schedule=Schedule.DYADIC if schedule == "dyadic" else Schedule.U_SCHEDULE,
+            u=quadratic_schedule if schedule == "u2" else None,
+        )
+        targets = half_targets()
+        cut = min(s + width, DEGREE + 1)
+        with mock.patch.object(verify, "iter_plan", lambda spec, targets, start: iter_plan(spec, targets)):
+            reference = truncation_tail_bound(spec, targets, s, radius, cut)
+        assert truncation_tail_bound(spec, targets, s, radius, cut) == reference
 
 
 class TestCheckVisit:
@@ -95,7 +126,7 @@ class TestCheckVisit:
             folded = np.concatenate([dilated, np.zeros((-len(dilated)) % size)])
             g = np.fft.ifft(folded.reshape(-1, size).sum(axis=0)) * size
             full = float(np.max(np.abs(g - q)))
-            full += truncation_tail_bound(spec, targets, s, 0.5, DEGREE, DEGREE + 1)
+            full += truncation_tail_bound(spec, targets, s, 0.5, DEGREE + 1)
             got = check_visit(f, spec, targets, 1, s)
             assert got == pytest.approx(full, abs=1e-12)
             assert got >= full - 1e-15
@@ -108,13 +139,7 @@ class TestCheckVisit:
         # 1 / (1 - pi D / N) of a dense reference at 4N points
         l_bound, s = 100, 1000
         radius = 1.0 - 1.0 / l_bound
-        entry = TargetEntry(
-            exact=((1, 0, 1),),
-            series=CoefficientSeries(np.ones(1, dtype=np.complex128)),
-            l_bound=l_bound,
-            degree=0,
-        )
-        targets = TargetEnumeration((entry,) * 4)
+        targets = TargetEnumeration((TargetEntry(((1, 0, 1),), l_bound),) * 4)
         spec = spec_at(0.0, DEGREE << 1)
         d = effective_degree(radius, spec.max_degree - s)
         assert d + 1 > 4096
@@ -131,9 +156,19 @@ class TestCheckVisit:
         gap[0] -= 1.0
         n = 8 * (1 << d.bit_length())
         dense = float(np.abs(np.fft.ifft(gap * np.exp(j * math.log(radius)), n=4 * n)).max()) * 4 * n
-        tail = truncation_tail_bound(spec, targets, s, radius, spec.max_degree, s + d + 1)
+        tail = truncation_tail_bound(spec, targets, s, radius, s + d + 1)
         sampled = check_visit(CoefficientSeries(a), spec, targets, 1, s) - tail
         assert (1.0 - math.pi * d / n) * dense <= sampled <= dense * (1.0 + 1e-12)
+
+    def test_rejects_series_of_another_degree(self):
+        # the window would read this series and the tail the plan truncated at
+        # spec.max_degree: two different functions
+        targets = half_targets()
+        f, ledger = construct(spec_at(0.0, DEGREE), targets)
+        s = visit_set(spec_at(0.0, DEGREE), targets, 1, ledger).visits[0]
+        for degree in (DEGREE >> 1, DEGREE << 1):
+            with pytest.raises(DomainError, match="is not the spec's max_degree"):
+                check_visit(f, spec_at(0.0, degree), targets, 1, s)
 
     def test_bound_starts_after_the_window(self, monkeypatch):
         targets = half_targets()
@@ -141,7 +176,7 @@ class TestCheckVisit:
         f, _ = construct(spec, targets)
         cuts = []
 
-        def spy(spec, targets, s, radius, max_degree, cut):
+        def spy(spec, targets, s, radius, cut):
             cuts.append((s, cut))
             return 1.0
 
