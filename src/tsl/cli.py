@@ -123,13 +123,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def _read_input(path: str, what: str, parse: Callable[[str], T]) -> T:
     """`parse` of the text of an input file.
 
-    A file that cannot be opened or decoded, or holds a number too large
-    for a float, is a DomainError, like a malformed shape, which the
-    parsers report themselves.
+    A file that cannot be opened, decoded or parsed, or holds a number too
+    large for a float or an integer past Python's digit limit, is a
+    DomainError naming the file.  A malformed shape is one too, which the
+    parsers report themselves, with their own messages.
     """
     try:
         return parse(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, OverflowError) as exc:
+    except DomainError:
+        raise
+    except (OSError, ValueError, OverflowError) as exc:
         raise DomainError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -159,17 +162,21 @@ def _parse_p_list(text: str) -> list[float]:
 
 
 def _parse_grid(text: str, max_degree: int) -> list[float]:
-    """Exactly 'dyadic', 'dyadic:J' with an integer J >= 1, or a comma list of radii."""
+    """Exactly 'dyadic', 'dyadic:J' with an integer 1 <= J <= 53, or a comma list of radii."""
     if text == "dyadic":
         return dyadic_radii(max_degree)
     head, _, top = text.partition(":")
-    if head == "dyadic" and top.isdecimal() and int(top) >= 1:
+    digits = top.lstrip("0")
+    if head == "dyadic" and top.isdecimal() and digits:
+        # the length test keeps int() off strings past its digit limit
+        if len(digits) > 2 or int(digits) > 53:
+            raise DomainError(f"--grid dyadic:{top}: J must be at most 53, past which 1 - 2**-J rounds to 1")
         # the default grid of degree 2**(J + 1) runs j = 1 .. J
-        return dyadic_radii(1 << (int(top) + 1))
+        return dyadic_radii(1 << (int(digits) + 1))
     try:
         return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        msg = "--grid must be 'dyadic', 'dyadic:J' with J >= 1, or a comma list of radii"
+        msg = "--grid must be 'dyadic', 'dyadic:J' with 1 <= J <= 53, or a comma list of radii"
         raise DomainError(f"{msg}: {text!r}") from exc
 
 

@@ -196,21 +196,23 @@ def target_gate(l: int, d: int, alpha: float, regime: Regime, q: float = math.in
     The sign-family gate takes l**2 * (1+d)**(2*max(alpha,0)) as its first
     argument; the star-family gate replaces the exponents 2 by the
     conjugate exponent q.  For q = infinity the star gate falls back to
-    the exponent-2 form so it stays finite.
+    the exponent-2 form so it stays finite.  A gate past the float range
+    is a DomainError.
     """
     if l < 1:
         raise DomainError("gate bound l must be >= 1")
     if d < 0:
         raise DomainError("gate degree must be >= 0")
+    if not (regime is Regime.RS or q >= 1.0):
+        raise DomainError("conjugate exponent must be >= 1")
     a_plus = max(alpha, 0.0)
-    if regime is Regime.RS or q == math.inf:
-        first = float(l) ** 2 * (1.0 + d) ** (2.0 * a_plus)
-    else:
-        if not q >= 1.0:
-            raise DomainError("conjugate exponent must be >= 1")
-        first = float(l) ** q * (1.0 + d) ** (q * a_plus)
-    second = d + max(3.0, 3.0 + alpha) * l * l + a_plus * l * math.log(1.0 + d)
-    return 1 + math.floor(max(first, second))
+    exponent = 2.0 if regime is Regime.RS or q == math.inf else q
+    try:
+        first = float(l) ** exponent * (1.0 + d) ** (exponent * a_plus)
+        second = d + max(3.0, 3.0 + alpha) * l * l + a_plus * l * math.log(1.0 + d)
+        return 1 + math.floor(max(first, second))
+    except OverflowError:
+        raise DomainError(f"the gate of l = {l} at degree {d} exceeds the float range") from None
 
 
 def block_indices(

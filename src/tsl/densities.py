@@ -218,11 +218,6 @@ def log_weight_sum(n: int, gamma: float) -> float:
     return float(_log_weight_sums(gamma, np.array([n]))[0])
 
 
-def prefix_density(prefix_set: PrefixSet, gamma: float, n: int) -> float:
-    """Weighted mass of the set inside [1, n] over the full weighted mass."""
-    return prefix_density_profile(prefix_set, gamma, [n])[0][1]
-
-
 def prefix_density_profile(
     prefix_set: PrefixSet, gamma: float, horizons: list[int]
 ) -> list[tuple[int, float, float, float]]:

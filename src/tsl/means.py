@@ -3,21 +3,22 @@
 Both routes work on the series' support, the indices of its nonzero
 coefficients.  For p = 2 the mean comes straight from those coefficients
 (Parseval).  For other finite p, and for p = infinity, the circle is
-sampled by `circle_samples`, the one circle sampler of the package.  Its
-degree is the last nonzero index (0 for the zero series), not the length
-of the coefficient array.  On a circle of radius r it keeps only the
+sampled by the reduction behind `circle_mean`, the one circle reducer of
+the package, which every sampled mean and sup goes through.  Its degree
+is the last nonzero index (0 for the zero series), not the length of
+the coefficient array.  On a circle of radius r it keeps only the
 coefficients up to the effective degree D of that degree, the last index
 with r**D >= 2**-60, and samples at the next power of two above
 4*(D+1) points (8*(D+1) for p = infinity, whose sampled sup is a
 documented lower estimate).  So the FFT of a radius well inside the disc
 is sized on the degree that radius can see, not on the full degree; at
 r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  Every count
-is derived, none is set: `circle_samples` itself takes the p = infinity
-count.  A mean reduces the sampler's phase blocks one at a time, so it
-never holds all samples at once.  Where every nonzero index is one
-residue mod a power of two g, the stride (blocks z**lo * S(z**gate) on
-constant targets), the modulus has period N / g around the circle, so a
-mean transforms N / g points, and its row still names the N it stands for.
+is derived, none is set.  The reducer takes the sampler's phase blocks
+one at a time, so it never holds all samples at once.  Where every
+nonzero index is one residue mod a power of two g, the stride (blocks
+z**lo * S(z**gate) on constant targets), the modulus has period N / g
+around the circle, so a mean transforms N / g points, and its row still
+names the N it stands for.
 
 `dyadic_mean2_profile` is the one planned-mean entry: it evaluates the
 L^2 mean of a *planned* block construction at radii 1 - 2**-j without
@@ -62,6 +63,7 @@ _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
 _TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
 _EXACT_TERMS = 1 << 16  # position sums with more terms that matter are bracketed
 _CSV_HEADER = "p,r,value,quadrature_size"
+_Support = tuple[np.ndarray, int, int]  # `_support`'s nonzero indices, last index and stride
 
 
 def _check_p(p: float) -> None:
@@ -184,7 +186,7 @@ def effective_degree(r: float, degree: int) -> int:
     return min(degree, int(_TAIL_BITS / -math.log2(r)))
 
 
-def _support(coeffs: np.ndarray) -> tuple[np.ndarray, int, int]:
+def _support(coeffs: np.ndarray) -> _Support:
     """Nonzero indices, the last of them (0 if none), and their stride.
 
     The stride is the largest power of two dividing every index difference (1 if none).
@@ -196,22 +198,23 @@ def _support(coeffs: np.ndarray) -> tuple[np.ndarray, int, int]:
     return support, int(support[-1]), spread & -spread
 
 
-def _phase_blocks(
-    coeffs: np.ndarray, r: float, p: float, last: int, stride: int, residue: int
-) -> Iterator[np.ndarray]:
+def _phase_blocks(coeffs: np.ndarray, support: _Support, p: float, r: float) -> Iterator[np.ndarray]:
     """Values whose moduli are |P| at `_sample_count(D, p)` points, one phase block at a time.
 
-    `last` is the last nonzero index of `coeffs`; every nonzero index is
-    residue mod g = stride, a power of two at most next_pow2(D + 1).  So
-    |P(r w)|, w = exp(2 pi i k / size), depends on k mod size / g alone:
-    it is |Q(w**g)|, Q the dilated coefficients at residue, residue + g,
-    ... up to D.  With m the window's next power of two, the
-    size / g / m blocks are phase-shifted m-point FFTs of Q: block a
-    holds the values at t * size / g / m + a of the zero-padded
-    (size / g)-point FFT, without its long work buffers.  At g = 1 and
-    residue 0, Q is P and the blocks hold P's values themselves.
+    `support` is `_support(coeffs)`: every nonzero index up to the last is
+    residue mod its stride, capped here at g = next_pow2(D + 1) so that
+    the size / g points cover the window.  So |P(r w)|, w = exp(2 pi i k
+    / size), depends on k mod size / g alone: it is |Q(w**g)|, Q the
+    dilated coefficients at residue, residue + g, ... up to D.  With m
+    the window's next power of two, the size / g / m blocks are
+    phase-shifted m-point FFTs of Q: block a holds the values at t * size
+    / g / m + a of the zero-padded (size / g)-point FFT, without its long
+    work buffers.  At g = 1, Q is P and the blocks hold P's values themselves.
     """
+    nonzero, last, stride = support
     degree = effective_degree(r, last)
+    stride = min(stride, _next_pow2(degree + 1))
+    residue = int(nonzero[0]) % stride if nonzero.size else 0
     points = _sample_count(degree, p) // stride
     window = np.asarray(coeffs[residue : degree + 1 : stride], dtype=np.complex128)
     if 0.0 < r < 1.0:
@@ -223,57 +226,48 @@ def _phase_blocks(
         window = window * step
 
 
-def circle_samples(coeffs: np.ndarray, r: float) -> np.ndarray:
-    """Polynomial values at 8 * next_pow2(D + 1) equispaced points of the circle of radius r.
+def _circle_reduce(coeffs: np.ndarray, support: _Support, p: float, r: float) -> float:
+    """The L^p mean of |P| over its `_phase_blocks`: the max at p = inf, else the power mean.
 
-    Value k is taken at r * exp(2 pi i k / N), N the point count.  The
-    degree is the last nonzero index, so trailing zero coefficients cost
-    nothing.  Only coefficients 0 .. D = effective_degree(r, degree) are
-    dilated and sampled; the dropped tail is below
-    2**-60 * max|c| / (1 - r) in modulus.  N is the count of a p = inf
-    row and exceeds pi * D, so a sampled sup lies within the Bernstein
-    factor 1 / (1 - pi * D / N) of the true sup.
+    Each phase block is reduced as it arrives, so the samples are never
+    all held; a sample of a strided series stands for stride points.
     """
-    _, last, _ = _support(coeffs)
-    return np.column_stack(list(_phase_blocks(coeffs, r, math.inf, last, 1, 0))).reshape(-1)
-
-
-def _mean_row(
-    series: CoefficientSeries,
-    support: tuple[np.ndarray, int, int],
-    p: float,
-    r: float,
-) -> MeanRow:
-    """One (p, r) row from the series' `_support`: Parseval at p = 2, else sampled."""
     _check_p(p)
+    blocks = _phase_blocks(coeffs, support, p, r)
+    if p == math.inf:
+        return max(float(np.abs(block).max()) for block in blocks)
+    power_sum, points = 0.0, 0
+    for block in blocks:
+        power_sum += float(np.sum(np.abs(block) ** p))
+        points += block.size
+    return (power_sum / points) ** (1.0 / p)
+
+
+def circle_mean(coeffs: np.ndarray, p: float, r: float) -> float:
+    """L^p mean of the polynomial on the circle of radius r in [0, 1], p in [1, infinity].
+
+    The entry of the package's one circle reduction, which the sampled
+    `means_table` rows share.  The degree is the last nonzero index, so
+    trailing zero coefficients cost nothing, and only coefficients 0 ..
+    D = effective_degree(r, degree) are dilated and sampled; the dropped
+    tail is below 2**-60 * max|c| / (1 - r) in modulus.  The polynomial
+    is sampled at N = 4 * next_pow2(D + 1) equispaced points, 8 *
+    next_pow2(D + 1) at p = infinity, whose N exceeds pi * D, so the
+    sampled sup lies within the Bernstein factor 1 / (1 - pi * D / N) of
+    the true sup.
+    """
+    return _circle_reduce(coeffs, _support(coeffs), p, r)
+
+
+def _mean_row(series: CoefficientSeries, support: _Support, p: float, r: float) -> MeanRow:
+    """One (p, r) row from the series' `_support`: Parseval at p = 2, else `_circle_reduce`."""
     a = series.coefficients
-    nonzero, last, stride = support
     if p == 2.0:
+        nonzero = support[0]
         dilated = a[nonzero] * np.exp(nonzero * math.log(r))
         return MeanRow(p, r, math.sqrt(float(np.sum(np.abs(dilated) ** 2))), 0)
-    degree = effective_degree(r, last)
-    size = _sample_count(degree, p)
-    stride = min(stride, _next_pow2(degree + 1))  # size / stride must cover the window
-    residue = int(nonzero[0]) % stride if nonzero.size else 0
-    blocks = _phase_blocks(a, r, p, last, stride, residue)
-    # reduce each phase block as it arrives; the samples are never all held
-    if p == math.inf:
-        value = max(float(np.abs(block).max()) for block in blocks)
-    else:
-        power_sum = sum(float(np.sum(np.abs(block) ** p)) for block in blocks)
-        value = (power_sum / (size // stride)) ** (1.0 / p)  # each sample stands for stride points
-    return MeanRow(p, r, value, size)
-
-
-def mean_p(series: CoefficientSeries, p: float, r: float) -> float:
-    """Radial L^p mean of the series on the circle of radius r in (0, 1)."""
-    _check_radius(r)
-    return _mean_row(series, _support(series.coefficients), p, r).value
-
-
-def circle_norm(series: CoefficientSeries, p: float) -> float:
-    """L^p norm on the unit circle itself (the r = 1 limit of mean_p)."""
-    return _mean_row(series, _support(series.coefficients), p, 1.0).value
+    value = _circle_reduce(a, support, p, r)
+    return MeanRow(p, r, value, _sample_count(effective_degree(r, support[1]), p))
 
 
 def means_table(

@@ -121,7 +121,10 @@ class TargetEntry:
 
     The float image `series` and the degree (index of the last nonzero
     coefficient, 0 for the zero polynomial) are derived from `exact` when
-    the entry is made, so they cannot disagree with it.
+    the entry is made, so they cannot disagree with it.  Each part a/c
+    and b/c is correctly rounded (integer true division, the value of
+    float(Fraction(a, c))), so a coefficient below the float range reads
+    0 and one above it is a DomainError.
     """
 
     exact: tuple[tuple[int, int, int], ...]  # (a, b, c): (a + b*i)/c per index
@@ -130,7 +133,10 @@ class TargetEntry:
     degree: int = field(init=False)
 
     def __post_init__(self) -> None:
-        coeffs = np.array([complex(a, b) / c for a, b, c in self.exact])
+        try:
+            coeffs = np.array([complex(a / c, b / c) for a, b, c in self.exact])
+        except OverflowError:
+            raise DomainError("a target coefficient exceeds the float range") from None
         object.__setattr__(self, "series", CoefficientSeries(coeffs))
         degree = max((j for j, (a, b, _) in enumerate(self.exact) if a or b), default=0)
         object.__setattr__(self, "degree", degree)
@@ -182,7 +188,10 @@ class TargetEnumeration:
             )
         entries = []
         for k, rec in enumerate(obj, start=1):
-            entry = TargetEntry(tuple(tuple(t) for t in rec["coefficients"]), rec["l_k"])
+            try:
+                entry = TargetEntry(tuple(tuple(t) for t in rec["coefficients"]), rec["l_k"])
+            except DomainError as exc:
+                raise DomainError(f"target {k}: {exc}") from None
             if entry.degree != rec["degree"]:
                 raise DomainError(f"degree of target {k} disagrees with its coefficients")
             entries.append(entry)

@@ -30,18 +30,16 @@ from tsl.constructor import (
     quadratic_schedule,
     visit_set,
 )
-from tsl.densities import prefix_density, prefix_density_profile, separating_set
+from tsl.densities import prefix_density_profile, separating_set
 from tsl.errors import DomainError
 from tsl.means import (
     _line_fit,
-    circle_norm,
-    circle_samples,
+    circle_mean,
     conjugate_exponent,
     critical_exponent,
     dyadic_mean2_profile,
     dyadic_radii,
     fit_growth_exponent,
-    mean_p,
     means_table,
 )
 from tsl.polybank import (
@@ -77,9 +75,7 @@ def check_rs_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     rows = []
     for e in range(2, 15):
         n = 1 << e
-        poly = rudin_shapiro(n)
-        series = CoefficientSeries(poly.coefficients.astype(np.complex128))
-        sup = circle_norm(series, math.inf)
+        sup = circle_mean(rudin_shapiro(n).coefficients, math.inf, 1.0)
         ratio = sup / (5.0 * math.sqrt(n))
         worst = max(worst, ratio)
         rows.append({"N": n, "sup": sup, "bound": 5.0 * math.sqrt(n)})
@@ -94,11 +90,11 @@ def check_star_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
         n = 1 << e
         poly = vdlp_star(n)
         count_ok = count_ok and int((poly.coefficients == 1.0).sum()) >= n // 4
-        series = CoefficientSeries(poly.coefficients.astype(np.complex128))
+        coeffs = poly.coefficients.astype(np.complex128)
         for p in (1.0, 1.5, 2.0):
             q = conjugate_exponent(p)
             bound = 3.0 * (1.0 if q == math.inf else n ** (1.0 / q))
-            val = circle_norm(series, p)
+            val = circle_mean(coeffs, p, 1.0)
             worst = max(worst, val / bound)
     return _report("star-bound", worst <= 1.0 and count_ok, worst_ratio=worst, plus_counts_ok=count_ok)
 
@@ -126,23 +122,15 @@ def check_shift_telescoping(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     return _report("shift-telescoping", worst <= 1e-12, worst_rel=worst)
 
 
-def _mean2_quadrature(series: CoefficientSeries, r: float) -> float:
-    samples = np.abs(circle_samples(series.coefficients, r))
-    return float(np.sqrt(np.mean(samples**2)))
-
-
 def check_parseval(seed: int = DEFAULT_SEED) -> dict[str, Any]:
-    """Coefficient-side L^2 means agree with quadrature to 1e-8."""
+    """Coefficient-side L^2 means (Parseval) agree with sampled ones to 1e-8."""
     rng = np.random.Generator(np.random.PCG64(seed + 1))
     worst = 0.0
     for _ in range(100):
         degree = int(rng.integers(0, 513))
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        series = CoefficientSeries(coeffs)
-        for r in (0.3, 0.9):
-            a = mean_p(series, 2.0, r)
-            b = _mean2_quadrature(series, r)
-            worst = max(worst, abs(a - b))
+        for row in means_table(CoefficientSeries(coeffs), [2.0], [0.3, 0.9]).rows:
+            worst = max(worst, abs(row.value - circle_mean(coeffs, 2.0, row.r)))
     return _report("parseval", worst <= 1e-8, worst_abs=worst)
 
 
@@ -154,7 +142,7 @@ def check_density_separation(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     rows = []
     for gamma in (0.3, 0.5, 0.8):
         ds = separating_set(gamma, horizon)
-        ratio = prefix_density(ds, gamma, horizon)
+        ratio = prefix_density_profile(ds, gamma, [horizon])[0][1]
         target = 1.0 - math.exp(-gamma)
         dyadic = [row[1] for row in prefix_density_profile(ds, gamma / 2.0, dyadic_horizons)]
         low = dyadic[-1]
@@ -298,7 +286,7 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     below any workable threshold, and the zero polynomial ahead of it
     has no built block, hence no visit and no negative control.  Each
     visit error is a sup sampled on 8 * next_pow2(D + 1) points, D the
-    effective degree at the test radius (`means.circle_samples`).
+    effective degree at the test radius (`means.circle_mean`).
     """
     targets = visit_fixture_targets()
     spec = ConstructionSpec(

@@ -8,7 +8,7 @@ coefficients; index j holds the z^j coefficient.  The shift acts by
 `apply_shift` is one step, and the n-th power collapses the weight
 product by telescoping to ((j+n+1)/(j+1))**alpha, which is what
 `apply_shift_power` evaluates.  The module holds coefficients only: the
-values of a series on a circle come from `means.circle_samples`.
+values of a series on a circle come from `means.circle_mean`.
 
 A series file is the JSON object
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from tsl.constructor import ConstructionSpec, iter_plan
 from tsl.errors import DomainError
-from tsl.means import circle_samples, effective_degree
+from tsl.means import circle_mean, effective_degree
 from tsl.polybank import TargetEnumeration, index_weighted
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
 
@@ -181,10 +181,12 @@ def check_visit(
     The test circle has radius 1 - 1/l_k.  Only the shift window
     [s, s + D] of f enters, D the effective degree of that radius
     (`means.effective_degree`): its closed-form shift power minus the
-    target, coefficient by coefficient, is sampled once by
-    `means.circle_samples` on N = 8 * next_pow2(D + 1) equispaced points,
-    so N > pi * D and the sampled maximum is within the Bernstein factor
-    1 / (1 - pi * D / N) of the sup.  The result is the sampled maximum of
+    target, coefficient by coefficient, is reduced once by
+    `means.circle_mean` at p = infinity, on N = 8 * next_pow2(D + 1)
+    equispaced points (N / g of them computed where every nonzero index
+    of that gap is one residue mod a power of two g), so N > pi * D and
+    the sampled maximum is within the Bernstein factor 1 / (1 - pi * D /
+    N) of the sup.  The result is the sampled maximum of
     |orbit - target| plus `truncation_tail_bound` from
     min(s + D + 1, max_degree + 1) on, which covers both the coefficients
     past the window and the blocks the truncation dropped.  A series whose
@@ -196,15 +198,14 @@ def check_visit(
     if not 0 <= s <= f.max_degree:
         raise DomainError("visit time must lie in [0, series degree]")
     entry = targets.entry(k)
-    radius = 1.0 - 1.0 / entry.l_bound
+    radius = 1.0 - 1 / entry.l_bound  # int division: an l past the float range gives radius 1
     window = effective_degree(radius, f.max_degree - s) + 1
     orbit = apply_shift_power(f, s, ShiftParams(spec.alpha), length=window).coefficients
     target = entry.series.coefficients
     gap = np.zeros(max(len(orbit), len(target)), dtype=np.complex128)
     gap[: len(orbit)] = orbit
     gap[: len(target)] -= target
-    err = float(np.max(np.abs(circle_samples(gap, radius))))
-    return err + truncation_tail_bound(spec, targets, s, radius, s + window)
+    return circle_mean(gap, math.inf, radius) + truncation_tail_bound(spec, targets, s, radius, s + window)
 
 
 def run_power_sum_suite(n_instances: int, master_seed: int) -> list[OracleVerdict]:

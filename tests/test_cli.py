@@ -20,6 +20,27 @@ def _density_rows(path):
     return path.read_text().splitlines()[1:]
 
 
+def _run_on_input(tmp_path, command, text, flags):
+    """Exit code of `command` reading `text` (None: a missing file) as its input, out to tmp_path/out."""
+    path = tmp_path / "input"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    if command == "construct":
+        argv = ["construct", "--max-degree", "4096", "--targets", str(path),
+                "--out", str(out), "--ledger", str(tmp_path / "ledger.csv")]
+    elif command == "config":
+        argv = ["targets", "--config", str(path), "--out", str(out)]
+    else:
+        argv = [command, "--in", str(path), "--out", str(out)]
+    return main(argv + flags)
+
+
+# an integer literal past Python's 4,300-digit limit for int parsing
+HUGE = "1" + "0" * 4999
+
 # a fittable means table: four p = 2 rows at distinct radii
 FOUR_ROWS = "p,r,value,quadrature_size\n" + "".join(
     f"2,{r},{v},0\n" for r, v in ((0.5, 1.0), (0.75, 2.0), (0.875, 3.0), (0.9375, 4.0))
@@ -81,6 +102,10 @@ class TestExitCodes:
             ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:2.5"]),
             ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:"]),
             ("means", '{"max_degree": 1, "terms": []}', ["--grid", "0.5,,0.75"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:54"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:60"]),
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:" + HUGE]),
+            ("means", '{"max_degree": %s, "terms": []}' % HUGE, []),
             ("means", None, []),
             ("means", b"\xff\xfe{", []),
             ("construct", None, []),
@@ -93,6 +118,10 @@ class TestExitCodes:
             ("construct", '[{"degree": 0, "l_k": 1, "coefficients": [[1%s, 0, 1]]}]' % ("0" * 400), []),
             ("construct", '[{"k": 1, "degree": 1, "l_k": 1, "coefficients": [[1, 0, 1]]}]', []),
             ("construct", '[{"k": 1, "degree": 0, "l_k": 1, "coefficients": [[1, 1, 1]]}]', []),
+            ("construct", '[{"degree": 0, "l_k": %s, "coefficients": [[1, 0, 1]]}]' % HUGE, []),
+            ("construct", '[{"degree": 0, "l_k": 1%s, "coefficients": [[1, 0, 1]]}]' % ("0" * 200), []),
+            ("construct", '[{"degree": 0, "l_k": 1%s, "coefficients": [[1, 0, 1]]}]' % ("0" * 400), []),
+            ("config", '{"count": %s}' % HUGE, []),
             ("fit", "p,r,value,quadrature_size\n2,0.5,1\n", []),
             ("fit", "p,r,value,quadrature_size\n2,half,1.0,0\n", []),
             ("fit", "p,r,value\n2,0.5,1.0\n", []),
@@ -105,30 +134,46 @@ class TestExitCodes:
         ids=[
             "p-abc", "grid-dyadic-x", "grid-foo", "grid-dyadic-suffix", "grid-dyadic-0",
             "grid-dyadic-negative", "grid-dyadic-fraction", "grid-dyadic-empty", "grid-empty-radius",
+            "grid-dyadic-54", "grid-dyadic-60", "grid-dyadic-huge", "series-5000-digits",
             "series-missing", "series-not-utf8",
             "targets-missing", "targets-no-keys", "targets-not-json", "targets-not-a-list",
             "targets-zero-denominator", "targets-float-coefficient", "targets-zero-bound",
             "targets-huge-coefficient", "targets-wrong-degree", "targets-bound-below-norm",
+            "targets-5000-digits", "targets-bound-1e200", "targets-bound-1e400", "config-5000-digits",
             "means-three-columns", "means-non-numeric-r", "means-wrong-header", "means-missing",
             "means-radius-past-one", "means-radius-one", "means-negative-size",
             "means-repeated-row",
         ],
     )
     def test_malformed_input_is_a_domain_error(self, tmp_path, capsys, command, text, flags):
-        path = tmp_path / "input"
-        if isinstance(text, bytes):
-            path.write_bytes(text)
-        elif text is not None:  # None: the file is missing
-            path.write_text(text)
-        out = tmp_path / "out"
-        if command == "construct":
-            argv = ["construct", "--max-degree", "4096", "--targets", str(path),
-                    "--out", str(out), "--ledger", str(tmp_path / "ledger.csv")]
-        else:
-            argv = [command, "--in", str(path), "--out", str(out)]
-        assert main(argv + flags) == 1
+        assert _run_on_input(tmp_path, command, text, flags) == 1
         assert _single_error_line(capsys)
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,text,flags,named",
+        [
+            ("means", '{"max_degree": 1, "terms": []}', ["--grid", "dyadic:54"], ["dyadic:54", "53"]),
+            ("means", '{"max_degree": %s, "terms": []}' % HUGE, [], ["input series", "input", "4300"]),
+            ("construct", '[{"degree": 0, "l_k": %s, "coefficients": [[1, 0, 1]]}]' % HUGE, [],
+             ["targets file", "input"]),
+            ("construct", '[{"degree": 0, "l_k": 1%s, "coefficients": [[1, 0, 1]]}]' % ("0" * 400), [],
+             ["l = 1" + "0" * 400 + " "]),
+            ("construct", '[{"degree": 0, "l_k": 1%s, "coefficients": [[1%s, 0, 1]]}]' % ("0" * 400, "0" * 400),
+             [], ["target 1"]),
+            ("config", '{"count": %s}' % HUGE, [], ["config file", "input"]),
+            # a parser's own DomainError passes through with its message unchanged
+            ("construct", '[{"degree": 1, "l_k": 1, "coefficients": [[1, 0, 1]]}]', [],
+             ["error: degree of target 1 disagrees with its coefficients"]),
+        ],
+        ids=["grid-dyadic-54", "series-5000-digits", "targets-5000-digits", "targets-bound-1e400",
+             "targets-numerator-1e400", "config-5000-digits", "targets-parser-message"],
+    )
+    def test_oversized_input_names_its_cause(self, tmp_path, capsys, command, text, flags, named):
+        assert _run_on_input(tmp_path, command, text, flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in named), err
 
     def test_series_degree_above_limit_is_a_domain_error(self, tmp_path, capsys):
         path = tmp_path / "f.json"

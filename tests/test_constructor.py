@@ -27,7 +27,7 @@ from tsl.constructor import (
     visit_set,
 )
 from tsl.errors import DomainError
-from tsl.means import mean_p
+from tsl.means import means_table
 from tsl.polybank import (
     TargetEntry,
     TargetEnumeration,
@@ -83,6 +83,16 @@ class TestTargetGate:
             target_gate(0, 0, 0.0, Regime.RS)
         with pytest.raises(DomainError):
             target_gate(1, -1, 0.0, Regime.RS)
+
+    @pytest.mark.parametrize("l", [10**154, 10**200, 10**400])
+    @pytest.mark.parametrize("regime,q", [(Regime.RS, math.inf), (Regime.STAR, 3.0)])
+    def test_gate_past_the_float_range_names_l(self, l, regime, q):
+        # l**2 = 1e308 still fits, but 3 l**2 does not
+        with pytest.raises(DomainError, match=f"l = {l} "):
+            target_gate(l, 0, 0.0, regime, q)
+
+    def test_gate_below_the_float_limit(self):
+        assert target_gate(10**150, 0, 0.0, Regime.RS) == 1 + math.floor(3.0 * 10**150 * 10**150)
 
     @pytest.mark.parametrize("q", [0.5, math.nan, -math.inf])
     def test_rejects_conjugate_exponent_below_one(self, q):
@@ -425,7 +435,8 @@ class TestBlockNormBounds:
     @staticmethod
     def _log_block_mean(series, rec, p, r):
         content = CoefficientSeries(series.coefficients[rec.lo : rec.hi + 1])
-        val = mean_p(content, p, r)
+        (row,) = means_table(content, [p], [r]).rows
+        val = row.value
         if val == 0.0:
             return -math.inf
         return math.log(val) + rec.lo * math.log(r)

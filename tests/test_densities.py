@@ -11,7 +11,6 @@ from tsl import densities
 from tsl.densities import (
     PrefixSet,
     log_weight_sum,
-    prefix_density,
     prefix_density_profile,
     separating_set,
 )
@@ -71,21 +70,21 @@ class TestPrefixDensity:
         n = 4096
         full = PrefixSet(np.arange(1, n + 1), n)
         for gamma in (0.0, 0.3, 1.0):
-            assert prefix_density(full, gamma, n) == pytest.approx(1.0, abs=1e-12)
+            assert prefix_density_profile(full, gamma, [n])[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_evens_natural_density(self):
         n = 1 << 20
         evens = PrefixSet(np.arange(2, n + 1, 2), n)
-        assert prefix_density(evens, 0.0, n) == pytest.approx(0.5, abs=1e-5)
+        assert prefix_density_profile(evens, 0.0, [n])[0][1] == pytest.approx(0.5, abs=1e-5)
 
     def test_horizon_beyond_set_rejected(self):
         s = PrefixSet(np.array([1, 2]), 10)
         with pytest.raises(DomainError):
-            prefix_density(s, 0.5, 11)
+            prefix_density_profile(s, 0.5, [11])
 
     def test_empty_set(self):
         s = PrefixSet(np.array([], dtype=np.int64), 100)
-        assert prefix_density(s, 0.5, 100) == 0.0
+        assert prefix_density_profile(s, 0.5, [100])[0][1] == 0.0
 
     def test_values_in_unit_interval(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -94,7 +93,7 @@ class TestPrefixDensity:
             members = np.nonzero(rng.random(n) < rng.uniform(0.05, 0.9))[0] + 1
             s = PrefixSet(members, n)
             for gamma in (0.0, 0.4, 1.0):
-                d = prefix_density(s, gamma, n)
+                d = prefix_density_profile(s, gamma, [n])[0][1]
                 assert 0.0 <= d <= 1.0
 
 
@@ -110,14 +109,14 @@ class TestSeparatingSet:
     def test_density_at_own_gamma(self):
         horizon = 1 << 20
         s = separating_set(0.5, horizon)
-        assert prefix_density(s, 0.5, horizon) >= 0.3
+        assert prefix_density_profile(s, 0.5, [horizon])[0][1] >= 0.3
 
     def test_density_collapses_below(self):
         horizon = 1 << 20
         s = separating_set(0.5, horizon)
-        low = prefix_density(s, 0.25, horizon)
+        low = prefix_density_profile(s, 0.25, [horizon])[0][1]
         assert low <= 0.05
-        profile = [prefix_density(s, 0.25, 1 << m) for m in range(12, 21)]
+        profile = [row[1] for row in prefix_density_profile(s, 0.25, [1 << m for m in range(12, 21)])]
         assert all(b <= a + 1e-12 for a, b in zip(profile, profile[1:]))
 
     @pytest.mark.parametrize("gamma", (1e-5, 0.04, 5e-324))
@@ -125,7 +124,7 @@ class TestSeparatingSet:
         # the first exponent int(1/gamma) + 1 is past the bit length of n_max
         s = separating_set(gamma, 100)
         assert s.members.size == 0 and s.n_max == 100
-        assert prefix_density(s, gamma, 100) == 0.0
+        assert prefix_density_profile(s, gamma, [100])[0][1] == 0.0
 
     @pytest.mark.parametrize("n_max", [1, 5, 100, 4097, 1 << 14, (1 << 16) + 3])
     def test_members_are_the_union_of_the_intervals(self, n_max):
@@ -262,7 +261,7 @@ class TestPrefixSetInvariants:
         with pytest.raises(DomainError):
             prefix_density_profile(ds, 0.5, [2.9])
         with pytest.raises(DomainError):
-            prefix_density(ds, 0.5, 2.5)
+            prefix_density_profile(ds, 0.5, [2.5])
         assert prefix_density_profile(ds, 0.5, [2.0]) == prefix_density_profile(ds, 0.5, [2])
 
 
@@ -353,7 +352,7 @@ class TestEngine:
         horizons = [1 << m for m in range(4, 17)] + [777, 5]
         for gamma in (0.0, 0.3, 1.0):
             for n, ratio, _, log_den in prefix_density_profile(s, gamma, horizons):
-                assert prefix_density(s, gamma, n) == pytest.approx(ratio, abs=1e-12)
+                assert prefix_density_profile(s, gamma, [n])[0][1] == pytest.approx(ratio, abs=1e-12)
                 assert log_weight_sum(n, gamma) == pytest.approx(log_den, rel=1e-12)
 
     def test_empty_horizon_list(self):

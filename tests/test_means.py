@@ -25,14 +25,12 @@ from tsl.means import (
     _ln_block_integral,
     _position_sums,
     _support,
-    circle_norm,
-    circle_samples,
+    circle_mean,
     conjugate_exponent,
     critical_exponent,
     dyadic_mean2_profile,
     dyadic_radii,
     effective_degree,
-    mean_p,
     means_table,
 )
 from tsl.polybank import enumerate_targets, index_weighted
@@ -83,7 +81,22 @@ def _horner(coeffs, z):
     return acc
 
 
-class TestCircleSamples:
+def stacked_samples(coeffs, r):
+    """The unstrided p = inf phase blocks, assembled into circle order: value k at r exp(2 pi i k / N)."""
+    nonzero, last, _ = _support(coeffs)
+    blocks = means_module._phase_blocks(coeffs, (nonzero, last, 1), math.inf, r)
+    return np.column_stack(list(blocks)).reshape(-1)
+
+
+def direct_mean(coeffs, p, r):
+    """The L^p mean of np.polyval at circle_mean's own N points, N = 4 or 8 * next_pow2(D + 1)."""
+    d = effective_degree(r, len(coeffs) - 1)
+    size = (8 if p == math.inf else 4) * next_pow2(d + 1)
+    vals = np.abs(np.polyval(coeffs[: d + 1][::-1], r * np.exp(2j * np.pi * np.arange(size) / size)))
+    return vals.max() if p == math.inf else np.mean(vals**p) ** (1.0 / p)
+
+
+class TestPhaseBlocks:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         degree=st.integers(0, 2000),
@@ -93,7 +106,7 @@ class TestCircleSamples:
     )
     def test_matches_high_precision_horner(self, degree, seed, r, data):
         coeffs = random_series(degree, seed).coefficients
-        values = circle_samples(coeffs, r)
+        values = stacked_samples(coeffs, r)
         size = 8 * next_pow2(effective_degree(r, degree) + 1)
         assert values.shape == (size,)
         tol = 1e-12 * float(np.sum(np.abs(coeffs) * r ** np.arange(degree + 1)))
@@ -105,20 +118,45 @@ class TestCircleSamples:
 
     def test_default_size(self):
         coeffs = random_series(1000, 1).coefficients
-        assert len(circle_samples(coeffs, 0.5)) == 8 * next_pow2(61)
-        assert len(circle_samples(coeffs, 0.999)) == 8 * next_pow2(1001)
+        assert len(stacked_samples(coeffs, 0.5)) == 8 * next_pow2(61)
+        assert len(stacked_samples(coeffs, 0.999)) == 8 * next_pow2(1001)
 
     def test_radius_zero_is_constant_term(self):
         coeffs = random_series(50, 2).coefficients
-        values = circle_samples(coeffs, 0.0)
+        values = stacked_samples(coeffs, 0.0)
         assert len(values) == 8 and np.all(values == coeffs[0])
+        for p in (1.0, 1.5, 2.0, math.inf):
+            assert circle_mean(coeffs, p, 0.0) == pytest.approx(abs(coeffs[0]), rel=1e-15)
 
-    def test_rejects_empty_size(self):
+
+class TestCircleMean:
+    @pytest.mark.parametrize("p", (1.0, 1.5, 2.0, math.inf))
+    @pytest.mark.parametrize("r", (0.0, 0.5, 1.0))
+    @pytest.mark.parametrize("degree", (0, 37, 300))
+    def test_matches_direct_evaluation(self, p, r, degree):
+        coeffs = random_series(degree, degree + 17).coefficients
+        assert circle_mean(coeffs, p, r) == pytest.approx(direct_mean(coeffs, p, r), rel=1e-12)
+
+    def test_p2_on_the_unit_circle_is_parseval(self):
+        a = random_series(3000, 3).coefficients
+        assert circle_mean(a, 2.0, 1.0) == pytest.approx(math.sqrt(float(np.sum(np.abs(a) ** 2))), rel=1e-13)
+
+    @pytest.mark.parametrize("p", (0.5, 0.0, -1.0, math.nan, -math.inf))
+    def test_rejects_p_below_one(self, p):
+        with pytest.raises(DomainError):
+            circle_mean(np.ones(4, dtype=np.complex128), p, 0.5)
+
+    @pytest.mark.parametrize("r", (-0.1, 1.5, math.nan, math.inf))
+    def test_rejects_radius_outside_the_closed_disc(self, r):
+        with pytest.raises(DomainError):
+            circle_mean(np.ones(4, dtype=np.complex128), 1.0, r)
+
+    def test_takes_no_size(self):
         # the point count is derived from the input; no caller passes one
         with pytest.raises(TypeError):
-            circle_samples(np.ones(4, dtype=np.complex128), 0.5, 0)
+            circle_mean(np.ones(4, dtype=np.complex128), 1.0, 0.5, 4096)
         with pytest.raises(TypeError):
-            circle_samples(np.ones(4, dtype=np.complex128), 0.5, size=4096)
+            circle_mean(np.ones(4, dtype=np.complex128), 1.0, 0.5, quadrature_size=4096)
 
 
 class TestMeanRows:
@@ -131,7 +169,6 @@ class TestMeanRows:
             parseval = math.sqrt(float(np.sum(np.abs(a * np.exp(j * math.log(row.r))) ** 2)))
             assert row.value == parseval
             assert row.quadrature_size == 0
-        assert circle_norm(series, 2.0) == math.sqrt(float(np.sum(np.abs(a) ** 2)))
 
     def test_default_size_follows_radius(self):
         series = random_series(3000, 4)
@@ -157,13 +194,13 @@ class TestMeanRows:
     @pytest.mark.parametrize("p", (1.0, 1.5, math.inf))
     def test_phase_blocks_reduce_like_the_stacked_samples(self, p):
         # at r = 0.99 the 301-long window takes 2048 points in four phase-shifted
-        # FFTs (4096 in eight at p = inf); circle_samples takes the p = inf points,
-        # so at finite p the row's points are every other sample
+        # FFTs (4096 in eight at p = inf); the stacked samples are the p = inf
+        # points, so at finite p the row's points are every other sample
         series = random_series(300, 9)
         rows = means_table(series, [p], [0.5, 0.99]).rows
         assert rows[-1].quadrature_size == (4096 if p == math.inf else 2048)
         for row in rows:
-            samples = circle_samples(series.coefficients, row.r)
+            samples = stacked_samples(series.coefficients, row.r)
             vals = np.abs(samples[:: len(samples) // row.quadrature_size])
             assert len(vals) == row.quadrature_size
             if p == math.inf:
@@ -174,8 +211,6 @@ class TestMeanRows:
     def test_size_below_full_degree_floor_rejected(self):
         # the FFT size is derived from the series; no caller sets it
         series = random_series(1000, 6)
-        with pytest.raises(TypeError):
-            mean_p(series, 1.0, 0.5, quadrature_size=1024)
         with pytest.raises(TypeError):
             means_table(series, [math.inf], [0.5], quadrature_size=4004)
 
@@ -194,14 +229,16 @@ class TestMeanRows:
         for row, other in zip(rows, again):
             assert (row.p, row.r, row.quadrature_size) == (other.p, other.r, other.quadrature_size)
             assert other.value == pytest.approx(row.value, rel=1e-12)
-        assert len(circle_samples(padded.coefficients, 0.9999)) == 8 * next_pow2(701)
+        assert len(stacked_samples(padded.coefficients, 0.9999)) == 8 * next_pow2(701)
+        for p in (1.0, 2.0, math.inf):
+            assert circle_mean(padded.coefficients, p, 1.0) == circle_mean(trimmed.coefficients, p, 1.0)
 
     @pytest.mark.parametrize("p", (1.0, 2.0, math.inf))
     def test_zero_series_means_zero(self, p):
         series = CoefficientSeries.zero(500)
         for row in means_table(series, [p], [0.5, 0.999]).rows:
             assert row.value == 0.0
-        assert circle_norm(series, p) == 0.0
+        assert circle_mean(series.coefficients, p, 1.0) == 0.0
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -215,9 +252,9 @@ class TestMeanRows:
         a = random_series(degree, seed).coefficients * mask
         series = CoefficientSeries(a)
         j = np.arange(len(a), dtype=np.float64)
-        for radius, value in ((r, mean_p(series, 2.0, r)), (1.0, circle_norm(series, 2.0))):
-            dense = math.sqrt(float(np.sum(np.abs(a * np.exp(j * math.log(radius))) ** 2)))
-            assert abs(value - dense) <= 1e-15 * dense
+        (row,) = means_table(series, [2.0], [r]).rows
+        dense = math.sqrt(float(np.sum(np.abs(a * np.exp(j * math.log(r))) ** 2)))
+        assert abs(row.value - dense) <= 1e-15 * dense
 
     @pytest.mark.parametrize("r", (0.5, 0.99, 0.999))
     def test_sampled_sup_within_bernstein_factor(self, r):
@@ -327,7 +364,8 @@ class TestStridedSampling:
                 if r < 1.0:
                     (row,) = [row for row in table.at_p(p) if row.r == r]
                     assert row.quadrature_size == size
-                value = row.value if r < 1.0 else circle_norm(series, p)
+                    assert circle_mean(a, p, r) == row.value  # the rows' own reduction
+                value = circle_mean(a, p, r)
                 vals = moduli[:: top // size]
                 ref = vals.max() if p == math.inf else np.mean(vals**p) ** (1.0 / p)
                 assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
@@ -349,15 +387,15 @@ class TestStridedSampling:
     def test_off_lattice_coefficient_takes_every_point(self, growth_series, fft_points):
         a = growth_series.coefficients.copy()
         a[17] = 1e-3
-        _, last, stride = _support(a)
-        assert stride == 1
+        support = _support(a)
+        assert support[2] == 1
         for p in (1.0, 1.5, math.inf):
             for r in (0.5, 0.99, 1.0 - 2.0**-12):
                 fft_points.clear()
                 (row,) = means_table(CoefficientSeries(a), [p], [r]).rows
                 assert sum(fft_points) == row.quadrature_size
                 # the stride-1 phase blocks, reduced as the unstrided sampler reduces them
-                blocks = means_module._phase_blocks(a, r, p, last, 1, 0)
+                blocks = means_module._phase_blocks(a, support, p, r)
                 if p == math.inf:
                     assert row.value == max(float(np.abs(b).max()) for b in blocks)
                 else:
@@ -381,7 +419,7 @@ class TestStridedSampling:
         for p, roots in ((1.0, 8), (math.inf, 16)):
             vals = np.abs(a[0] + a[-1] * np.exp(2j * np.pi * np.arange(roots) / roots))
             ref = vals.max() if p == math.inf else np.mean(vals)
-            assert circle_norm(series, p) == pytest.approx(ref, rel=1e-14)
+            assert circle_mean(a, p, 1.0) == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("p", (1.0, 1.5, math.inf))
     def test_zero_and_single_term_series(self, p):
@@ -396,20 +434,19 @@ class TestStridedSampling:
         assert low.value == 0.0  # index 700 is past the effective degree 60 of r = 1/2
         for row in rows:
             assert row.value == pytest.approx(abs(a[700]) * row.r**700, rel=1e-12)
-        assert circle_norm(series, p) == pytest.approx(abs(a[700]), rel=1e-12)
+        assert circle_mean(a, p, 1.0) == pytest.approx(abs(a[700]), rel=1e-12)
 
-    def test_circle_samples_keep_every_point_of_a_strided_series(self, fft_points):
+    def test_circle_mean_of_a_strided_series_transforms_its_share(self, fft_points):
         a = lattice_series(8, 3, 60, 5).coefficients
         assert _support(a)[2] == 8
-        for r in (0.5, 0.99):
-            fft_points.clear()
-            values = circle_samples(a, r)
-            d = effective_degree(r, len(a) - 1)
-            size = 8 * next_pow2(d + 1)
-            assert values.shape == (size,) and sum(fft_points) == size
-            z = r * np.exp(2j * np.pi * np.arange(size) / size)
-            direct = np.polyval(a[: d + 1][::-1], z)
-            assert np.max(np.abs(values - direct)) <= 1e-12 * float(np.sum(np.abs(a)))
+        for p in (1.0, 2.0, math.inf):
+            for r in (0.5, 0.99, 1.0):
+                fft_points.clear()
+                value = circle_mean(a, p, r)
+                d = effective_degree(r, len(a) - 1)
+                stride = min(8, next_pow2(d + 1))
+                assert sum(fft_points) == (8 if p == math.inf else 4) * next_pow2(d + 1) // stride
+                assert value == pytest.approx(direct_mean(a, p, r), rel=1e-12)
 
 
 class TestExponents:

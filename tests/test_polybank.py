@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsl.errors import DomainError
-from tsl.means import circle_norm
+from tsl.means import circle_mean
 from tsl.polybank import (
     SignedPolynomial,
     StarPolynomial,
@@ -55,7 +56,7 @@ class TestRudinShapiro:
     def test_sampled_sup_bound(self, exp):
         n = 1 << exp
         poly = rudin_shapiro(n)
-        sup = circle_norm(as_series(poly.coefficients), math.inf)
+        sup = circle_mean(poly.coefficients, math.inf, 1.0)
         assert sup <= 5.0 * math.sqrt(n)
 
     def test_plus_count_floor_all_small_n(self):
@@ -82,7 +83,7 @@ class TestStarPolynomial:
             assert int((poly.coefficients == 1.0).sum()) >= n // 4
 
     def test_l1_norm_of_16(self):
-        val = circle_norm(as_series(vdlp_star(16).coefficients), 1.0)
+        val = circle_mean(vdlp_star(16).coefficients, 1.0, 1.0)
         assert val <= 3.0
 
     @pytest.mark.parametrize("exp", range(2, 11))
@@ -91,7 +92,7 @@ class TestStarPolynomial:
         n = 1 << exp
         q = math.inf if p == 1.0 else p / (p - 1.0)
         bound = 3.0 * (1.0 if q == math.inf else n ** (1.0 / q))
-        val = circle_norm(as_series(vdlp_star(n).coefficients), p)
+        val = circle_mean(vdlp_star(n).coefficients, p, 1.0)
         assert val <= bound
 
     def test_degree_stays_below_n(self):
@@ -227,6 +228,23 @@ class TestEnumeration:
         # a float image that disagrees with the exact coefficients cannot be given
         with pytest.raises(TypeError):
             TargetEntry(exact=((1, 0, 1),), series=as_series([100]), l_bound=1, degree=0)
+
+    def test_coefficients_are_correctly_rounded(self):
+        # a part below the float range reads 0; a legal target of norm 10**-400 loads
+        tiny = TargetEnumeration.from_json_obj([{"degree": 0, "l_k": 1, "coefficients": [[1, -1, 10**400]]}])
+        assert tiny.entry(1).degree == 0
+        np.testing.assert_array_equal(tiny.entry(1).series.coefficients, [0.0])
+        # (2**53 + 1) / 3 rounds once, not through the float 2**53
+        (coeff,) = TargetEntry(((2**53 + 1, 0, 3),), 2**52).series.coefficients
+        assert coeff == float(Fraction(2**53 + 1, 3)) != float(2**53) / 3
+
+    @pytest.mark.parametrize("triple", [(10**400, 0, 1), (0, -(10**400), 7), (10**400, 0, 10**90)])
+    def test_coefficient_past_the_float_range_is_a_domain_error(self, triple):
+        with pytest.raises(DomainError, match="float range"):
+            TargetEntry((triple,), 10**401)
+        rec = {"degree": 0, "l_k": 10**401, "coefficients": [list(triple)]}
+        with pytest.raises(DomainError, match="^target 2: "):
+            TargetEnumeration.from_json_obj([{"degree": 0, "l_k": 1, "coefficients": [[1, 0, 1]]}, rec])
 
     def test_rejects_decreasing_l(self):
         t = enumerate_targets(3)

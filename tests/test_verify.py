@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsl import verify
+from tsl import means, verify
 from tsl.constructor import (
     ConstructionSpec,
     Regime,
@@ -159,6 +159,44 @@ class TestCheckVisit:
         tail = truncation_tail_bound(spec, targets, s, radius, s + d + 1)
         sampled = check_visit(CoefficientSeries(a), spec, targets, 1, s) - tail
         assert (1.0 - math.pi * d / n) * dense <= sampled <= dense * (1.0 + 1e-12)
+
+    def test_strided_gap_matches_direct_evaluation(self, monkeypatch):
+        # constant target 1 with l_k = 4: radius 3/4, effective degree 144.  The
+        # orbit window is nonzero at s + 4m only, so the gap has stride 4 and its
+        # sup is reduced from a quarter of its N = 8 * next_pow2(145) points
+        l_bound, s = 4, 1000
+        radius = 1.0 - 1.0 / l_bound
+        targets = TargetEnumeration((TargetEntry(((1, 0, 1),), l_bound),) * 4)
+        spec = spec_at(0.0, DEGREE)
+        d = effective_degree(radius, spec.max_degree - s)
+        rng = np.random.Generator(np.random.PCG64(13))
+        a = np.zeros(spec.max_degree + 1, dtype=np.complex128)
+        terms = len(range(s, s + d + 1, 4))
+        a[s : s + d + 1 : 4] = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+        gap = a[s : s + d + 1].copy()
+        gap[0] -= 1.0
+        n = 8 * (1 << d.bit_length())
+        z = radius * np.exp(2j * np.pi * np.arange(n) / n)
+        direct = float(np.abs(np.polyval(gap[::-1], z)).max())
+        tail = truncation_tail_bound(spec, targets, s, radius, s + d + 1)
+        points = []
+        ifft = np.fft.ifft
+
+        def spy(x, n=None, *args, **kwargs):
+            points.append(n)
+            return ifft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(means.np.fft, "ifft", spy)
+        got = check_visit(CoefficientSeries(a), spec, targets, 1, s)
+        assert sum(points) == n // 4
+        assert got == pytest.approx(direct + tail, rel=1e-12)
+
+    @pytest.mark.parametrize("l_bound", [10**200, 10**400])
+    def test_bound_past_the_float_range_is_a_domain_error(self, l_bound):
+        # the test radius 1 - 1/l reads 1; the plan's gate is what cannot be formed
+        targets = TargetEnumeration((TargetEntry(((1, 0, 1),), l_bound),) * 4)
+        with pytest.raises(DomainError, match=f"l = {l_bound} "):
+            check_visit(CoefficientSeries.zero(DEGREE), spec_at(0.0, DEGREE), targets, 1, 5)
 
     def test_rejects_series_of_another_degree(self):
         # the window would read this series and the tail the plan truncated at
