@@ -37,7 +37,9 @@ differ the bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
 gate 200, alpha = 1/2, j = 16, where the power dominates.  The profile
 reports the lower end.  eps = -ln r is carried as mant * 2**-j
 (`_dyadic_eps`), every power of two applied exactly, and exponents stay
-in log form, so blocks past 2**1024 give finite sums.  Radii past a
+in log form, so blocks past 2**1024 give finite sums: where the product
+2 eps gate N underflows at a clamped flat radius of such a block, its
+geometric factor reads its limit 1 (`_geometric_sum`).  Radii past a
 block's flat point, where every r**(2v) of the block rounds to 1, are
 clamped to that point.
 """
@@ -490,10 +492,15 @@ def _geometric_sum(shift: np.ndarray, lam: np.ndarray, lam_n: np.ndarray, budget
 
     The quotient is N h(lam_n) / h(lam), h(y) = (1 - exp(-y)) / y, and the
     product is formed in log form: lam may be subnormal or 0, N past the
-    float range, and exp(-shift) (1 - q**N) alone may underflow.
+    float range, and exp(-shift) (1 - q**N) alone may underflow.  Both h
+    read 1 at 0: lam_n is a * (gate N / v0) with a <= 2 _EXP_FLOOR on every
+    radius evaluated, so it underflows to 0 only where its true value is
+    below about _EXP_FLOOR * 2**-1074, and there h(lam_n) = 1 to full
+    precision (0 < 1 - h(y) < y / 2).
     """
     h = np.divide(-np.expm1(-lam), lam, out=np.ones_like(lam), where=lam > 0.0)
-    return np.exp(math.log(budget) + np.log(-np.expm1(-lam_n) / lam_n / h) - shift)
+    h_n = np.divide(-np.expm1(-lam_n), lam_n, out=np.ones_like(lam_n), where=lam_n > 0.0)
+    return np.exp(math.log(budget) + np.log(h_n / h) - shift)
 
 
 def _ln_block_integral(z: float, a: np.ndarray, x: float, ln_x: float) -> np.ndarray:

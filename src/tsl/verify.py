@@ -2,7 +2,10 @@
 
 The inequality oracles evaluate both sides of their statements literally,
 with no algebraic simplification, so a failure indicts the implementation
-rather than the statement.  The paper's lacunary lemma has no oracle
+rather than the statement.  Each public oracle validates its input, which
+comes from outside, then calls its private verdict core; the random
+suites build admissible instances by construction and hand each one
+straight to the core.  The paper's lacunary lemma has no oracle
 here: `repro`'s critical check reads it off a block plan's L^2 profile.
 `check_visit` measures how far an orbit point of the shift lands from
 its target polynomial on the target's test circle, and adds an explicit
@@ -56,6 +59,11 @@ def power_sum_lower_bound(members: np.ndarray, n: int, gamma: float) -> OracleVe
         raise DomainError("members must be a strictly increasing sequence")
     if members.size and (members[0] < 1 or members[-1] > n):
         raise DomainError("subset must lie in {1, ..., N}")
+    return _power_sum_verdict(members, n, gamma)
+
+
+def _power_sum_verdict(members: np.ndarray, n: int, gamma: float) -> OracleVerdict:
+    """`power_sum_lower_bound`'s two sides on an int64 `members` it would accept."""
     count = members.size
     lhs = float(((members.astype(np.float64) + 1.0) ** gamma).sum())
     if gamma >= 0.0:
@@ -96,6 +104,11 @@ def abel_minorant(
         raise DomainError("sequences must be finite and nonnegative")
     if (v[1:] > v[:-1]).any():
         raise DomainError("v must be nonincreasing")
+    return _abel_verdict(u, v, subseq)
+
+
+def _abel_verdict(u: np.ndarray, v: np.ndarray, subseq: np.ndarray) -> OracleVerdict:
+    """`abel_minorant`'s two sides on float64 `u`, `v` and int64 `subseq` it would accept."""
     s = u.cumsum()  # s[i] = S_{i+1}
     n0, nl = int(subseq[0]), int(subseq[-1])
     lhs = float((u[n0:nl] * v[n0:nl]).sum())
@@ -213,18 +226,27 @@ def run_power_sum_suite(n_instances: int, master_seed: int) -> list[OracleVerdic
 
     One PCG64(master_seed) draws every n, density and gamma, then each subset
     in instance order: a seed names other instances than per-instance seeds did.
+    Each instance goes to the verdict core without `power_sum_lower_bound`'s
+    validation, which it meets by construction: members are `flatnonzero` + 1
+    inside {1, ..., n}, strictly increasing, and gamma is finite and > -1.
     """
     rng = np.random.Generator(np.random.PCG64(master_seed))
     ns = rng.integers(1, _POWER_SUM_N_MAX + 1, size=n_instances).tolist()
     densities, gammas = rng.uniform([0.0, -0.9], [1.0, 3.0], size=(n_instances, 2)).T.tolist()
     return [
-        power_sum_lower_bound(np.flatnonzero(rng.random(n) < density) + 1, n, gamma)
+        _power_sum_verdict(np.flatnonzero(rng.random(n) < density) + 1, n, gamma)
         for n, density, gamma in zip(ns, densities, gammas)
     ]
 
 
 def run_abel_suite(n_instances: int, master_seed: int) -> list[OracleVerdict]:
-    """Randomized instances of the summation-by-parts bound, drawn as in `run_power_sum_suite`."""
+    """Randomized instances of the summation-by-parts bound, drawn as in `run_power_sum_suite`.
+
+    Each instance goes to the verdict core without `abel_minorant`'s
+    validation, which it meets by construction: u >= 0, v the reversed
+    cumulative sum of numbers in [0, 1), so nonnegative and nonincreasing,
+    and a sorted, distinct subsequence inside [1, len].
+    """
     rng = np.random.Generator(np.random.PCG64(master_seed))
     lengths = rng.integers(2, _ABEL_MAX_LEN + 1, size=n_instances)
     scales = rng.uniform(0.5, 10.0, size=n_instances).tolist()
@@ -234,5 +256,5 @@ def run_abel_suite(n_instances: int, master_seed: int) -> list[OracleVerdict]:
         u = rng.random(length) * scale
         v = rng.random(length)[::-1].cumsum()[::-1]  # nonincreasing, nonnegative
         subseq = np.sort(rng.choice(length, size=n_points, replace=False)) + 1
-        verdicts.append(abel_minorant(u, v, subseq))
+        verdicts.append(_abel_verdict(u, v, subseq))
     return verdicts

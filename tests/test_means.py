@@ -891,6 +891,30 @@ class TestPlannedMean:
         assert rows[0][1] == rows[1][1] == rows[2][1] > 0.0
         assert rows[3] == dyadic_mean2_profile(ledger, targets, alpha, [9])[0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gamma, blocks", [(0.9, 1128), (0.9, 1500), (0.95, 3000)])
+    def test_deep_plans_near_gamma_one_stay_finite(self, gamma, blocks):
+        # from block 1128 on at gamma = 0.9, 2 eps gate N at a block's clamped flat radius
+        # underflows to 0; its geometric factor h(0) was 0 / 0, read as an overflow
+        spec = ConstructionSpec(
+            alpha=0.0, gamma=gamma, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=1 << 20
+        )
+        targets = enumerate_targets(64)
+        ledger = plan_blocks(spec, targets, blocks)
+        j_flat = blocks + 100  # past every block's flat point, 61 + bit length of its last position
+        rows = dyadic_mean2_profile(ledger, targets, 0.0, [*range(1, blocks + 1, 37), j_flat])
+        values = [v for _, v in rows]
+        assert all(math.isfinite(v) for v in values)
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        # there every r**(2(v - 1)) rounds to 1, so each position weighs 1
+        mass = math.fsum(
+            abs(c) ** 2 * rec.budget
+            for rec in ledger.built()
+            for c in index_weighted(targets.entry(rec.k).series, 0.0).coefficients
+            if c != 0
+        )
+        assert abs(values[-1] ** 2 - mass) <= 1e-12 * mass
+
     def test_profile_past_the_float_range_is_a_domain_error(self):
         # alpha = 0 on the quadratic schedule: at 60 blocks M_2**2 passes the float range by j = 3000
         spec = ConstructionSpec(

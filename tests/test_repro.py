@@ -7,9 +7,12 @@ import pytest
 from tsl.constructor import BlockLedger, ConstructionSpec, Regime, Schedule, plan_blocks, quadratic_schedule
 from tsl.means import dyadic_mean2_profile
 from tsl.polybank import enumerate_targets, index_weighted
+from tsl.series import CoefficientSeries, ShiftParams, apply_shift, apply_shift_power
+from tsl import repro
 from tsl.repro import (
     DEFAULT_SEED,
     REGISTRY,
+    _iterated_shift,
     _ln_inverse_gap,
     _planned_l2_fit,
     _staircase,
@@ -22,6 +25,61 @@ def test_named_check_passes(name):
     report = REGISTRY[name](DEFAULT_SEED)
     assert report["name"] == name
     assert report["passed"], report
+
+
+ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)  # the ones `shift-telescoping` runs
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("degree", [1, 2, 17, 64])
+def test_iterated_shift_equals_the_single_steps(alpha, degree):
+    rng = np.random.Generator(np.random.PCG64(degree))
+    series = CoefficientSeries(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    params = ShiftParams(alpha)
+    for n in sorted({0, 1, degree, degree + 1, 32}):
+        step = series
+        for _ in range(n):
+            step = apply_shift(step, params)
+        assert np.array_equal(_iterated_shift(series, n, params), step.coefficients), n
+
+
+def test_shift_telescoping_makes_two_single_steps_per_instance(monkeypatch):
+    calls = []
+
+    def spy(series, params):
+        calls.append(params.alpha)
+        return apply_shift(series, params)
+
+    monkeypatch.setattr(repro, "apply_shift", spy)
+    assert REGISTRY["shift-telescoping"](DEFAULT_SEED)["passed"]
+    assert len(calls) <= 2 * 100 * len(ALPHAS)
+
+
+def test_shift_telescoping_fails_on_a_wrong_closed_form(monkeypatch):
+    # negative control: the closed form takes the weight of n - 1 steps, ((j+n)/(j+1))**alpha
+    def short_by_one(series, n, params, length=None):
+        a = series.coefficients
+        if n == 0 or n >= len(a):
+            return apply_shift_power(series, n, params, length)
+        j = np.arange(len(a) - n, dtype=np.float64)
+        return CoefficientSeries(a[n:] * ((j + n) / (j + 1.0)) ** params.alpha)
+
+    monkeypatch.setattr(repro, "apply_shift_power", short_by_one)
+    assert not REGISTRY["shift-telescoping"](DEFAULT_SEED)["passed"]
+
+
+def test_shift_telescoping_fails_on_a_wrong_single_step(monkeypatch):
+    # negative control: a one-step weight 1e-9 off in relative terms
+    def off_weight(series, params):
+        a = series.coefficients
+        if len(a) == 1:
+            return CoefficientSeries.zero(0)
+        j = np.arange(len(a) - 1, dtype=np.float64)
+        return CoefficientSeries(a[1:] * ((j + 2.0) / (j + 1.0)) ** params.alpha * (1.0 + 1e-9))
+
+    monkeypatch.setattr(repro, "apply_shift", off_weight)
+    report = REGISTRY["shift-telescoping"](DEFAULT_SEED)
+    assert not report["passed"] and report["worst_rel"] > 1e-12
 
 
 def test_unknown_name():

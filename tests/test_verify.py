@@ -21,6 +21,7 @@ from tsl.errors import DomainError
 from tsl.polybank import TargetEntry, TargetEnumeration
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift_power
 from tsl.means import effective_degree
+from tsl.repro import DEFAULT_SEED, REGISTRY
 from tsl.verify import (
     abel_minorant,
     check_visit,
@@ -316,17 +317,58 @@ class TestOracleSuites:
         assert len(verdicts) == 1000
         assert all(v.holds for v in verdicts)
 
-    @pytest.mark.parametrize(
-        "suite, oracle", [(run_power_sum_suite, "power_sum_lower_bound"), (run_abel_suite, "abel_minorant")]
-    )
-    def test_every_instance_goes_through_the_oracle(self, monkeypatch, suite, oracle):
-        public = getattr(verify, oracle)
+    CORES = [
+        (run_power_sum_suite, "power_sum_lower_bound", "_power_sum_verdict"),
+        (run_abel_suite, "abel_minorant", "_abel_verdict"),
+    ]
+
+    @pytest.mark.parametrize("suite, oracle, core", CORES)
+    def test_every_instance_goes_through_the_oracle(self, monkeypatch, suite, oracle, core):
+        # the suites build admissible instances, so they call the verdict core, not the public oracle
+        original = getattr(verify, core)
         calls = []
 
         def spy(*args):
             calls.append(args)
-            return public(*args)
+            return original(*args)
 
-        monkeypatch.setattr(verify, oracle, spy)
+        monkeypatch.setattr(verify, core, spy)
         assert len(suite(40, 11)) == 40
         assert len(calls) == 40
+
+    @pytest.mark.parametrize("seed", (5, 7))
+    @pytest.mark.parametrize("suite, oracle, core", CORES)
+    def test_every_instance_passes_the_public_validation(self, monkeypatch, suite, oracle, core, seed):
+        direct = [v.margin for v in suite(200, seed)]
+        public, original = getattr(verify, oracle), getattr(verify, core)
+        calls = []
+
+        def validated(*args):
+            # the public oracle validates the instance, then calls the original core
+            calls.append(args)
+            with monkeypatch.context() as m:
+                m.setattr(verify, core, original)
+                return public(*args)
+
+        monkeypatch.setattr(verify, core, validated)
+        assert [v.margin for v in suite(200, seed)] == direct
+        assert len(calls) == 200
+
+    @pytest.mark.parametrize("core, failures", [
+        ("_power_sum_verdict", "power_sum_failures"), ("_abel_verdict", "abel_failures"),
+    ])
+    def test_lemma_oracles_fail_on_a_perturbed_core(self, monkeypatch, core, failures):
+        # negative control: 1 added to the right-hand side of every instance of one suite
+        original = getattr(verify, core)
+
+        def perturbed(*args):
+            margin = original(*args).margin - 1.0
+            holds = margin >= 0.0
+            return verify.OracleVerdict(holds, margin, None if holds else {"perturbed": True})
+
+        monkeypatch.setattr(verify, core, perturbed)
+        report = REGISTRY["lemma-oracles"](DEFAULT_SEED)
+        assert not report["passed"]
+        assert report[failures] > 0
+        other = ({"power_sum_failures", "abel_failures"} - {failures}).pop()
+        assert report[other] == 0
