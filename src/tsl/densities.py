@@ -27,10 +27,21 @@ than e**-40, below one ulp of any result.  Two routes sum that window.
   order: a cut whose window starts inside the previous cut's terms
   chains onto that cut's running total, any other cut restarts the
   total at its window's first term.
+- Each denominator is computed once per process.  `prefix_density_profile`
+  reads its denominators through a memo keyed on (gamma, N, `_EM_BITS`)
+  and sends all its misses to one engine call; the engine gives each
+  horizon the bits it gives that horizon alone, so the memo changes no
+  output.  `log_weight_sum` stays on the bare engine.  The memo holds
+  at most `_MEMO_LIMIT` values and is emptied when full, `_em_start` is
+  cached per (gamma, `_EM_BITS`), and `clear_memo` empties both.  At
+  gamma = 0 every term is exp(0) = 1, so a numerator piece of c members
+  adds 1 + ln c to the chain without an array pass: the same bits, since
+  c ones sum to c exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +53,8 @@ from tsl.errors import DomainError
 _CHUNK = 1 << 22
 _EM_BITS = 56  # Euler-Maclaurin takes over where its remainder bound is below 2**-_EM_BITS
 _INT64_LIMIT = 1 << 63
+_MEMO_LIMIT = 1 << 12  # weight sums kept by the denominator memo before it is emptied
+_weight_sums: dict[tuple[float, int, int], float] = {}
 
 
 def _check_gamma(gamma: float) -> None:
@@ -135,30 +148,41 @@ def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray) -> np.ndarr
         if start > prev:
             prev, total = start, -math.inf
         for lo in range(prev, c, _CHUNK):
-            w = members[lo : min(lo + _CHUNK, c)].astype(np.float64)
-            np.power(w, gamma, out=w)
-            m = float(w[-1])  # the terms are sorted: the piece's maximum, up to rounding
-            w -= m
-            np.exp(w, out=w)
-            total = float(np.logaddexp(total, m + math.log(float(w.sum()))))
+            hi = min(lo + _CHUNK, c)
+            if gamma == 0.0:  # each term is exp(1 - 1) = 1 after the shift, and they sum to hi - lo
+                piece = 1.0 + math.log(float(hi - lo))
+            else:
+                w = members[lo:hi].astype(np.float64)
+                np.power(w, gamma, out=w)
+                m = float(w[-1])  # the terms are sorted: the piece's maximum, up to rounding
+                w -= m
+                np.exp(w, out=w)
+                piece = m + math.log(float(w.sum()))
+            total = float(np.logaddexp(total, piece))
         masses[i] = total
         prev = c
     return masses[np.searchsorted(sorted_cuts, cuts)]
 
 
 def _em_start(gamma: float) -> int:
-    """An integer a from which Euler-Maclaurin sums exp(t**gamma), 0 < gamma < 1.
+    """An integer a from which Euler-Maclaurin sums exp(t**gamma), 0 < gamma < 1."""
+    return _em_start_at(gamma, _EM_BITS)
+
+
+@functools.lru_cache(maxsize=256)
+def _em_start_at(gamma: float, bits: int) -> int:
+    """`_em_start` for a remainder bound of 2**-bits.
 
     |f^(6)| <= f * P(t) for f = exp(t**gamma), P(t) = prod_{i<6} (g + i/t),
     g = f'/f = gamma t**(gamma-1): the complete Bell polynomial of the
     bounds |(t**gamma)^(j)| <= g (j-1)! / t**(j-1).  P falls in t; a is the
     first point of a quarter-octave grid of integers with
-    P(a) <= 30240 * 2**-_EM_BITS, or 2**63 - 1 where none below it qualifies.
+    P(a) <= 30240 * 2**-bits, or 2**63 - 1 where none below it qualifies.
     """
     t = np.ceil(2.0 ** (np.arange(252) / 4.0))  # 1 .. 2**62.75
     g = gamma * t ** (gamma - 1.0)
     bound = np.prod(g + np.arange(6)[:, None] / t, axis=0)
-    ok = np.flatnonzero(bound <= 30240.0 * 2.0**-_EM_BITS)
+    ok = np.flatnonzero(bound <= 30240.0 * 2.0**-bits)
     return int(t[ok[0]]) if ok.size else _INT64_LIMIT - 1
 
 
@@ -209,6 +233,26 @@ def _log_weight_sums(gamma: float, horizons: np.ndarray) -> np.ndarray:
     return top + np.log(total)
 
 
+def _denominators(gamma: float, horizons: np.ndarray) -> np.ndarray:
+    """`_log_weight_sums` through the memo: the horizons it lacks go to one engine call."""
+    found = {n: _weight_sums.get((gamma, n, _EM_BITS)) for n in horizons.tolist()}
+    missing = [n for n, value in found.items() if value is None]
+    if missing:
+        values = _log_weight_sums(gamma, np.array(missing, dtype=np.int64)).tolist()
+        found.update(zip(missing, values))
+        if len(_weight_sums) + len(missing) > _MEMO_LIMIT:
+            _weight_sums.clear()
+        keys = [(gamma, n, _EM_BITS) for n in missing[:_MEMO_LIMIT]]
+        _weight_sums.update(zip(keys, values))
+    return np.array([found[n] for n in horizons.tolist()])
+
+
+def clear_memo() -> None:
+    """Empty the denominator memo and the `_em_start` cache."""
+    _weight_sums.clear()
+    _em_start_at.cache_clear()
+
+
 def log_weight_sum(n: int, gamma: float) -> float:
     """log of sum_{k=1..n} exp(k**gamma), never materialized in linear scale."""
     n = int(_integers(n, "prefix length"))
@@ -223,21 +267,22 @@ def prefix_density_profile(
 ) -> list[tuple[int, float, float, float]]:
     """Rows (N, ratio, log_num, log_den) for each horizon, in input order.
 
-    The closed form gives every denominator, one engine pass over the
-    members, cut at the member counts, every numerator.  Each log is held to
+    The closed form, read through the memo, gives every denominator, one
+    engine pass over the members, cut at the member counts, every numerator.  Each log is held to
     one ulp of N**gamma, so past N**gamma = 2**40 or so a ratio loses precision:
     at gamma = 0.9 the separating set reads e**-0.5, 1 or e**-4 for about 0.6
     at N = 2**54 .. 2**60.
     """
     _check_gamma(gamma)
     h = _integers(horizons, "horizons")
-    for n in h:
+    bad = (h > prefix_set.n_max) | (h < 1)
+    if bad.any():
+        n = int(h[np.argmax(bad)])
         if n > prefix_set.n_max:
             raise DomainError(f"horizon {n} exceeds the set's n_max {prefix_set.n_max}")
-        if n < 1:
-            raise DomainError("horizon must be >= 1")
+        raise DomainError("horizon must be >= 1")
     members = prefix_set.members
-    log_den = _log_weight_sums(gamma, h)
+    log_den = _denominators(gamma, h)
     log_num = _log_masses(gamma, np.searchsorted(members, h, "right"), members)
     out = []
     for n, num, den in zip(h.tolist(), log_num.tolist(), log_den.tolist()):

@@ -367,6 +367,19 @@ class TestEngine:
         with pytest.raises(DomainError):
             prefix_density_profile(s, 0.5, [11, 4])
 
+    @pytest.mark.parametrize(
+        "horizons, message",
+        [
+            ([4, 12, 0, 11], "horizon 12 exceeds the set's n_max 10"),
+            ([4, -3, 12], "horizon must be >= 1"),
+            (np.array([10, 1 << 40]), "horizon 1099511627776 exceeds the set's n_max 10"),
+        ],
+    )
+    def test_profile_names_the_first_bad_horizon(self, horizons, message):
+        with pytest.raises(DomainError) as err:
+            prefix_density_profile(PrefixSet(np.array([1, 2]), 10), 0.5, horizons)
+        assert str(err.value) == message
+
 
 @functools.cache
 def _mp_prefix_sums(gamma):
@@ -452,3 +465,126 @@ class TestWeightSumsPerHorizon:
         tail = np.maximum(first, densities._em_start(gamma)) < horizons
         assert tail.any() and not tail.all()
         _assert_each_horizon_alone(gamma, horizons)
+
+
+def _bits(rows):
+    """Profile rows with every float spelled out to the last bit."""
+    return [(n, *(x.hex() for x in logs)) for n, *logs in rows]
+
+
+def _bare_rows(prefix_set, gamma, horizons):
+    """The profile with every denominator straight from the engine, past the memo."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(densities, "_denominators", densities._log_weight_sums)
+        return prefix_density_profile(prefix_set, gamma, horizons)
+
+
+class TestDenominatorMemo:
+    # the memo hands back the engine's own bits: cold or warm, across evictions,
+    # for unsorted and repeated horizons on both sides of the Euler-Maclaurin start
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        gamma=st.one_of(st.sampled_from([0.0, 1e-5, 0.5, 0.7, 0.9, 1.0]), st.floats(1e-6, 0.999)),
+        horizons=st.lists(
+            st.one_of(st.integers(1, 1 << 14), st.integers(1, 1 << 62)), min_size=1, max_size=12
+        ),
+        limit=st.sampled_from([1, 3, 8, 1 << 12]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rows_equal_the_bare_engine_rows(self, gamma, horizons, limit, seed, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        s = PrefixSet(np.nonzero(rng.random(1 << 14) < 0.05)[0] + 1, 1 << 62)
+        warm = data.draw(
+            st.lists(st.one_of(st.sampled_from(horizons), st.integers(1, 1 << 62)), max_size=12),
+            label="warm",
+        )  # profiled first; they overlap the horizons
+        again = data.draw(st.permutations(horizons), label="again") + horizons[:3]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(densities, "_weight_sums", {})  # cold
+            patch.setattr(densities, "_MEMO_LIMIT", limit)
+            for hs in (warm, horizons, again):
+                if hs:
+                    assert _bits(prefix_density_profile(s, gamma, hs)) == _bits(_bare_rows(s, gamma, hs))
+                assert len(densities._weight_sums) <= limit
+
+    def test_a_full_memo_is_emptied(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(densities, "_weight_sums", {})
+            patch.setattr(densities, "_MEMO_LIMIT", 4)
+            s = PrefixSet([], 1 << 20)
+            prefix_density_profile(s, 0.5, [10, 20, 30])
+            assert len(densities._weight_sums) == 3
+            prefix_density_profile(s, 0.5, [20, 40, 50])  # one miss too many for the bound
+            assert sorted(n for _, n, _ in densities._weight_sums) == [40, 50]
+            prefix_density_profile(s, 0.5, list(range(1, 11)))  # more misses than the bound holds
+            assert len(densities._weight_sums) == 4
+
+    def test_clear_memo_empties_both_caches(self):
+        densities.clear_memo()  # a cold memo: the profile calls the engine, which fills both
+        prefix_density_profile(PrefixSet([], 1 << 20), 0.5, [1 << 20])
+        assert densities._weight_sums and densities._em_start_at.cache_info().currsize
+        densities.clear_memo()
+        assert not densities._weight_sums and not densities._em_start_at.cache_info().currsize
+
+    @pytest.mark.parametrize("patched_first", [True, False])
+    def test_patched_em_bits_leave_no_stale_values(self, patched_first):
+        # at gamma = 0.7 the Euler-Maclaurin start is 5,793 for 2**-40 and 2,493,949 for
+        # 2**-56, and the two routes differ in the last bits at 2**14 and 2**20
+        horizons = [1 << 14, 1 << 20, 1 << 12]
+        s = PrefixSet([], 1 << 20)
+
+        def profile_is_the_engines():
+            assert _bits(prefix_density_profile(s, 0.7, horizons)) == _bits(_bare_rows(s, 0.7, horizons))
+            return [row[3] for row in prefix_density_profile(s, 0.7, horizons)]
+
+        def patched():
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(densities, "_EM_BITS", 40)
+                assert densities._em_start(0.7) == 5793
+                return profile_is_the_engines()
+
+        def unpatched():
+            assert densities._em_start(0.7) == 2493949
+            return profile_is_the_engines()
+
+        densities.clear_memo()
+        if patched_first:
+            at_40, at_56 = patched(), unpatched()
+        else:
+            at_56, at_40 = unpatched(), patched()
+        assert at_40 != at_56
+        assert unpatched() == at_56 and patched() == at_40
+
+
+def _elementwise_gamma_zero_masses(cuts, members):
+    """The gamma = 0 numerators term by term: each piece sums exp(x**0 - 1) as an array."""
+    masses, prev, total = {}, 0, -math.inf
+    for c in sorted(set(cuts)):
+        for lo in range(prev, c, densities._CHUNK):
+            w = members[lo : min(lo + densities._CHUNK, c)].astype(np.float64) ** 0.0
+            total = float(np.logaddexp(total, 1.0 + math.log(float(np.exp(w - 1.0).sum()))))
+        masses[c], prev = total, c
+    return [masses[c] for c in cuts]
+
+
+class TestGammaZeroNumerators:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_max=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        fill=st.floats(0.0, 1.0),
+        chunk=st.sampled_from([1, 7, 64, 1 << 22]),
+        data=st.data(),
+    )
+    def test_equal_the_elementwise_route(self, n_max, seed, fill, chunk, data):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        members = np.nonzero(rng.random(n_max) < fill)[0] + 1
+        cuts = data.draw(
+            st.lists(st.integers(0, members.size), max_size=10), label="cuts"
+        )  # unsorted, repeats allowed; a cut of 0 is an empty window
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(densities, "_CHUNK", chunk)  # pieces cross chunk edges
+            got = densities._log_masses(0.0, np.array(cuts, dtype=np.int64), members).tolist()
+            want = _elementwise_gamma_zero_masses(cuts, members)
+        assert [x.hex() for x in got] == [x.hex() for x in want]

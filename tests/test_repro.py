@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -8,7 +9,7 @@ from tsl.constructor import BlockLedger, ConstructionSpec, Regime, Schedule, pla
 from tsl.means import dyadic_mean2_profile
 from tsl.polybank import enumerate_targets, index_weighted
 from tsl.series import CoefficientSeries, ShiftParams, apply_shift, apply_shift_power
-from tsl import repro
+from tsl import densities, repro
 from tsl.repro import (
     DEFAULT_SEED,
     REGISTRY,
@@ -80,6 +81,22 @@ def test_shift_telescoping_fails_on_a_wrong_single_step(monkeypatch):
     monkeypatch.setattr(repro, "apply_shift", off_weight)
     report = REGISTRY["shift-telescoping"](DEFAULT_SEED)
     assert not report["passed"] and report["worst_rel"] > 1e-12
+
+
+def test_determinism_fails_when_a_weight_sum_drifts_between_calls(monkeypatch):
+    # negative control: every engine call after the first is one ulp high.  A second
+    # pass that read the first pass's denominators from the memo would not see it
+    engine = densities._log_weight_sums
+    calls = itertools.count()
+
+    def drifting(gamma, horizons):
+        out = engine(gamma, horizons)
+        return out if next(calls) == 0 else np.nextafter(out, np.inf)
+
+    monkeypatch.setattr(densities, "_weight_sums", {})  # the drifted values stay out of later tests
+    monkeypatch.setattr(densities, "_log_weight_sums", drifting)
+    assert not REGISTRY["determinism"](DEFAULT_SEED)["passed"]
+    assert next(calls) >= 2
 
 
 def test_unknown_name():
