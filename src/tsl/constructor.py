@@ -25,7 +25,9 @@ beyond the enumeration gives a "no-target" record.  `construct` reads it
 up to max_degree, `plan_blocks` its first records, and the tail bound in
 `tsl.verify` from the first block that reaches the visit time on; the
 first two raise DomainError on a "no-target" record (`construct` only on
-one starting at or below max_degree).
+one starting at or below max_degree).  `visit_set` lists a target's
+visit times and nothing else: `tsl.repro`'s orbit-visits check reads
+their weighted density.
 
 `ConstructionSpec` rejects a u on the dyadic schedule, which would ignore
 it, and holds the one check of explicit schedules u: on
@@ -50,7 +52,6 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from tsl.densities import PrefixSet, prefix_density_profile
 from tsl.errors import ConstructionError, DomainError
 from tsl.polybank import (
     SignedPolynomial,
@@ -177,17 +178,10 @@ class BlockLedger:
 
 @dataclass(frozen=True)
 class VisitReport:
-    """Visit times of one target and its visit density."""
+    """Visit times of target k, sorted, as Python ints."""
 
     k: int
     visits: tuple[int, ...]
-    density_estimate: float
-
-
-def two_adic_valuation(n: int) -> int:
-    if n <= 0:
-        raise DomainError("valuation needs n >= 1")
-    return (n & -n).bit_length() - 1
 
 
 def target_gate(l: int, d: int, alpha: float, regime: Regime, q: float = math.inf) -> int:
@@ -213,36 +207,6 @@ def target_gate(l: int, d: int, alpha: float, regime: Regime, q: float = math.in
         return 1 + math.floor(max(first, second))
     except OverflowError:
         raise DomainError(f"the gate of l = {l} at degree {d} exceeds the float range") from None
-
-
-def block_indices(
-    n: int, spec: ConstructionSpec
-) -> tuple[int, int, Optional[int]]:
-    """Support interval [lo, hi] of block n, and its target index if any.
-
-    Positive even n = 2**k * odd belongs to target k; odd n and n = 0
-    carry no target.
-    """
-    if n < 0:
-        raise DomainError("block number must be >= 0")
-    lo = 1 << spec.base_exponent(n)
-    hi = (1 << spec.base_exponent(n + 1)) - 1
-    k = two_adic_valuation(n) if (n > 0 and n % 2 == 0) else None
-    return lo, hi, k
-
-
-def _effective_gate(spec: ConstructionSpec, l: int, d: int) -> int:
-    gate = target_gate(l, d, spec.alpha, spec.regime, spec.q)
-    if (
-        spec.regime is Regime.STAR
-        and spec.q == math.inf
-        and spec.schedule is Schedule.U_SCHEDULE
-    ):
-        # sup-free regime on an explicit schedule: raise the gate above
-        # 2**u(l) so the per-target tail stays summable
-        assert spec.u is not None
-        gate = max(gate, (1 << int(spec.u(l))) + 2)
-    return gate
 
 
 def _budget(spec: ConstructionSpec, n: int, gate: int) -> int:
@@ -271,16 +235,28 @@ def _budget(spec: ConstructionSpec, n: int, gate: int) -> int:
 
 
 def _classify(n: int, spec: ConstructionSpec, targets: TargetEnumeration) -> BlockRecord:
-    """Gate/budget bookkeeping for block n, without touching coefficients."""
-    lo, hi, k = block_indices(n, spec)
-    if k is None:
+    """Every fact of block n, without touching coefficients.
+
+    Block n occupies [2**b(n), 2**b(n+1) - 1], b = spec.base_exponent.
+    Positive even n = 2**k * odd belongs to target k, the 2-adic
+    valuation of n; odd n and n = 0 carry no target.  The gate is
+    `target_gate` of the target's bound l and degree, except for the
+    star family with q = infinity on an explicit schedule: that regime
+    has no sup bound, so the gate is raised above 2**u(l) to keep the
+    per-target tail summable.  The block is built once 2**b(n-1) reaches
+    the gate and `_budget` is positive, unless the target is zero.
+    """
+    lo, hi = 1 << spec.base_exponent(n), (1 << spec.base_exponent(n + 1)) - 1
+    if n == 0 or n % 2:
         return BlockRecord(n, None, None, None, lo, hi, "odd" if n % 2 else "unassigned")
+    k = (n & -n).bit_length() - 1
     if k > len(targets):
         return BlockRecord(n, k, None, None, lo, hi, "no-target")
     entry = targets.entry(k)
-    gate = _effective_gate(spec, entry.l_bound, entry.degree)
-    prev = spec.base_exponent(n - 1)
-    if (1 << prev) < gate:
+    gate = target_gate(entry.l_bound, entry.degree, spec.alpha, spec.regime, spec.q)
+    if spec.regime is Regime.STAR and spec.q == math.inf and spec.schedule is Schedule.U_SCHEDULE:
+        gate = max(gate, (1 << spec.base_exponent(entry.l_bound)) + 2)
+    if (1 << spec.base_exponent(n - 1)) < gate:
         return BlockRecord(n, k, gate, None, lo, hi, "gate")
     budget = _budget(spec, n, gate)
     if budget == 0:
@@ -295,10 +271,11 @@ def iter_plan(spec: ConstructionSpec, targets: TargetEnumeration, start: int = 0
 
     A block whose target index falls beyond the enumeration is a
     "no-target" record, so tail scans past the enumerated horizon stay
-    usable.
+    usable.  A negative `start` is a DomainError.
     """
-    for n in count(start):
-        yield _classify(n, spec, targets)
+    if start < 0:
+        raise DomainError("block number must be >= 0")
+    return (_classify(n, spec, targets) for n in count(start))
 
 
 def _require_target(rec: BlockRecord, targets: TargetEnumeration) -> BlockRecord:
@@ -379,34 +356,14 @@ def plan_blocks(
     return BlockLedger(tuple(_require_target(rec, targets) for rec in plan))
 
 
-def visit_set(
-    spec: ConstructionSpec,
-    targets: TargetEnumeration,
-    k: int,
-    ledger: BlockLedger,
-) -> VisitReport:
-    """Visit times of target k: lo + gate*m over family coefficients +1.
-
-    The density estimate is the maximum, over the target's built blocks,
-    of the weighted prefix ratio of the visit set evaluated at the last
-    visit of that block (a finite-horizon stand-in for the upper density
-    along the block subsequence).
-    """
+def visit_set(spec: ConstructionSpec, targets: TargetEnumeration, k: int, ledger: BlockLedger) -> VisitReport:
+    """Visit times of target k: lo + gate*m over the +1 slots m of each built block's family."""
     targets.entry(k)  # range check: a target beyond the enumeration is a DomainError
-    visits: list[np.ndarray] = []
-    block_ends: list[int] = []
-    for rec in ledger.for_target(k):
-        if not rec.built:
-            continue
-        assert rec.gate is not None and rec.budget is not None
-        positions = _family(spec, rec.budget).plus_positions()
-        block_visits = rec.lo + rec.gate * positions
-        if len(block_visits):
-            visits.append(block_visits)
-            block_ends.append(int(block_visits[-1]))
+    visits = [
+        rec.lo + rec.gate * _family(spec, rec.budget).plus_positions()
+        for rec in ledger.for_target(k)
+        if rec.built
+    ]
     if not visits:
-        return VisitReport(k=k, visits=(), density_estimate=0.0)
-    arr = np.sort(np.concatenate(visits))
-    prefix = PrefixSet(arr, int(arr[-1]))
-    density = max(row[1] for row in prefix_density_profile(prefix, spec.gamma, block_ends))
-    return VisitReport(k=k, visits=tuple(arr.tolist()), density_estimate=density)
+        return VisitReport(k, ())
+    return VisitReport(k, tuple(np.sort(np.concatenate(visits)).tolist()))

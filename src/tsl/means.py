@@ -360,9 +360,9 @@ def dyadic_mean2_profile(
 ) -> list[tuple[int, float]]:
     """(j, M_2 at r = 1 - 2**-j) rows of a planned construction, in input order.
 
-    Works from the ledger alone (sign-family ledgers only): the squared
-    coefficient magnitudes of a sign-family block do not depend on the
-    signs, so
+    Works from the ledger, the targets and the alpha it was planned with,
+    without coefficients; the squared coefficient magnitudes of a
+    sign-family block do not depend on the signs, so
 
         M_2^2 = sum over blocks, target coefficients j0, positions m of
                 |b_j0|^2 (j0+1)^(2a) (lo + gate*m + j0 + 1)^(-2a)
@@ -374,7 +374,9 @@ def dyadic_mean2_profile(
     in array expressions (`_position_sums`), taken at the lower end of
     its bracket.  Repeated j are allowed.  alpha must be finite and >= 0:
     the bracket's direction rests on terms that fall with the position.
-    A plan whose M_2**2 exceeds the float range is a DomainError.
+    A plan whose M_2**2 exceeds the float range is a DomainError.  Nothing
+    checks the ledger's family or alpha: a star-family ledger, or an alpha
+    other than the plan's, gives a wrong value silently (ROADMAP item 2).
     """
     if not 0.0 <= alpha < math.inf:
         raise DomainError("the planned mean needs a finite alpha >= 0")

@@ -139,18 +139,22 @@ def truncation_tail_bound(
     radius' reach add hard zeros and stop the scan.  The scan starts at the
     first block that reaches s (earlier ones miss nothing), found from
     `spec.base_exponent` alone, and never reads the series' coefficients.
+    A radius outside [0, 1) is a DomainError.
     """
     if not 0 <= s < cut <= spec.max_degree + 1:
         raise DomainError("need 0 <= s < cut <= max_degree + 1")
+    if not 0.0 <= radius < 1.0:
+        raise DomainError(f"radius must lie in [0, 1) (got {radius})")
     if radius == 0.0:
         return 0.0
     # block n ends at 2**base_exponent(n + 1) - 1, which is >= s once 2**base_exponent(n + 1) > s
     first = next(n for n in count() if spec.base_exponent(n + 1) >= int(s).bit_length())
     log_rho = math.log(radius)
+    # a block from `stop` on adds at most e**-745 of its envelope; int < float compares exactly
+    stop = max(cut, s - 745.0 / log_rho)
     total = 0.0
     for rec in iter_plan(spec, targets, first):
-        gap = min(rec.lo - s, 1 << 60)  # clamp before the int -> float product
-        if rec.lo >= cut and gap * log_rho < -745.0:
+        if rec.lo >= stop:
             break
         if not rec.built:
             continue
@@ -212,6 +216,8 @@ def check_visit(
         raise DomainError("visit time must lie in [0, series degree]")
     entry = targets.entry(k)
     radius = 1.0 - 1 / entry.l_bound  # int division: an l past the float range gives radius 1
+    if radius == 1.0:
+        raise DomainError(f"the test radius 1 - 1/l at l = {entry.l_bound} rounds to 1")
     window = effective_degree(radius, f.max_degree - s) + 1
     orbit = apply_shift_power(f, s, ShiftParams(spec.alpha), length=window).coefficients
     target = entry.series.coefficients

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tsl
 from tsl import series as series_module
 from tsl.constructor import (
     BlockLedger,
@@ -17,15 +22,14 @@ from tsl.constructor import (
     Regime,
     Schedule,
     _budget,
-    block_indices,
     construct,
     iter_plan,
     plan_blocks,
     quadratic_schedule,
     target_gate,
-    two_adic_valuation,
     visit_set,
 )
+from tsl.densities import PrefixSet, prefix_density_profile
 from tsl.errors import DomainError
 from tsl.means import means_table
 from tsl.polybank import (
@@ -36,7 +40,7 @@ from tsl.polybank import (
     rudin_shapiro,
     vdlp_star,
 )
-from tsl.repro import visit_fixture_targets
+from tsl.repro import check_orbit_visits, visit_fixture_targets
 from tsl.series import MAX_SERIES_DEGREE, CoefficientSeries
 from unit_targets import uniform_unit_targets
 
@@ -103,26 +107,26 @@ class TestTargetGate:
 
 
 class TestBlockIndices:
+    """Interval and target of a block, read off its plan record."""
+
     def test_odd_block(self):
-        lo, hi, k = block_indices(3, dyadic_spec())
-        assert (lo, hi, k) == (8, 15, None)
+        rec = next(iter_plan(dyadic_spec(), visit_fixture_targets(), 3))
+        assert (rec.lo, rec.hi, rec.k) == (8, 15, None)
 
     def test_valuation_assignment(self):
-        _, _, k = block_indices(12, dyadic_spec())
-        assert k == 2
-        assert two_adic_valuation(12) == 2
+        # 12 = 2**2 * 3 belongs to target 2
+        assert plan_blocks(dyadic_spec(), visit_fixture_targets(), 12).records[12].k == 2
 
     def test_explicit_schedule(self):
         spec = ConstructionSpec(
             alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.U_SCHEDULE,
             max_degree=1 << 20, u=quadratic_schedule,
         )
-        lo, hi, k = block_indices(2, spec)
-        assert (lo, hi, k) == (1 << 4, (1 << 9) - 1, 1)
+        rec = plan_blocks(spec, visit_fixture_targets(), 2).records[2]
+        assert (rec.lo, rec.hi, rec.k) == (1 << 4, (1 << 9) - 1, 1)
 
     def test_zero_block_unassigned(self):
-        _, _, k = block_indices(0, dyadic_spec())
-        assert k is None
+        assert next(iter_plan(dyadic_spec(), visit_fixture_targets())).k is None
 
 
 class TestBuildBlock:
@@ -493,6 +497,18 @@ class TestBlockNormBounds:
         assert 0 < worst <= 50.0
 
 
+def visit_density(spec, targets, k, ledger):
+    """`check_orbit_visits`' density reading, on a sign-family ledger."""
+    visits = visit_set(spec, targets, k, ledger).visits
+    ends = [
+        r.lo + r.gate * int(rudin_shapiro(r.budget).plus_positions()[-1])
+        for r in ledger.for_target(k)
+        if r.built
+    ]
+    rows = prefix_density_profile(PrefixSet(np.array(visits), visits[-1]), spec.gamma, ends)
+    return max(row[1] for row in rows)
+
+
 class TestVisitSet:
     def test_no_admissible_block_empty(self):
         # target 2's first admissible block is 4 = [16, 31]; at max_degree
@@ -501,9 +517,7 @@ class TestVisitSet:
         _, ledger = construct(spec, visit_fixture_targets())
         block4 = {r.n: r for r in ledger.for_target(2)}[4]
         assert block4.skip_reason == "max-degree"
-        report = visit_set(spec, visit_fixture_targets(), 2, ledger)
-        assert report.visits == ()
-        assert report.density_estimate == 0.0
+        assert visit_set(spec, visit_fixture_targets(), 2, ledger).visits == ()
 
     def test_zero_target_has_no_visits(self):
         spec = dyadic_spec(gamma=0.0, max_degree=1 << 14)
@@ -511,8 +525,7 @@ class TestVisitSet:
         _, ledger = construct(spec, targets)
         reasons = [r.skip_reason for r in ledger.for_target(1)]
         assert reasons == ["gate", "zero", "zero", "max-degree"]
-        report = visit_set(spec, targets, 1, ledger)
-        assert report.visits == () and report.density_estimate == 0.0
+        assert visit_set(spec, targets, 1, ledger).visits == ()
 
     def test_fixture_first_visit(self):
         spec = dyadic_spec(max_degree=1 << 5)
@@ -541,17 +554,25 @@ class TestVisitSet:
         )
         targets = enumerate_targets(8)
         _, ledger = construct(spec, targets)
-        report = visit_set(spec, targets, 2, ledger)
         gate = next(r.gate for r in ledger.for_target(2) if r.built)
-        assert report.visits
-        assert report.density_estimate >= 1.0 / (8.0 * gate)
+        assert visit_set(spec, targets, 2, ledger).visits
+        assert visit_density(spec, targets, 2, ledger) >= 1.0 / (8.0 * gate)
 
     def test_beta_density_surrogate(self):
         spec = dyadic_spec(alpha=0.0, gamma=0.5)
         targets = visit_fixture_targets()
         _, ledger = construct(spec, targets)
-        report = visit_set(spec, targets, 2, ledger)
-        assert report.density_estimate >= 0.05
+        assert visit_density(spec, targets, 2, ledger) >= 0.05
+
+    def test_orbit_visits_density_keeps_its_bits(self):
+        # the reading the visit lister gave before the orbit-visits check took it over
+        assert check_orbit_visits()["density"] == 0.15306336544242255
+
+    def test_constructor_does_not_import_densities(self):
+        # the density reading lives with its one reader, the orbit-visits check
+        code = "import sys, tsl.constructor; assert 'tsl.densities' not in sys.modules"
+        src = str(Path(tsl.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
     @pytest.mark.parametrize("k", [0, 5])
     def test_target_outside_enumeration(self, k):
@@ -586,6 +607,10 @@ class TestPlanIteration:
         records = [next(gen) for _ in range(40)]
         missing = [r for r in records if r.skip_reason == "no-target"]
         assert missing and all(r.k is not None and r.k > 2 for r in missing)
+
+    def test_iter_plan_rejects_a_negative_start(self):
+        with pytest.raises(DomainError):
+            iter_plan(dyadic_spec(), enumerate_targets(2), -1)
 
     def test_plan_blocks_requires_enough_targets(self):
         # block 8 = 2**3 belongs to target 3

@@ -46,6 +46,14 @@ def spec_at(alpha, max_degree):
     )
 
 
+def schedule_spec(schedule, alpha):
+    return ConstructionSpec(
+        alpha=alpha, gamma=0.5, regime=Regime.RS, max_degree=DEGREE,
+        schedule=Schedule.DYADIC if schedule == "dyadic" else Schedule.U_SCHEDULE,
+        u=quadratic_schedule if schedule == "u2" else None,
+    )
+
+
 def missed_mass(alpha, s, cut, degree=1):
     """sum over the orbit coordinates the window [s, cut) of f misses of |c| * (1/2)**(i - s).
 
@@ -100,16 +108,25 @@ class TestTailBound:
     def test_walk_from_s_equals_walk_from_block_zero(self, schedule, alpha, s, width, radius):
         # the walk skips the blocks that end before s; a reference that walks
         # from block 0 classifies them too and must read the same bits
-        spec = ConstructionSpec(
-            alpha=alpha, gamma=0.5, regime=Regime.RS, max_degree=DEGREE,
-            schedule=Schedule.DYADIC if schedule == "dyadic" else Schedule.U_SCHEDULE,
-            u=quadratic_schedule if schedule == "u2" else None,
-        )
+        spec = schedule_spec(schedule, alpha)
         targets = half_targets()
         cut = min(s + width, DEGREE + 1)
         with mock.patch.object(verify, "iter_plan", lambda spec, targets, start: iter_plan(spec, targets)):
             reference = truncation_tail_bound(spec, targets, s, radius, cut)
         assert truncation_tail_bound(spec, targets, s, radius, cut) == reference
+
+    @pytest.mark.parametrize("schedule", ["dyadic", "u2"])
+    def test_finite_and_nondecreasing_up_to_the_last_radius_below_one(self, schedule):
+        # from 1 - 5e-16 on, -ln(radius) * 2**60 is below 745: the scan stops at
+        # the index 745 / -ln(radius) past s, about 6.7e18 at 1 - 2**-53
+        radii = (1 - 1e-6, 1 - 1e-15, 1 - 5e-16, 1 - 2**-53)
+        bounds = [truncation_tail_bound(schedule_spec(schedule, 0.0), half_targets(), 16, r, 17) for r in radii]
+        assert all(map(math.isfinite, bounds)) and bounds == sorted(bounds)
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5, math.nan, -0.5])
+    def test_radius_outside_the_unit_interval_is_a_domain_error(self, radius):
+        with pytest.raises(DomainError, match="radius"):
+            truncation_tail_bound(spec_at(0.0, DEGREE), half_targets(), 16, radius, 17)
 
 
 class TestCheckVisit:
@@ -194,10 +211,24 @@ class TestCheckVisit:
 
     @pytest.mark.parametrize("l_bound", [10**200, 10**400])
     def test_bound_past_the_float_range_is_a_domain_error(self, l_bound):
-        # the test radius 1 - 1/l reads 1; the plan's gate is what cannot be formed
+        # the test radius 1 - 1/l reads 1: check_visit rejects it before the plan forms a gate
         targets = TargetEnumeration((TargetEntry(((1, 0, 1),), l_bound),) * 4)
         with pytest.raises(DomainError, match=f"l = {l_bound} "):
             check_visit(CoefficientSeries.zero(DEGREE), spec_at(0.0, DEGREE), targets, 1, 5)
+
+    @pytest.mark.parametrize("l_bound", [10**15, 2 * 10**15, 10**16, 10**30])
+    def test_test_radius_near_one(self, l_bound):
+        # past l = 2**53 or so the radius 1 - 1/l rounds to 1 and has no test circle
+        targets = TargetEnumeration(
+            (TargetEntry(((0, 0, 1),), 1), TargetEntry(((1, 0, 1),), 1), TargetEntry(((1, 0, 1),), l_bound))
+        )
+        spec = spec_at(0.0, DEGREE)
+        f, _ = construct(spec, targets)
+        if 1.0 - 1 / l_bound < 1.0:
+            assert math.isfinite(check_visit(f, spec, targets, 3, 16))
+        else:
+            with pytest.raises(DomainError, match=f"l = {l_bound} "):
+                check_visit(f, spec, targets, 3, 16)
 
     def test_rejects_series_of_another_degree(self):
         # the window would read this series and the tail the plan truncated at
