@@ -324,7 +324,8 @@ def construct(
     """Sum of all blocks whose interval fits below max_degree.
 
     Blocks are disjoint, so each built block is written in place into the
-    one array the series then adopts; blocks whose interval sticks out
+    one array the series then adopts without a second finiteness scan
+    (`_write_block` checks each row); blocks whose interval sticks out
     beyond max_degree are dropped and recorded.  A max_degree above
     `series.MAX_SERIES_DEGREE` is a DomainError.
     """
@@ -341,7 +342,7 @@ def construct(
         records.append(rec)
     ledger = BlockLedger(tuple(records))
     ledger.assert_disjoint_supports()
-    return CoefficientSeries._adopt(arr), ledger
+    return CoefficientSeries._adopt_finite(arr), ledger
 
 
 def plan_blocks(

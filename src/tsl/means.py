@@ -13,9 +13,12 @@ with r**D >= 2**-60, and samples at the next power of two above
 documented lower estimate).  So the FFT of a radius well inside the disc
 is sized on the degree that radius can see, not on the full degree; at
 r = 1 - 2**-j the effective degree is about 41.6 * 2**j.  Every count
-is derived, none is set.  The reducer takes the sampler's phase blocks
-one at a time, so it never holds all samples at once.  Where every
-nonzero index is one residue mod a power of two g, the stride (blocks
+is derived, none is set.  The sampler hands the reducer its phase
+blocks in chunks of at most max(m, _CHUNK_POINTS = 2**15) samples, m the
+window's FFT length, each chunk one FFT call: a small circle is one
+call, a window of m >= 2**15 points one block per call, and no more
+samples than one chunk are ever held at once.  Where every nonzero
+index is one residue mod a power of two g, the stride (blocks
 z**lo * S(z**gate) on constant targets), the modulus has period N / g
 around the circle, so a mean transforms N / g points, and its row still
 names the N it stands for.
@@ -64,6 +67,12 @@ _LN2 = math.log(2.0)
 _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
 _TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
 _EXACT_TERMS = 1 << 16  # position sums with more terms that matter are bracketed
+_CHUNK_POINTS = 1 << 15
+"""Most samples one FFT call of `_phase_blocks` holds, unless a single block is longer.
+
+A memory ceiling, not a tuning setting: it bounds the samples and FFT
+buffers held at once, and any value gives the same bits.
+"""
 _CSV_HEADER = "p,r,value,quadrature_size"
 _Support = tuple[np.ndarray, int, int]  # `_support`'s nonzero indices, last index and stride
 
@@ -201,7 +210,7 @@ def _support(coeffs: np.ndarray) -> _Support:
 
 
 def _phase_blocks(coeffs: np.ndarray, support: _Support, p: float, r: float) -> Iterator[np.ndarray]:
-    """Values whose moduli are |P| at `_sample_count(D, p)` points, one phase block at a time.
+    """Values whose moduli are |P| at `_sample_count(D, p)` points, as 2-d chunks of phase blocks.
 
     `support` is `_support(coeffs)`: every nonzero index up to the last is
     residue mod its stride, capped here at g = next_pow2(D + 1) so that
@@ -212,6 +221,9 @@ def _phase_blocks(coeffs: np.ndarray, support: _Support, p: float, r: float) -> 
     phase-shifted m-point FFTs of Q: block a holds the values at t * size
     / g / m + a of the zero-padded (size / g)-point FFT, without its long
     work buffers.  At g = 1, Q is P and the blocks hold P's values themselves.
+    Each chunk holds consecutive blocks as its rows, at most
+    max(m, _CHUNK_POINTS) values, and takes one FFT call; block a's window
+    is the running product window * step**a, formed block by block.
     """
     nonzero, last, stride = support
     degree = effective_degree(r, last)
@@ -223,25 +235,34 @@ def _phase_blocks(coeffs: np.ndarray, support: _Support, p: float, r: float) -> 
         window = window * np.exp(np.arange(residue, degree + 1, stride) * math.log(r))
     m = _next_pow2(max(1, window.size))
     step = np.exp(2j * math.pi / points * np.arange(window.size))
-    for _ in range(points // m):
-        yield np.fft.ifft(window, n=m, norm="forward")
-        window = window * step
+    blocks = points // m
+    rows = max(1, _CHUNK_POINTS // m)
+    for first in range(0, blocks, rows):
+        chunk = np.empty((min(rows, blocks - first), window.size), dtype=np.complex128)
+        chunk[0] = window
+        for a in range(1, len(chunk)):
+            np.multiply(chunk[a - 1], step, out=chunk[a])
+        window = chunk[-1] * step
+        yield np.fft.ifft(chunk, n=m, axis=1, norm="forward")
 
 
 def _circle_reduce(coeffs: np.ndarray, support: _Support, p: float, r: float) -> float:
     """The L^p mean of |P| over its `_phase_blocks`: the max at p = inf, else the power mean.
 
-    Each phase block is reduced as it arrives, so the samples are never
-    all held; a sample of a strided series stands for stride points.
+    Each chunk is reduced as it arrives, so at most one chunk of samples
+    is held; a sample of a strided series stands for stride points.  At
+    finite p each block's power sum joins the running total in block
+    order, the same sum a block-at-a-time reduction forms.
     """
     _check_p(p)
-    blocks = _phase_blocks(coeffs, support, p, r)
+    chunks = _phase_blocks(coeffs, support, p, r)
     if p == math.inf:
-        return max(float(np.abs(block).max()) for block in blocks)
+        return max(float(np.abs(chunk).max()) for chunk in chunks)
     power_sum, points = 0.0, 0
-    for block in blocks:
-        power_sum += float(np.sum(np.abs(block) ** p))
-        points += block.size
+    for chunk in chunks:
+        for block_sum in np.sum(np.abs(chunk) ** p, axis=1).tolist():
+            power_sum += block_sum
+        points += chunk.size
     return (power_sum / points) ** (1.0 / p)
 
 
@@ -256,7 +277,9 @@ def circle_mean(coeffs: np.ndarray, p: float, r: float) -> float:
     is sampled at N = 4 * next_pow2(D + 1) equispaced points, 8 *
     next_pow2(D + 1) at p = infinity, whose N exceeds pi * D, so the
     sampled sup lies within the Bernstein factor 1 / (1 - pi * D / N) of
-    the true sup.
+    the true sup.  The samples come in chunks of at most max(m,
+    _CHUNK_POINTS) values, m the sampled window's FFT length, so a small
+    circle costs one FFT call.
     """
     return _circle_reduce(coeffs, _support(coeffs), p, r)
 

@@ -26,9 +26,14 @@ via `zero_coefficients`: an N above MAX_SERIES_DEGREE = 2**24 (16 times
 the largest degree built) is a DomainError before anything is allocated.
 `construct` hands its array to its series uncopied, so pages no block
 wrote stay unallocated; the shifts and `polybank.index_weighted` hand
-over their fresh products the same way.  The reader copies, because
-freeing its source raises glibc's mmap threshold and keeps later FFT
-scratch on the heap.
+over their fresh products the same way.  `construct`'s array is also
+adopted unscanned: its builder checks every row it writes for
+finiteness, and every other entry is a zero, so a second finiteness
+scan could not fail and would read every page.  The products of the
+shifts and `index_weighted` can overflow, and the public constructor
+and the reader take values from outside, so those are scanned.  The
+reader copies, because freeing its source raises glibc's mmap threshold
+and keeps later FFT scratch on the heap.
 """
 
 from __future__ import annotations
@@ -71,8 +76,17 @@ class CoefficientSeries:
     @classmethod
     def _adopt(cls, arr: np.ndarray) -> "CoefficientSeries":
         """The series of a complex128 array that nothing else references, taken without a copy."""
+        return cls._adopt_finite(_sealed(arr))
+
+    @classmethod
+    def _adopt_finite(cls, arr: np.ndarray) -> "CoefficientSeries":
+        """`_adopt` without the scan, for a nonempty 1-d array whose builder checked every value.
+
+        The array is only made read-only.
+        """
+        arr.flags.writeable = False
         series = object.__new__(cls)
-        object.__setattr__(series, "coefficients", _sealed(arr))
+        object.__setattr__(series, "coefficients", arr)
         return series
 
     @property

@@ -121,6 +121,17 @@ def _abel_verdict(u: np.ndarray, v: np.ndarray, subseq: np.ndarray) -> OracleVer
     return OracleVerdict(holds=holds, margin=margin, witness=witness)
 
 
+def _first_block(spec: ConstructionSpec, s: int) -> int:
+    """The first block number n whose interval reaches index s.
+
+    Block n ends at 2**base_exponent(n + 1) - 1, which is >= s once
+    2**base_exponent(n + 1) > s, that is once base_exponent(n + 1) >= the
+    bit length of s.
+    """
+    bits = int(s).bit_length()
+    return next(n for n in count() if spec.base_exponent(n + 1) >= bits)
+
+
 def truncation_tail_bound(
     spec: ConstructionSpec,
     targets: TargetEnumeration,
@@ -147,8 +158,7 @@ def truncation_tail_bound(
         raise DomainError(f"radius must lie in [0, 1) (got {radius})")
     if radius == 0.0:
         return 0.0
-    # block n ends at 2**base_exponent(n + 1) - 1, which is >= s once 2**base_exponent(n + 1) > s
-    first = next(n for n in count() if spec.base_exponent(n + 1) >= int(s).bit_length())
+    first = _first_block(spec, s)
     log_rho = math.log(radius)
     # a block from `stop` on adds at most e**-745 of its envelope; int < float compares exactly
     stop = max(cut, s - 745.0 / log_rho)

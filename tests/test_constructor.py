@@ -52,6 +52,13 @@ def dyadic_spec(alpha=0.0, gamma=0.5, regime=Regime.RS, max_degree=1 << 20, q=ma
     )
 
 
+def assert_sealed_finite(series):
+    """A series that is finite and read-only, and that the validating public constructor accepts."""
+    a = series.coefficients
+    assert np.isfinite(a.view(np.float64)).all() and not a.flags.writeable
+    assert np.array_equal(CoefficientSeries(a).coefficients, a)
+
+
 def planned_block(n, spec, targets):
     """Block n's plan record and, when built, its content over [lo, lo + span] from `construct`."""
     rec = plan_blocks(spec, targets, n).records[n]
@@ -232,6 +239,14 @@ class TestConstruct:
         with pytest.raises(DomainError, match=r"block n=8 \(target 3\) overflows"):
             construct(spec, enumerate_targets(8))
 
+    def test_block_just_inside_the_float_range_is_sealed_finite(self):
+        # at alpha = -116.1 block n=8 overflows, as at alpha = -120 above
+        spec = dyadic_spec(alpha=-116.0, gamma=0.0, max_degree=1 << 10)
+        series, ledger = construct(spec, enumerate_targets(8))
+        assert [rec.n for rec in ledger.built()] == [8]
+        assert np.abs(series.coefficients).max() > 2.0**1023
+        assert_sealed_finite(series)
+
     def test_coefficients_are_read_only(self):
         series, _ = construct(dyadic_spec(max_degree=1 << 12), enumerate_targets(8))
         assert not series.coefficients.flags.writeable
@@ -305,6 +320,7 @@ class TestConstruct:
         if schedule != "u2":  # on u2 block 2 is gated and block 4 ends at 2**25 - 1
             assert ledger.built()
         assert np.array_equal(series.coefficients, dense)
+        assert_sealed_finite(series)
 
     def test_ledger_csv_header(self):
         _, ledger = construct(dyadic_spec(max_degree=1 << 8), enumerate_targets(4))

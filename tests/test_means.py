@@ -84,8 +84,8 @@ def _horner(coeffs, z):
 def stacked_samples(coeffs, r):
     """The unstrided p = inf phase blocks, assembled into circle order: value k at r exp(2 pi i k / N)."""
     nonzero, last, _ = _support(coeffs)
-    blocks = means_module._phase_blocks(coeffs, (nonzero, last, 1), math.inf, r)
-    return np.column_stack(list(blocks)).reshape(-1)
+    chunks = means_module._phase_blocks(coeffs, (nonzero, last, 1), math.inf, r)
+    return np.vstack(list(chunks)).T.reshape(-1)
 
 
 def direct_mean(coeffs, p, r):
@@ -314,12 +314,12 @@ def lattice_moduli(coeffs, stride, residue, r, size):
 
 @pytest.fixture
 def fft_points(monkeypatch):
-    """The length of every inverse FFT `tsl.means` runs, in call order."""
+    """The points of every inverse FFT call `tsl.means` runs, rows times length, in call order."""
     seen = []
     ifft = np.fft.ifft
 
     def spy(a, n=None, *args, **kwargs):
-        seen.append(len(a) if n is None else n)
+        seen.append(len(a) * n)
         return ifft(a, n, *args, **kwargs)
 
     monkeypatch.setattr(means_module.np.fft, "ifft", spy)
@@ -395,11 +395,14 @@ class TestStridedSampling:
                 (row,) = means_table(CoefficientSeries(a), [p], [r]).rows
                 assert sum(fft_points) == row.quadrature_size
                 # the stride-1 phase blocks, reduced as the unstrided sampler reduces them
-                blocks = means_module._phase_blocks(a, support, p, r)
+                chunks = means_module._phase_blocks(a, support, p, r)
                 if p == math.inf:
-                    assert row.value == max(float(np.abs(b).max()) for b in blocks)
+                    assert row.value == max(float(np.abs(chunk).max()) for chunk in chunks)
                 else:
-                    power_sum = sum(float(np.sum(np.abs(b) ** p)) for b in blocks)
+                    power_sum = 0.0
+                    for chunk in chunks:
+                        for block in chunk:
+                            power_sum += float(np.sum(np.abs(block) ** p))
                     assert row.value == (power_sum / row.quadrature_size) ** (1.0 / p)
 
     def test_stride_wider_than_the_window_is_capped(self, fft_points):
@@ -447,6 +450,66 @@ class TestStridedSampling:
                 stride = min(8, next_pow2(d + 1))
                 assert sum(fft_points) == (8 if p == math.inf else 4) * next_pow2(d + 1) // stride
                 assert value == pytest.approx(direct_mean(a, p, r), rel=1e-12)
+
+
+def reference_phase_blocks(coeffs, support, p, r):
+    """The one-block-per-call sampler: each phase block its own m-point inverse FFT."""
+    nonzero, last, stride = support
+    degree = effective_degree(r, last)
+    stride = min(stride, next_pow2(degree + 1))
+    residue = int(nonzero[0]) % stride if nonzero.size else 0
+    points = means_module._sample_count(degree, p) // stride
+    window = np.asarray(coeffs[residue : degree + 1 : stride], dtype=np.complex128)
+    if 0.0 < r < 1.0:
+        window = window * np.exp(np.arange(residue, degree + 1, stride) * math.log(r))
+    m = next_pow2(max(1, window.size))
+    step = np.exp(2j * math.pi / points * np.arange(window.size))
+    for _ in range(points // m):
+        yield np.fft.ifft(window, n=m, norm="forward")
+        window = window * step
+
+
+def reference_reduce(coeffs, p, r):
+    """`reference_phase_blocks` reduced block by block: the max at p = inf, else the power mean."""
+    blocks = reference_phase_blocks(coeffs, _support(coeffs), p, r)
+    if p == math.inf:
+        return max(float(np.abs(block).max()) for block in blocks)
+    power_sum, points = 0.0, 0
+    for block in blocks:
+        power_sum += float(np.sum(np.abs(block) ** p))
+        points += block.size
+    return (power_sum / points) ** (1.0 / p)
+
+
+class TestChunkedPhaseBlocks:
+    """Chunks of phase blocks in one FFT call reduce to the one-block-per-call bits."""
+
+    @pytest.mark.parametrize("m", (1 << 13, 1 << 14, 1 << 15, 1 << 16))
+    @pytest.mark.parametrize("stride", (1, 4))
+    def test_reductions_equal_the_block_at_a_time_sampler(self, stride, m):
+        # m terms on one residue class: the r = 1 window is m points long
+        a = lattice_series(stride, stride - 1, m, m + stride).coefficients
+        assert _support(a)[2] == stride
+        ps, radii = (1.0, 1.5, 2.0, math.inf), (0.0, 0.5, 0.99, 1.0 - 2.0**-12, 1.0)
+        for p in ps:
+            for r in radii:
+                assert circle_mean(a, p, r) == reference_reduce(a, p, r), (p, r)
+        # the p = 2 rows come from Parseval, not from the circle reduction
+        table = means_table(CoefficientSeries(a), [1.0, 1.5, math.inf], list(radii[1:-1]))
+        for row in table.rows:
+            assert row.value == reference_reduce(a, row.p, row.r), (row.p, row.r)
+
+    @pytest.mark.parametrize("m", (1 << 6, 1 << 13, 1 << 15, 1 << 16))
+    @pytest.mark.parametrize("stride", (1, 4))
+    def test_no_call_transforms_more_than_the_ceiling(self, fft_points, stride, m):
+        a = lattice_series(stride, stride - 1, m, m).coefficients
+        ceiling = max(m, 1 << 15)
+        for p in (1.0, math.inf):
+            fft_points.clear()
+            circle_mean(a, p, 1.0)
+            assert sum(fft_points) == (8 if p == math.inf else 4) * m
+            assert max(fft_points) <= ceiling
+            assert len(fft_points) == -(-sum(fft_points) // ceiling)  # every chunk but the last full
 
 
 class TestExponents:

@@ -116,6 +116,16 @@ class TestTailBound:
         assert truncation_tail_bound(spec, targets, s, radius, cut) == reference
 
     @pytest.mark.parametrize("schedule", ["dyadic", "u2"])
+    def test_first_block_equals_the_per_step_search(self, schedule):
+        spec = schedule_spec(schedule, 0.0)
+
+        def per_step(s):  # the search that takes the bit length of s at every step
+            return next(n for n in itertools.count() if spec.base_exponent(n + 1) >= int(s).bit_length())
+
+        indices = [*range((1 << 16) + 1), *((1 << 40) + d for d in (-2, -1, 0, 1, 2)), (1 << 41) - 1]
+        assert [verify._first_block(spec, s) for s in indices] == [per_step(s) for s in indices]
+
+    @pytest.mark.parametrize("schedule", ["dyadic", "u2"])
     def test_finite_and_nondecreasing_up_to_the_last_radius_below_one(self, schedule):
         # from 1 - 5e-16 on, -ln(radius) * 2**60 is below 745: the scan stops at
         # the index 745 / -ln(radius) past s, about 6.7e18 at 1 - 2**-53
@@ -201,7 +211,7 @@ class TestCheckVisit:
         ifft = np.fft.ifft
 
         def spy(x, n=None, *args, **kwargs):
-            points.append(n)
+            points.append(len(x) * n)
             return ifft(x, n, *args, **kwargs)
 
         monkeypatch.setattr(means.np.fft, "ifft", spy)
