@@ -154,9 +154,8 @@ def _load_targets(path: str | None, count: int = 64) -> TargetEnumeration:
 
 
 def _parse_p_list(text: str) -> list[float]:
-    toks = [tok.strip() for tok in text.split(",")]
     try:
-        return [math.inf if tok in ("inf", "infinity") else float(tok) for tok in toks]
+        return [float(tok) for tok in text.split(",")]  # float() strips spaces, reads inf and infinity
     except ValueError as exc:
         raise DomainError(f"--p must be a comma list of exponents or inf: {text!r}") from exc
 

@@ -30,14 +30,15 @@ visit times and nothing else: `tsl.repro`'s orbit-visits check reads
 their weighted density.
 
 `ConstructionSpec` rejects a u on the dyadic schedule, which would ignore
-it, and holds the one check of explicit schedules u: on
-u(0), ..., u(SCHEDULE_CHECK_PREFIX) it must be strictly increasing, and
-its degree ratios 2**(u(n+1) - u(n)) must be at least 4 from index 3 on.
-Gaps that grow without bound cannot be decided on a finite prefix, and
-they need not be monotone: floor(n**1.5) has gaps 5, 4 at n = 8..10.
-The construction itself needs only the strict increase: it makes the
-block intervals disjoint, and since every gate is at least d + 4, a
-block's span stays below 2**u(n) and fits its interval.
+it, and holds the one check of explicit schedules u: on u(0), ...,
+u(SCHEDULE_CHECK_PREFIX) it must take integer values (integral floats
+count) from u(0) >= 0 on, increase strictly, and have degree ratios
+2**(u(n+1) - u(n)) of at least 4 from index 3 on.  Gaps that grow
+without bound cannot be decided on a finite prefix, and they need not
+be monotone: floor(n**1.5) has gaps 5, 4 at n = 8..10.  The
+construction itself needs only the strict increase from u(0) >= 0: it
+makes the block intervals disjoint, and since every gate is at least
+d + 4, a block's span stays below 2**u(n) and fits its interval.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ class ConstructionSpec:
             raise DomainError("alpha must be finite")
         if not (0.0 <= self.gamma < 1.0):
             raise DomainError("gamma must lie in [0, 1)")
+        if not isinstance(self.max_degree, (int, np.integer)):
+            raise DomainError("max_degree must be an integer")
         if self.max_degree < 4:
             raise DomainError("max_degree must be >= 4")
         if self.schedule is Schedule.DYADIC and self.u is not None:
@@ -105,7 +108,9 @@ class ConstructionSpec:
         if self.schedule is Schedule.U_SCHEDULE:
             if self.u is None:
                 object.__setattr__(self, "u", quadratic_schedule)
-            vals = [int(self.u(n)) for n in range(SCHEDULE_CHECK_PREFIX + 1)]
+            vals = [self.u(n) for n in range(SCHEDULE_CHECK_PREFIX + 1)]
+            if not all(float(v).is_integer() for v in vals) or vals[0] < 0:
+                raise DomainError("schedule values must be integers, from u(0) >= 0 on")
             gaps = [b - a for a, b in zip(vals, vals[1:])]
             if any(g <= 0 for g in gaps):
                 raise DomainError("schedule must be strictly increasing")
@@ -163,16 +168,7 @@ class BlockLedger:
         out = StringIO()
         out.write("n,k,gate,budget,lo,hi,skip_reason\n")
         for r in self.records:
-            row = [
-                str(r.n),
-                "" if r.k is None else str(r.k),
-                "" if r.gate is None else str(r.gate),
-                "" if r.budget is None else str(r.budget),
-                str(r.lo),
-                str(r.hi),
-                "" if r.skip_reason is None else r.skip_reason,
-            ]
-            out.write(",".join(row) + "\n")
+            out.write(",".join("" if v is None else str(v) for v in vars(r).values()) + "\n")
         return out.getvalue()
 
 
@@ -358,10 +354,10 @@ def plan_blocks(
 
 
 def visit_set(spec: ConstructionSpec, targets: TargetEnumeration, k: int, ledger: BlockLedger) -> VisitReport:
-    """Visit times of target k: lo + gate*m over the +1 slots m of each built block's family."""
+    """Visit times of target k: lo + gate*m at each slot m where a built block's family reads +1."""
     targets.entry(k)  # range check: a target beyond the enumeration is a DomainError
     visits = [
-        rec.lo + rec.gate * _family(spec, rec.budget).plus_positions()
+        rec.lo + rec.gate * np.flatnonzero(_family(spec, rec.budget).coefficients == 1)
         for rec in ledger.for_target(k)
         if rec.built
     ]

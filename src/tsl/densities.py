@@ -286,8 +286,7 @@ def prefix_density_profile(
     log_num = _log_masses(gamma, np.searchsorted(members, h, "right"), members)
     out = []
     for n, num, den in zip(h.tolist(), log_num.tolist(), log_den.tolist()):
-        ratio = 0.0 if num == -math.inf else min(1.0, math.exp(num - den))
-        out.append((n, ratio, num, den))
+        out.append((n, min(1.0, math.exp(num - den)), num, den))
     return out
 
 

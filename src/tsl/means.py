@@ -78,7 +78,7 @@ _Support = tuple[np.ndarray, int, int]  # `_support`'s nonzero indices, last ind
 
 
 def _check_p(p: float) -> None:
-    if p != math.inf and (not math.isfinite(p) or p < 1.0):
+    if not p >= 1.0:  # infinity passes, nan fails
         raise DomainError("p must lie in [1, infinity]")
 
 
@@ -101,10 +101,7 @@ def critical_exponent(p: float, gamma: float) -> float:
     """(1 - gamma) / max(2, q); zero at p = 1 where q is infinite."""
     if not (0.0 <= gamma <= 1.0):
         raise DomainError("gamma must lie in [0, 1]")
-    q = conjugate_exponent(p)
-    if q == math.inf:
-        return 0.0
-    return (1.0 - gamma) / max(2.0, q)
+    return (1.0 - gamma) / max(2.0, conjugate_exponent(p))
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ class RadialMeansTable:
                 raise DomainError("mean values must be finite and nonnegative")
             if row.quadrature_size < 0:
                 raise DomainError("quadrature_size must be >= 0")
-        keys = [(row.p == math.inf, row.p, row.r) for row in self.rows]
+        keys = [(row.p, row.r) for row in self.rows]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise DomainError("rows must be sorted by (p, r), each (p, r) once")
 
@@ -138,8 +135,7 @@ class RadialMeansTable:
         out = StringIO()
         out.write(_CSV_HEADER + "\n")
         for row in self.rows:
-            p_txt = "inf" if row.p == math.inf else fmt17(row.p)
-            out.write(f"{p_txt},{fmt17(row.r)},{fmt17(row.value)},{row.quadrature_size}\n")
+            out.write(f"{fmt17(row.p)},{fmt17(row.r)},{fmt17(row.value)},{row.quadrature_size}\n")
         return out.getvalue()
 
     @classmethod
@@ -152,8 +148,7 @@ class RadialMeansTable:
         for ln in lines[1:]:
             try:
                 p_txt, r_txt, v_txt, q_txt = ln.split(",")
-                p = math.inf if p_txt == "inf" else float(p_txt)
-                rows.append(MeanRow(p, float(r_txt), float(v_txt), int(q_txt)))
+                rows.append(MeanRow(float(p_txt), float(r_txt), float(v_txt), int(q_txt)))
             except ValueError as exc:
                 raise DomainError(f"means table row is not {_CSV_HEADER}: {ln!r}") from exc
         return cls(tuple(rows))
@@ -165,10 +160,6 @@ class GrowthFit:
     intercept: float
     residual_rms: float
     r_window: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.residual_rms < 0:
-            raise DomainError("residual must be nonnegative")
 
 
 def _next_pow2(n: int) -> int:
@@ -308,10 +299,7 @@ def means_table(
         raise DomainError("p_list and r_grid must be nonempty")
     for r in r_grid:
         _check_radius(r)
-    pairs = sorted(
-        ((p, r) for p in set(p_list) for r in set(r_grid)),
-        key=lambda t: (t[0] == math.inf, t[0], t[1]),
-    )
+    pairs = sorted((p, r) for p in set(p_list) for r in set(r_grid))
     support = _support(series.coefficients)
     rows = (_mean_row(series, support, p, r) for p, r in pairs)
     return RadialMeansTable(tuple(rows))
@@ -339,8 +327,7 @@ def fit_growth_exponent(table: RadialMeansTable, p: float) -> GrowthFit:
     radii are dominated by blocks the gates removed.  Rows with zero
     value cannot be log-fitted and are dropped first.
     """
-    rows = sorted(table.at_p(p), key=lambda row: row.r)
-    rows = [row for row in rows if row.value > 0.0]
+    rows = [row for row in table.at_p(p) if row.value > 0.0]
     if len(rows) < 4:
         raise DomainError("growth fit needs at least 4 rows with positive value")
     upper = rows[len(rows) // 2 :]

@@ -27,7 +27,7 @@ import numpy as np
 from tsl.errors import DomainError
 from tsl.series import CoefficientSeries
 
-# denominator used to sandwich sqrt(a^2+b^2) between rationals
+# denominator of the rational upper bound on sqrt(a^2+b^2)
 _SQRT_SCALE = 10**12
 
 
@@ -50,9 +50,6 @@ class SignedPolynomial:
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 
-    def plus_positions(self) -> np.ndarray:
-        return np.nonzero(self.coefficients == 1)[0]
-
 
 @dataclass(frozen=True, eq=False)
 class StarPolynomial:
@@ -71,9 +68,6 @@ class StarPolynomial:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
-
-    def plus_positions(self) -> np.ndarray:
-        return np.nonzero(self.coefficients == 1.0)[0]
 
 
 def rudin_shapiro(n_terms: int) -> SignedPolynomial:
@@ -152,7 +146,7 @@ class TargetEnumeration:
             if e.l_bound < prev:
                 raise DomainError("l_k must be nondecreasing")
             prev = e.l_bound
-            if _l1_bounds(e.exact)[1] > e.l_bound:
+            if _l1_upper(e.exact) > e.l_bound:
                 raise DomainError(f"l1 norm of target {k} exceeds its bound l_k")
 
     def __len__(self) -> int:
@@ -214,27 +208,22 @@ def _is_target_obj(rec: Any) -> bool:
     )
 
 
-def _l1_bounds(exact: tuple[tuple[int, int, int], ...]) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds for sum of |a + b*i| / c."""
-    lo = Fraction(0)
+def _l1_upper(exact: tuple[tuple[int, int, int], ...]) -> Fraction:
+    """Rational upper bound on sum of |a + b*i| / c, above it by less than 1e-12 per term."""
     hi = Fraction(0)
     for a, b, c in exact:
         s = a * a + b * b
         root = math.isqrt(s * _SQRT_SCALE * _SQRT_SCALE)
-        lo += Fraction(root, c * _SQRT_SCALE)
         hi += Fraction(root + (0 if root * root == s * _SQRT_SCALE * _SQRT_SCALE else 1), c * _SQRT_SCALE)
-    return lo, hi
+    return hi
 
 
 def l1_ceil(exact: tuple[tuple[int, int, int], ...]) -> int:
-    """Smallest integer >= the l^1 norm, decided from rational bounds.
+    """Ceiling of `_l1_upper`: the norm's ceiling, deterministic and decided in rationals.
 
-    If the sandwich straddles an integer (bound gap 1e-12 per term), the
-    upper value wins; that keeps the result deterministic and >= the norm.
+    A norm less than the bound's slack (1e-12 per term) below an integer reads one more.
     """
-    lo, hi = _l1_bounds(exact)
-    clo, chi = math.ceil(lo), math.ceil(hi)
-    return chi if clo != chi else clo
+    return math.ceil(_l1_upper(exact))
 
 
 def _zigzag(h: int) -> Iterator[int]:

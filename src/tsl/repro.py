@@ -90,7 +90,7 @@ def check_star_bound(seed: int = DEFAULT_SEED) -> dict[str, Any]:
         coeffs = vdlp_star(n).coefficients.astype(np.complex128)
         for p in (1.0, 1.5, 2.0):
             q = conjugate_exponent(p)
-            bound = 3.0 * (1.0 if q == math.inf else n ** (1.0 / q))
+            bound = 3.0 * n ** (1.0 / q)
             val = circle_mean(coeffs, p, 1.0)
             worst = max(worst, val / bound)
     return _report("star-bound", worst <= 1.0, worst_ratio=worst)
@@ -140,8 +140,7 @@ def check_shift_telescoping(seed: int = DEFAULT_SEED) -> dict[str, Any]:
             closed = apply_shift_power(series, n, params)
             diff = np.abs(closed.coefficients - _iterated_shift(series, n, params))
             rel = diff / np.maximum(np.abs(closed.coefficients), 1e-300)
-            rel[diff == 0.0] = 0.0
-            worst = max(worst, float(rel.max()) if rel.size else 0.0)
+            worst = max(worst, float(rel.max()))
     return _report("shift-telescoping", worst <= 1e-12, worst_rel=worst)
 
 
@@ -311,11 +310,11 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     visit error is a sup sampled on 8 * next_pow2(D + 1) points, D the
     effective degree at the test radius (`means.circle_mean`).
 
-    One walk over the built blocks reads each one's signs.  The density
-    is the maximum over blocks of the visit set's weighted prefix ratio
-    at the block's last visit (its last +1 slot); whether that reads the
-    limsup is still open (ROADMAP item 5).  The first -1 slot found is
-    the negative control.
+    Both readings come from the sorted visit times.  The density is the
+    maximum over built blocks of the visit set's weighted prefix ratio
+    at the block's last visit, its last +1 slot; whether that reads the
+    limsup is still open (ROADMAP item 5).  The control is the first
+    slot lo + gate*m of a built block that is no visit: the first -1 slot.
     """
     targets = visit_fixture_targets()
     spec = ConstructionSpec(
@@ -324,15 +323,11 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     series, ledger = construct(spec, targets)
     k = 2  # first target with nonzero content
     visits = visit_set(spec, targets, k, ledger).visits
-    ends: list[int] = []
-    control = None
-    for rec in ledger.for_target(k):
-        if rec.built:
-            signs = rudin_shapiro(rec.budget).coefficients
-            ends.append(rec.lo + rec.gate * int(np.flatnonzero(signs == 1)[-1]))
-            minus = np.flatnonzero(signs == -1)
-            if control is None and len(minus):
-                control = rec.lo + rec.gate * int(minus[0])
+    built = [rec for rec in ledger.for_target(k) if rec.built]
+    ends = [visits[i - 1] for i in np.searchsorted(visits, [rec.hi for rec in built], "right").tolist()]
+    taken = set(visits)
+    slots = (s for rec in built for s in range(rec.lo, rec.lo + rec.gate * rec.budget, rec.gate))
+    control = next((s for s in slots if s not in taken), None)
     errors = [check_visit(series, spec, targets, k, s) for s in visits]
     l_bound = targets.entry(k).l_bound
     max_err = max(errors) if errors else math.inf

@@ -177,7 +177,7 @@ def truncation_tail_bound(
         if start > span_end:
             continue
         weighted = index_weighted(entry.series, spec.alpha).coefficients
-        c_max = float(np.max(np.abs(weighted))) if len(weighted) else 0.0
+        c_max = float(np.max(np.abs(weighted)))
         if c_max == 0.0:
             continue
         # row t >= 1 of the gate-strided support after the one holding
@@ -186,7 +186,7 @@ def truncation_tail_bound(
         head = (start - s - (entry.degree if start > rec.lo else 0)) * log_rho
         if head < -745.0:
             continue
-        x = math.exp(min(0.0, rec.gate * log_rho))
+        x = math.exp(rec.gate * log_rho)
         geo = min(float(rec.budget), 1.0 / (1.0 - x)) if x < 1.0 else float(rec.budget)
         if spec.alpha >= 0:
             env = (start - s + 1.0) ** (-spec.alpha)

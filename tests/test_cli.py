@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from tsl import repro
+from tsl import cli, repro
 from tsl.cli import USAGE_EXIT, main
 from tsl.constructor import ConstructionSpec, Regime, Schedule, construct
+from tsl.errors import ConstructionError
 from tsl.means import dyadic_radii, fit_growth_exponent, means_table
 from tsl.polybank import enumerate_targets
 from tsl.series import MAX_SERIES_DEGREE, CoefficientSeries
@@ -210,6 +211,18 @@ class TestExitCodes:
         assert _single_error_line(capsys)
         assert not out.exists()
 
+    def test_construction_error_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        # no plan construct builds reaches a ConstructionError; the command must still report one
+        def overrun(spec, targets):
+            raise ConstructionError("block n=4 (target 2, budget 5) spans 17 coefficients but its interval holds 16")
+
+        monkeypatch.setattr(cli, "construct", overrun)
+        out = tmp_path / "f.json"
+        argv = ["construct", "--out", str(out), "--ledger", str(tmp_path / "ledger.csv")]
+        assert main(argv) == 1
+        assert _single_error_line(capsys)
+        assert not out.exists()
+
     def test_verification_failure(self, tmp_path, monkeypatch, capsys):
         def failing(seed):
             return {"name": "orbit-visits", "passed": False}
@@ -301,6 +314,15 @@ class TestMeansGrid:
         assert main(["means", "--in", str(series), "--grid", grid, "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert [float(row.split(",")[1]) for row in rows] == radii
+
+    @pytest.mark.parametrize("p_list", ["1,inf", "1,Inf,infinity", " 1 , INF ", "Infinity,1,1"])
+    def test_spellings_of_infinity(self, tmp_path, p_list):
+        series = tmp_path / "f.json"
+        series.write_text('{"max_degree": 4096, "terms": [[0, 1.0, 0.0], [4096, 1.0, 0.0]]}')
+        out = tmp_path / "m.csv"
+        assert main(["means", "--in", str(series), "--p", p_list, "--grid", "0.5", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "inf"]
 
 
 class TestTinyGammaDensity:

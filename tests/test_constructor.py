@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tsl
+from tsl import repro
 from tsl import series as series_module
 from tsl.constructor import (
     BlockLedger,
@@ -22,6 +23,7 @@ from tsl.constructor import (
     Regime,
     Schedule,
     _budget,
+    _write_block,
     construct,
     iter_plan,
     plan_blocks,
@@ -30,7 +32,7 @@ from tsl.constructor import (
     visit_set,
 )
 from tsl.densities import PrefixSet, prefix_density_profile
-from tsl.errors import DomainError
+from tsl.errors import ConstructionError, DomainError
 from tsl.means import means_table
 from tsl.polybank import (
     TargetEntry,
@@ -247,6 +249,24 @@ class TestConstruct:
         assert np.abs(series.coefficients).max() > 2.0**1023
         assert_sealed_finite(series)
 
+    def test_block_overrunning_its_interval_is_a_construction_error(self):
+        # no plan reaches this guard (the module docstring's span argument); a crafted record does
+        targets = visit_fixture_targets()
+        rec = BlockRecord(n=4, k=2, gate=4, budget=5, lo=16, hi=31, skip_reason=None)
+        arr = np.zeros(32, dtype=np.complex128)
+        with pytest.raises(ConstructionError, match="spans 17 coefficients but its interval holds 16"):
+            _write_block(arr, rec, dyadic_spec(), targets)
+        assert not arr.any()
+        _write_block(arr, replace(rec, budget=4), dyadic_spec(), targets)  # span 13 fits
+        assert np.flatnonzero(arr).tolist() == [16, 20, 24, 28]
+
+    def test_overlapping_built_blocks_are_a_construction_error(self):
+        first = BlockRecord(n=2, k=1, gate=4, budget=1, lo=4, hi=7, skip_reason=None)
+        second = BlockRecord(n=4, k=2, gate=4, budget=1, lo=7, hi=15, skip_reason=None)
+        with pytest.raises(ConstructionError, match="block n=4 overlaps"):
+            BlockLedger((first, second)).assert_disjoint_supports()
+        BlockLedger((first, replace(second, lo=8))).assert_disjoint_supports()
+
     def test_coefficients_are_read_only(self):
         series, _ = construct(dyadic_spec(max_degree=1 << 12), enumerate_targets(8))
         assert not series.coefficients.flags.writeable
@@ -391,6 +411,51 @@ class TestSchedules:
         else:
             assert accepted
 
+    @pytest.mark.parametrize(
+        "u, match",
+        [
+            (lambda n: 2 * n - 10, r"u\(0\) >= 0"),  # gaps of 2 pass; negative shift counts did not
+            (lambda n: 2.5 * n * n, "integers"),  # was built on floor(2.5 n**2)
+            (lambda n: n * n + (0.5 if n == 40 else 0), "integers"),
+            (lambda n: math.nan if n == 3 else n * n, "integers"),
+        ],
+        ids=["negative-start", "non-integer", "non-integer-at-40", "nan"],
+    )
+    def test_rejects_negative_or_non_integer_values(self, u, match):
+        with pytest.raises(DomainError, match=match):
+            ConstructionSpec(
+                alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.U_SCHEDULE,
+                max_degree=1 << 10, u=u,
+            )
+
+    @pytest.mark.parametrize("as_float", [float, np.float64])
+    def test_integral_float_values_give_the_same_ledger(self, as_float):
+        ledgers = [
+            construct(
+                ConstructionSpec(
+                    alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.U_SCHEDULE,
+                    max_degree=1 << 18, u=u,
+                ),
+                enumerate_targets(8),
+            )[1]
+            for u in (root32_schedule, lambda n: as_float(root32_schedule(n)))
+        ]
+        assert ledgers[0].built() and ledgers[0].to_csv() == ledgers[1].to_csv()
+
+    @pytest.mark.parametrize(
+        "max_degree", [2.0**12, np.float64(4096), "4096", None], ids=["float", "numpy-float", "text", "none"]
+    )
+    def test_rejects_non_integer_max_degree(self, max_degree):
+        with pytest.raises(DomainError, match="max_degree must be an integer"):
+            dyadic_spec(max_degree=max_degree)
+
+    def test_numpy_integer_max_degree(self):
+        ledgers = [
+            construct(dyadic_spec(gamma=0.0, max_degree=m), enumerate_targets(8))[1]
+            for m in (1 << 16, np.int64(1 << 16))
+        ]
+        assert ledgers[0].built() and ledgers[0].to_csv() == ledgers[1].to_csv()
+
     def test_plan_budgets_exact_beyond_floats(self):
         spec = ConstructionSpec(
             alpha=0.5, gamma=0.0, regime=Regime.RS, schedule=Schedule.U_SCHEDULE,
@@ -513,14 +578,27 @@ class TestBlockNormBounds:
         assert 0 < worst <= 50.0
 
 
+def sign_walk_readings(ledger, k):
+    """Density horizons and control of target k from a walk over each built block's signs.
+
+    A horizon is a block's last +1 slot, the control the first -1 slot found:
+    the reference for `check_orbit_visits`, which reads both from the visit times.
+    """
+    ends, control = [], None
+    for rec in ledger.for_target(k):
+        if rec.built:
+            signs = rudin_shapiro(rec.budget).coefficients
+            ends.append(rec.lo + rec.gate * int(np.flatnonzero(signs == 1)[-1]))
+            minus = np.flatnonzero(signs == -1)
+            if control is None and len(minus):
+                control = rec.lo + rec.gate * int(minus[0])
+    return ends, control
+
+
 def visit_density(spec, targets, k, ledger):
     """`check_orbit_visits`' density reading, on a sign-family ledger."""
     visits = visit_set(spec, targets, k, ledger).visits
-    ends = [
-        r.lo + r.gate * int(rudin_shapiro(r.budget).plus_positions()[-1])
-        for r in ledger.for_target(k)
-        if r.built
-    ]
+    ends, _ = sign_walk_readings(ledger, k)
     rows = prefix_density_profile(PrefixSet(np.array(visits), visits[-1]), spec.gamma, ends)
     return max(row[1] for row in rows)
 
@@ -579,6 +657,27 @@ class TestVisitSet:
         targets = visit_fixture_targets()
         _, ledger = construct(spec, targets)
         assert visit_density(spec, targets, 2, ledger) >= 0.05
+
+    @pytest.mark.parametrize("max_degree", [1 << 16, 1 << 20])
+    def test_orbit_visit_readings_equal_the_sign_walk(self, monkeypatch, max_degree):
+        # the check runs its fixture at 2**20; its spec is resized and its density horizons caught
+        specs, horizons = [], []
+
+        def spec_at(**kwargs):
+            specs.append(ConstructionSpec(**{**kwargs, "max_degree": max_degree}))
+            return specs[-1]
+
+        def profile(prefix_set, gamma, ends):
+            horizons.append(ends)
+            return prefix_density_profile(prefix_set, gamma, ends)
+
+        monkeypatch.setattr(repro, "ConstructionSpec", spec_at)
+        monkeypatch.setattr(repro, "prefix_density_profile", profile)
+        report = check_orbit_visits()
+        _, ledger = construct(specs[0], visit_fixture_targets())
+        readings = (horizons[0], report["control_time"])
+        assert len(readings[0]) >= 2 and readings[1] is not None
+        assert readings == sign_walk_readings(ledger, 2)
 
     def test_orbit_visits_density_keeps_its_bits(self):
         # the reading the visit lister gave before the orbit-visits check took it over

@@ -86,6 +86,13 @@ class TestPrefixDensity:
         s = PrefixSet(np.array([], dtype=np.int64), 100)
         assert prefix_density_profile(s, 0.5, [100])[0][1] == 0.0
 
+    def test_zero_below_the_first_member(self):
+        s = PrefixSet(np.array([100, 200]), 400)
+        for gamma in (0.0, 0.5, 1.0):
+            rows = prefix_density_profile(s, gamma, [1, 99, 100])
+            assert [(ratio, num) for _, ratio, num, _ in rows[:2]] == [(0.0, -math.inf)] * 2
+            assert rows[2][1] > 0.0
+
     def test_values_in_unit_interval(self):
         rng = np.random.Generator(np.random.PCG64(5))
         n = 1 << 14

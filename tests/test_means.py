@@ -270,12 +270,24 @@ class TestMeanRows:
         assert row.value <= dense * (1.0 + 1e-12)
         assert row.value >= (1.0 - math.pi * d / row.quadrature_size) * dense
 
-    def test_csv_round_trip(self):
+    @pytest.mark.parametrize("spelling", ["inf", "Infinity", "INF"])
+    def test_csv_round_trip(self, spelling):
         series = random_series(500, 8)
         table = means_table(series, [1.0, 2.0, math.inf], [0.3, 0.5, 0.99])
-        again = RadialMeansTable.from_csv(table.to_csv())
+        text = table.to_csv()
+        assert text.count("\ninf,") == 3
+        again = RadialMeansTable.from_csv(text.replace("\ninf,", f"\n{spelling},"))
         assert again == table
         assert table.to_csv().splitlines()[0] == "p,r,value,quadrature_size"
+
+    def test_rows_sorted_by_p_then_r_with_inf_last(self):
+        table = means_table(random_series(200, 3), [math.inf, 2.0, 1.5, 1.0, 2.0], [0.9, 0.3])
+        # the key the rows were sorted by when p = inf needed its own component
+        old_key = [(row.p == math.inf, row.p, row.r) for row in table.rows]
+        assert len(old_key) == 8 and old_key == sorted(old_key)
+        assert [row.p for row in table.rows[::2]] == [1.0, 1.5, 2.0, math.inf]
+        with pytest.raises(DomainError, match="sorted"):
+            RadialMeansTable((table.rows[-1], table.rows[0]))
 
     @pytest.mark.parametrize(
         "text",
@@ -523,7 +535,8 @@ class TestExponents:
         assert conjugate_exponent(1.0) == math.inf
         assert conjugate_exponent(math.inf) == 1.0
         assert critical_exponent(2.0, 0.5) == 0.25
-        assert critical_exponent(1.0, 0.5) == 0.0
+        for gamma in (0.0, 0.5, 1.0):
+            assert critical_exponent(1.0, gamma) == 0.0
         with pytest.raises(DomainError):
             conjugate_exponent(0.5)
 

@@ -281,8 +281,8 @@ class TestL1CeilReference:
             want = int(mp.ceil(norm))
             gap = want - norm
         got = l1_ceil(exact)
-        # a bound sandwich straddling an integer rounds up, and the
-        # sandwich is at most 1e-12 wide per term
+        # an upper bound past the integer above the norm rounds up one
+        # more, and the bound lies less than 1e-12 per term above the norm
         assert got == want or (got == want + 1 and gap < len(exact) * 1e-12)
 
 
