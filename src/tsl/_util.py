@@ -1,12 +1,20 @@
-"""Shared helpers: atomic output, float formatting, one panel engine and one Euler-Maclaurin engine."""
+"""Shared helpers: atomic output, float formatting, and the one engine for sums over an arithmetic progression."""
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+_LN2 = math.log(2.0)
+_EM_BITS = 56  # a head ends where the Euler-Maclaurin remainder bound is below 2**-_EM_BITS of the sum
+_LADDER = np.ceil(2.0 ** (np.arange(260) / 4.0))  # the quarter-octave grid 1 .. 2**64.75, past every start
+_BIG = float(1 << 64)
+_ALL = slice(None)
 
 
 def fmt17(x: float) -> str:
@@ -48,32 +56,164 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 GL_NODES, GL_WEIGHTS = gauss_legendre(20)  # the package's one quadrature rule
 
 
-def ln_panel_integrals(log_f, s_top: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """ln of the integral of exp(log_f(s, item)) over [0, s_top[item]], for each item.
+def panel_means(log_f, s_top: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """The mean of exp(log_f(s, item)) over [0, s_top[item]], for each item.
 
-    Item i takes max(1, ceil(s_top[i] rate[i])) uniform panels of the rule,
-    so a log_f moving by at most rate per unit of s moves by at most 1 on
-    each.  `log_f` gets every panel's nodes as a row, with the row's item
-    as a column.  Rows are summed one by one and each item's rows with
+    Item i takes max(1, ceil(s_top[i] rate[i] / 4)) uniform panels of the
+    rule, so a log_f moving by at most rate per unit of s moves by at most
+    4 on each, where the rule is exact to rounding; an s_top of 0 gives
+    exp(log_f(0, item)).
+    `log_f` gets every panel's nodes as a row, with the row's item as a
+    column.  Rows are summed one by one and each item's rows with
     `np.add.reduceat`, so no item's value depends on the others (a BLAS
     product's order of summation would depend on the row count).
     """
-    panels = np.maximum(1.0, np.ceil(s_top * rate)).astype(np.int64)
+    panels = np.maximum(1.0, np.ceil(s_top * rate / 4.0)).astype(np.int64)
+    if panels.max() == 1:
+        return (np.exp(log_f(s_top[:, None] * GL_NODES, np.arange(s_top.size)[:, None])) * GL_WEIGHTS).sum(axis=1)
     first = np.cumsum(panels) - panels
     item = np.repeat(np.arange(panels.size), panels)
     width = s_top / panels
     s = ((np.arange(item.size) - first[item])[:, None] + GL_NODES) * width[item, None]
     rows = (np.exp(log_f(s, item[:, None])) * GL_WEIGHTS).sum(axis=1)
-    return np.log(width * np.add.reduceat(rows, first))
+    return np.add.reduceat(rows, first) / panels
 
 
-def em_end_terms(f_lo, f_hi, u1, u2, u3):
-    """Euler-Maclaurin end terms of the sum of f over lo .. hi, beside the integral of f.
+def em_end_terms(f, p, d1, d2, d3):
+    """Euler-Maclaurin end terms of the sum of f over lo .. hi through f''', beside the integral of f.
 
-    u1, u2, u3 are (ln f)', (ln f)'', (ln f)''' at lo and hi, stacked on
-    the first axis; f''' / f is their Bell polynomial u3 + 3 u1 u2 + u1**3.
-    Returns (f(lo) + f(hi)) / 2 + (f'(hi) - f'(lo)) / 12 and the next
-    term, (f'''(hi) - f'''(lo)) / 720, which the sum subtracts.
+    f, p = gate / v and phi', phi'', phi''' (phi = ln f in ln v) at lo and hi come stacked on the
+    first axis; in m, f''' / f = u3 + 3 u1 u2 + u1**3, u1 = p phi', u2 = p**2 (phi'' - phi'),
+    u3 = p**3 (phi''' - 3 phi'' + 2 phi').
+    Returns (f(lo) + f(hi)) / 2 + (f'(hi) - f'(lo)) / 12 - (f'''(hi) - f'''(lo)) / 720.
     """
-    d3 = u3 + 3.0 * u1 * u2 + u1**3
-    return (f_lo + f_hi) / 2.0 + (f_hi * u1[1] - f_lo * u1[0]) / 12.0, (f_hi * d3[1] - f_lo * d3[0]) / 720.0
+    bend = 3.0 * (d2 - d1)
+    g = f * p * (d1 / 12.0 - p * p * (d3 - d1 - bend + (bend + d1 * d1) * d1) / 720.0)
+    return (f[0] + f[1]) / 2.0 + g[1] - g[0]
+
+
+def _sixth_bound(p: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """prod_{i<6} p (|slope| + i), a bound on |f^(6) / f| where p = gate / v and slope = (ln f)' in ln v."""
+    r = np.abs(slope)
+    u = r * (r + 5.0)  # r (r + 1) ... (r + 5) = u (u + 4) (u + 6)
+    return p**6 * (u * (u + 4.0) * (u + 6.0))
+
+
+def _ln_geometric_sums(peak: np.ndarray, lam: np.ndarray, lam_n: np.ndarray, ln_n) -> np.ndarray:
+    """ln(exp(peak) (1 - r**N) / (1 - r)), r = exp(-lam), lam_n = N lam, ln_n = ln N.
+
+    As N h(lam_n) / h(lam), h(y) = (1 - exp(-y)) / y, in log form: lam may be 0 or subnormal and
+    N past the float range; h reads 1 at 0, exact to rounding where lam_n underflows (y / 2 > 1 - h).
+    """
+    h = np.divide(-np.expm1(-lam), lam, out=np.ones_like(lam), where=lam > 0.0)
+    h_n = np.divide(-np.expm1(-lam_n), lam_n, out=np.ones_like(lam_n), where=lam_n > 0.0)
+    return ln_n + np.log(h_n / h) + peak
+
+
+def ln_progression_sums(phi, dphi, v0, gate: int, count, size: int, power: float = 0.0):
+    """ln of v0**power times the sum of f_i(v0 + gate m) / f_i(v0) over m < N: (lower, upper, head).
+
+    f_i comes in offset form, phi(w, i) = ln f_i(v0 e**w) - ln f_i(v0) with w = ln(v / v0),
+    and dphi(w, i) gives phi', phi'', phi'''.  v0 and N are one Python integer for all `size`
+    items, or int64 arrays with one per item.  The terms must be monotone and, with p = gate / v,
+    p |phi'| must not grow along the progression, the k-th derivative of ln f in m be at most
+    p |phi'| (k-1)! p**(k-1) and f^(6) keep one sign: true of v**(-s) exp(-lam v) and of
+    exp(v**gamma), 0 < gamma < 1.
+
+    Where ln f is linear in m, the geometric closed form gives both ends.  Otherwise the head
+    m < a is summed term by term, relative to its largest term, and m = a .. N-1 by
+    Euler-Maclaurin through f''' (the one panel integral, `em_end_terms`), whose remainder is
+    below B(a) rho(a) / 30240 of the sum: B the `_sixth_bound`, rho = min(1, f(a) min(1 / c,
+    N-1-a) / f(0)) where the terms fall by c per step at N-1, else 1.  Both fall along the
+    progression, so the head ends at the first a with B(a) rho(a) <= 30240 * 2**-_EM_BITS: 0,
+    else a point of `_LADDER` in offsets a where the terms fall and in positions v0 + gate a
+    where they grow, else N; that bound widens the bracket.  Where the terms fall, the integral
+    stops C / kappa past x(a), x = v / v0 - 1, kappa their decay per unit of x at N-1 and C =
+    60 ln 2 + 1 + max(0, ln(|phi'(0)| / kappa)), and drops less than 2**-60 of itself.  Where
+    power is not 0 and the span x(N-1) - x(a) is a normal float, the tail's unit is (power + 1)
+    ln v0 - ln gate + ln(span), so no exponent as large as ln v0 rounds it.  Each item gets the
+    bits it gets alone.
+    """
+    one = isinstance(v0, int)  # one Python v0 and N for every item, of any size
+    q, x_end = gate / v0, gate * (count - 1) / v0
+    ends = np.reshape([0.0 * x_end, np.log1p(x_end)], (2, -1))
+    d1, d2, d3 = dphi(ends, _ALL)
+    ln_v0 = (math.log(v0) if one else np.log(v0)) if power else 0.0
+    if (d2 == d1).all() and (d3 == d1).all():  # ln f linear in m, phi = phi'(0) x: the geometric closed form
+        lam, ln_n, peak = np.abs(d1[0]), math.log(count) if one else np.log(count), np.maximum(d1[0] * x_end, 0.0)
+        ln_sums = _ln_geometric_sums(peak, lam * q, lam * (gate * count / v0), ln_n) + power * ln_v0
+        return ln_sums, ln_sums, np.zeros(size)
+    phi_end = phi(ends[1], _ALL)
+    if one:  # every item's copy
+        row = [q, x_end, float(min(count - 1, _BIG)), min(v0, _BIG) / gate, ln_v0, math.log(count - 1 or 1)]
+        q, x_end, last, start, ln_v0, ln_last = np.full((size, 6), row).T
+    else:
+        last, start = (count - 1).astype(np.float64), v0 / gate
+        ln_last = np.log(np.maximum(count - 1, 1))
+    threshold = 30240.0 * 2.0**-_EM_BITS
+    head, bound = np.zeros(size), _sixth_bound(q, d1[0])
+    search = ((bound > threshold) & (last >= 2.0)).nonzero()[0]
+    if search.size:  # the candidates on `_LADDER`, each row's last column N-2
+        rows, fall = search[:, None], d1[1, search] < 0.0
+        start, final = start[search] * (d1[1, search] > 0.0), last[rows] - 1.0
+        lowest = np.searchsorted(_LADDER, start, "right")
+        cols = lowest[:, None] + np.arange((np.searchsorted(_LADDER, start + final[:, 0]) - lowest).max() + 1)
+        m = np.minimum(np.ceil(_LADDER[np.minimum(cols, _LADDER.size - 1)] - start[:, None]), final)
+        x = q[rows] * m
+        w = np.log1p(x)
+        value = _sixth_bound(q[rows] / (1.0 + x), dphi(w, rows)[0])
+        if fall.any():  # rho = f(a) min(1 / c, N-1-a) / f(0), c the decay per step at N-1
+            c = -(d1[1] * q / (1.0 + x_end))[rows[fall]]
+            ln_rho = phi(w[fall], rows[fall]) + np.log(np.minimum(1.0 / c, last[rows[fall]] - m[fall]))
+            value[fall] *= np.exp(np.minimum(ln_rho, 0.0))
+        best = (np.arange(search.size), np.minimum((value > threshold).sum(axis=1), m.shape[1] - 1))  # value falls
+        head[search], bound[search] = m[best], value[best]
+    whole = head >= last - 1.0  # a tail of one or two terms is summed too
+    head[whole], bound[whole] = last[whole] + 1.0, 0.0
+    ln_sums, total, top = np.zeros(size), np.zeros(size), np.zeros(size)  # a head sums to exp(top) total
+    summed = head.nonzero()[0]
+    if summed.size:
+        terms = head[summed].astype(np.int64)
+        first = np.cumsum(terms) - terms
+        at, m = np.repeat(summed, terms), np.arange(terms.sum()) - first.repeat(terms)
+        top[summed] = np.maximum(phi(np.log1p(q[summed] * (terms - 1)), summed), 0.0)  # monotone: an end's term
+        ln_terms = phi(np.log1p(np.repeat(q[summed], terms) * m), at) - np.repeat(top[summed], terms)
+        total[summed] = np.add.reduceat(np.exp(ln_terms), first)
+    tail = (head <= last).nonzero()[0]
+    if tail.size:  # m = a .. N-1 by Euler-Maclaurin
+        a, span, ln_tail, qt, xt, dt = head[tail], x_end[tail], ln_last[tail], q[tail], x_end[tail], d1[:, tail]
+        moved = a.nonzero()[0]
+        if moved.size and one:  # the tail's length N-1-a, from the integers
+            n = [count - 1 - int(k) for k in a[moved].tolist()]
+            span[moved], ln_tail[moved] = [gate * k / v0 for k in n], [math.log(k) for k in n]
+        elif moved.size:
+            n = count[tail[moved]] - 1 - a[moved].astype(np.int64)
+            span[moved], ln_tail[moved] = gate * n / v0[tail[moved]], np.log(n)
+        x_a, kappa = qt * a, -dt[1] / (1.0 + xt)
+        width, cut = span, (kappa * span > 60.0 * _LN2 + 1.0).nonzero()[0]
+        if cut.size:  # the terms fall, and past C / kappa they weigh nothing
+            c = 60.0 * _LN2 + 1.0 + np.log(np.maximum(-dt[0, cut] / kappa[cut], 1.0))
+            width = span.copy()
+            width[cut] = np.minimum(span[cut], c / kappa[cut])
+        w_a, s_top = np.log1p(x_a), np.log1p(width / (1.0 + x_a))
+        e1, e2, e3 = dphi(np.array([w_a, np.log1p(xt), w_a + s_top]), tail)
+        phi_a = phi(w_a, tail) if moved.size else np.zeros(tail.size)
+        ref = np.maximum(phi_a, phi_end[tail])
+        rate = np.abs(1.0 + e1[::2]).max(axis=0)  # log f e**s moves fastest at an end
+        mean = panel_means(lambda s, j: phi(w_a[j] + s, tail[j]) - ref[j] + s, s_top, rate)
+        f = np.exp(np.array([phi_a, phi_end[tail]]) - ref)
+        edges = em_end_terms(f, qt / (1.0 + np.array([x_a, xt])), e1[:2], e2[:2], e3[:2])
+        ratio = np.divide(s_top * (1.0 + x_a), span, out=np.ones(tail.size), where=span > 0.0)  # 1 if span underflows
+        per_unit = ratio * mean + edges * np.exp(-ln_tail)
+        unit = ln_tail + ref  # ln(N-1-a) + ref
+        if power:  # times v0**power, whose ln v0 enters once where the span is a normal float
+            normal = span >= sys.float_info.min
+            unit += power * ln_v0[tail]
+            unit[normal] = (power + 1.0) * ln_v0[tail][normal] - math.log(gate) + np.log(span[normal]) + ref[normal]
+        if moved.size:  # after a head, in its unit
+            total[tail[moved]] += np.exp(ln_tail[moved] + ref[moved] - top[tail[moved]]) * per_unit[moved]
+            tail, unit, per_unit = tail[a == 0.0], unit[a == 0.0], per_unit[a == 0.0]
+        ln_sums[tail] = unit + np.log(per_unit)
+    ln_sums[summed] = top[summed] + np.log(total[summed]) + (power * ln_v0[summed] if power else 0.0)
+    bound /= 30240.0
+    return ln_sums - bound, ln_sums + bound, head

@@ -11,7 +11,8 @@ the next power of two above 4*(D+1) points (8*(D+1) at p = inf), D the
 effective degree of its radius.  Only `repro` reads a seed (`--seed`).
 
 Exit codes: 0 success, 1 domain error (single-line diagnostic on
-stderr), 2 a named `repro` check failed (report path printed), 64 usage.
+stderr), 2 a printed FAIL: a named `repro` check failed (report path
+printed) or a `fit` slope missed its prediction, 64 usage.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     payload = {**asdict(fit), "predicted": predicted, "tolerance": args.tol, "verdict": verdict}
     atomic_write_text(args.out, json.dumps(payload, sort_keys=True) + "\n")
     print(f"{verdict}: slope {fmt17(fit.slope)} vs predicted {fmt17(predicted)} (tol {args.tol})")
-    return 0
+    return 0 if verdict == "PASS" else 2
 
 
 def _cmd_density(args: argparse.Namespace) -> int:

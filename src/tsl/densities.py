@@ -13,15 +13,11 @@ sum of c terms): together the terms it drops move the log mass by less
 than e**-40, below one ulp of any result.  Two routes sum that window.
 
 - The integers 1..N, behind every denominator and `log_weight_sum`,
-  take a closed form whose cost does not grow with N
-  (`_log_weight_sums`): 1 + ln N at gamma = 0, the geometric sum at
-  gamma = 1, and in between an exact float64 head followed by
-  Euler-Maclaurin through the f'''/720 term, from the one panel integral
-  and the one set of end terms that the planned mean uses too
-  (`tsl._util`).  The head ends where the remainder bound, the
-  f^(5)/30240 term, falls below 2**-56 of the sum (`_EM_BITS`); against
-  40-digit sums and the summed integers the result is off by a few ulps
-  at most.
+  go to the progression-sum engine that the planned mean uses too
+  (`tsl._util.ln_progression_sums`): the geometric closed form at
+  gamma = 0 and 1, else an exact head and Euler-Maclaurin with a
+  remainder below 2**-56 of the sum (`_util._EM_BITS`), at a cost that
+  does not grow with N; against 40-digit sums it is a few ulps off at most.
 - The members of a set, behind every numerator, take the windowed
   engine `_log_masses`, which walks a profile's cuts in increasing
   order: a cut whose window starts inside the previous cut's terms
@@ -32,26 +28,24 @@ than e**-40, below one ulp of any result.  Two routes sum that window.
   and sends all its misses to one engine call; the engine gives each
   horizon the bits it gives that horizon alone, so the memo changes no
   output.  `log_weight_sum` stays on the bare engine.  The memo holds
-  at most `_MEMO_LIMIT` values and is emptied when full, `_em_start` is
-  cached per (gamma, `_EM_BITS`), and `clear_memo` empties both.  At
-  gamma = 0 every term is exp(0) = 1, so a numerator piece of c members
-  adds 1 + ln c to the chain without an array pass: the same bits, since
-  c ones sum to c exactly.
+  at most `_MEMO_LIMIT` values, is emptied when full and by
+  `clear_memo`.  At gamma = 0 every term is exp(0) = 1, so a numerator
+  piece of c members adds 1 + ln c to the chain without an array pass:
+  the same bits, since c ones sum to c exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from tsl._util import em_end_terms, ln_panel_integrals
+from tsl import _util
+from tsl._util import ln_progression_sums
 from tsl.errors import DomainError
 
 _CHUNK = 1 << 22
-_EM_BITS = 56  # Euler-Maclaurin takes over where its remainder bound is below 2**-_EM_BITS
 _INT64_LIMIT = 1 << 63
 _MEMO_LIMIT = 1 << 12  # weight sums kept by the denominator memo before it is emptied
 _weight_sums: dict[tuple[float, int, int], float] = {}
@@ -164,93 +158,45 @@ def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray) -> np.ndarr
     return masses[np.searchsorted(sorted_cuts, cuts)]
 
 
-def _em_start(gamma: float) -> int:
-    """An integer a from which Euler-Maclaurin sums exp(t**gamma), 0 < gamma < 1."""
-    return _em_start_at(gamma, _EM_BITS)
-
-
-@functools.lru_cache(maxsize=256)
-def _em_start_at(gamma: float, bits: int) -> int:
-    """`_em_start` for a remainder bound of 2**-bits.
-
-    |f^(6)| <= f * P(t) for f = exp(t**gamma), P(t) = prod_{i<6} (g + i/t),
-    g = f'/f = gamma t**(gamma-1): the complete Bell polynomial of the
-    bounds |(t**gamma)^(j)| <= g (j-1)! / t**(j-1).  P falls in t; a is the
-    first point of a quarter-octave grid of integers with
-    P(a) <= 30240 * 2**-bits, or 2**63 - 1 where none below it qualifies.
-    """
-    t = np.ceil(2.0 ** (np.arange(252) / 4.0))  # 1 .. 2**62.75
-    g = gamma * t ** (gamma - 1.0)
-    bound = np.prod(g + np.arange(6)[:, None] / t, axis=0)
-    ok = np.flatnonzero(bound <= 30240.0 * 2.0**-bits)
-    return int(t[ok[0]]) if ok.size else _INT64_LIMIT - 1
-
-
 def _log_weight_sums(gamma: float, horizons: np.ndarray) -> np.ndarray:
     """log of the sum of exp(k**gamma) over k = 1..N, for each int64 horizon N >= 1.
 
-    gamma = 0 gives 1 + ln N and gamma = 1 the geometric sum.  For
-    0 < gamma < 1, horizon n sums first = `_first_kept` .. n: the head
-    below a = max(first, a_em) term by term, each integer converted from
-    int64 on its own, and a .. n by Euler-Maclaurin (`em_end_terms`) on
-    f = exp(t**gamma) / f(n), whose remainder is below |f^(5)(n) -
-    f^(5)(a)| / 30240 <= 2**-_EM_BITS of the integral (`_em_start`).  The
-    integral is n times that of exp(-s - y) over s = ln(n/t) in
-    [0, ln(n/a)], y = n**gamma - t**gamma = -n**gamma expm1(-gamma s),
-    with no cancellation and no 1/gamma to overflow for tiny gamma; its
-    log moves by at most 1 + gamma n**gamma per unit of s
-    (`ln_panel_integrals`).  The heads lie end to end, each summed by
-    itself (`np.add.reduceat`), and all tails take one panel integral, so
-    no horizon's value depends on the others.
+    Horizon n sums first = `_first_kept` .. n as one item of one
+    `ln_progression_sums` call, in offset form: t**gamma - first**gamma =
+    first**gamma expm1(gamma w), w = ln(t / first), so no two large powers
+    are subtracted.
     """
-    n_f = horizons.astype(np.float64)
-    if gamma == 0.0:
-        return 1.0 + np.log(n_f)
-    if gamma == 1.0:  # e**N (1 - e**-N) / (1 - e**-1)
-        return n_f + np.log1p(-np.exp(-n_f)) - math.log1p(-math.exp(-1.0))
-    n, top = horizons, n_f**gamma
-    first = _first_kept(gamma, n, n)
-    a = np.maximum(first, _em_start(gamma))
-    tail = a < n
-    count = np.where(tail, a - first, n - first + 1)  # the head: first .. first + count - 1
-    start = np.cumsum(count) - count
-    w = (np.arange(count.sum()) + np.repeat(first - start, count)).astype(np.float64) ** gamma
-    w = np.exp(w - np.repeat(top, count))
-    total = np.zeros(n.size)
-    total[count > 0] = np.add.reduceat(w, start[count > 0])
-    if tail.any():
-        n, a, top_n = n[tail], a[tail], top[tail]
-        s_top = np.log1p((n - a) / a)  # ln(n/a), n - a exact
-        ln_integral = ln_panel_integrals(
-            lambda s, i: top_n[i] * np.expm1(-gamma * s) - s, s_top, 1.0 + gamma * top_n
-        )
-        t = np.stack([a, n]).astype(np.float64)
-        u1 = gamma * t ** (gamma - 1.0)  # the derivatives of ln f = t**gamma
-        u2 = u1 * (gamma - 1.0) / t
-        f_a = np.exp(top_n * np.expm1(-gamma * s_top))  # f(a) / f(n)
-        through_f1, f3_term = em_end_terms(f_a, 1.0, u1, u2, u2 * (gamma - 2.0) / t)
-        total[tail] += n * np.exp(ln_integral) + through_f1 - f3_term
-    return top + np.log(total)
+    first = _first_kept(gamma, horizons, horizons)
+    base = first.astype(np.float64) ** gamma
+
+    def phi(w, i):  # t**gamma - first**gamma
+        return base[i] * np.expm1(gamma * w)
+
+    def dphi(w, i):  # (t**gamma)' = gamma t**gamma in w
+        slope = gamma * base[i] * np.exp(gamma * w)
+        return slope, gamma * slope, gamma * gamma * slope
+
+    lower, upper, _ = ln_progression_sums(phi, dphi, first, 1, horizons - first + 1, horizons.size)
+    return base + (lower + upper) / 2.0
 
 
 def _denominators(gamma: float, horizons: np.ndarray) -> np.ndarray:
     """`_log_weight_sums` through the memo: the horizons it lacks go to one engine call."""
-    found = {n: _weight_sums.get((gamma, n, _EM_BITS)) for n in horizons.tolist()}
+    found = {n: _weight_sums.get((gamma, n, _util._EM_BITS)) for n in horizons.tolist()}
     missing = [n for n, value in found.items() if value is None]
     if missing:
         values = _log_weight_sums(gamma, np.array(missing, dtype=np.int64)).tolist()
         found.update(zip(missing, values))
         if len(_weight_sums) + len(missing) > _MEMO_LIMIT:
             _weight_sums.clear()
-        keys = [(gamma, n, _EM_BITS) for n in missing[:_MEMO_LIMIT]]
+        keys = [(gamma, n, _util._EM_BITS) for n in missing[:_MEMO_LIMIT]]
         _weight_sums.update(zip(keys, values))
     return np.array([found[n] for n in horizons.tolist()])
 
 
 def clear_memo() -> None:
-    """Empty the denominator memo and the `_em_start` cache."""
+    """Empty the denominator memo."""
     _weight_sums.clear()
-    _em_start_at.cache_clear()
 
 
 def log_weight_sum(n: int, gamma: float) -> float:

@@ -29,44 +29,34 @@ materializing coefficients, so schedules whose blocks live at
 astronomically large degrees remain measurable.  It makes one pass over
 the blocks, each block answering the whole j grid in array expressions
 (`_position_sums`).  Each position sum, the sum over v = v0, v0 + gate,
-... of v**(-2 alpha) r**(2(v-1)), comes as a float64 lower and upper
-bound: at alpha = 0 the geometric closed form; at alpha > 0 the exact
-sum while at most 2**16 terms matter, and past that an Euler-Maclaurin
-bracket from the one panel integral and the one set of end terms that
-the density weight sums use too (`tsl._util`).  Where the two ends
-differ the bracket is about c**4 / 720 of the sum wide, c = 2 eps gate +
-2 alpha gate / v0 the terms' first log-decrement and eps = -ln r: below
-2.5e-11 at the crossover when the decay dominates, 4e-6 at lo = 2**10,
-gate 200, alpha = 1/2, j = 16, where the power dominates.  The profile
-reports the lower end.  eps = -ln r is carried as mant * 2**-j
-(`_dyadic_eps`), every power of two applied exactly, and exponents stay
-in log form, so blocks past 2**1024 give finite sums: where the product
-2 eps gate N underflows at a clamped flat radius of such a block, its
-geometric factor reads its limit 1 (`_geometric_sum`).  Radii past a
-block's flat point, where every r**(2v) of the block rounds to 1, are
-clamped to that point.
+... of v**(-2 alpha) r**(2(v-1)), comes from the progression-sum engine
+that the density weight sums use too (`tsl._util.ln_progression_sums`):
+the geometric closed form at alpha = 0, else an exact head of at most a
+few hundred terms and Euler-Maclaurin with a remainder below 2**-56 of
+the sum.  The profile reports the lower end of the engine's bracket.
+eps = -ln r is carried as mant * 2**-j (`_dyadic_eps`), every power of
+two applied exactly, and the terms go to the engine in offset form, so
+blocks past 2**1024 give finite sums.  Radii past a block's flat point,
+where every r**(2v) of the block rounds to 1, are clamped to that point.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from io import StringIO
 from typing import Iterator
 
 import numpy as np
 
-from tsl._util import em_end_terms, fmt17, ln_panel_integrals
+from tsl._util import fmt17, ln_progression_sums
 from tsl.constructor import BlockLedger
 from tsl.errors import DomainError
 from tsl.polybank import TargetEnumeration, index_weighted
 from tsl.series import CoefficientSeries
 
-_LN2 = math.log(2.0)
 _EXP_FLOOR = 760.0  # exp(-x) is a hard zero in doubles well before this
 _TAIL_BITS = 60  # coefficients with r**j below 2**-_TAIL_BITS are not sampled
-_EXACT_TERMS = 1 << 16  # position sums with more terms that matter are bracketed
 _CHUNK_POINTS = 1 << 15
 """Most samples one FFT call of `_phase_blocks` holds, unless a single block is longer.
 
@@ -386,7 +376,7 @@ def dyadic_mean2_profile(
     the bracket's direction rests on terms that fall with the position.
     A plan whose M_2**2 exceeds the float range is a DomainError.  Nothing
     checks the ledger's family or alpha: a star-family ledger, or an alpha
-    other than the plan's, gives a wrong value silently (ROADMAP item 2).
+    other than the plan's, gives a wrong value silently.
     """
     if not 0.0 <= alpha < math.inf:
         raise DomainError("the planned mean needs a finite alpha >= 0")
@@ -413,35 +403,18 @@ def _position_sums(
     """Lower and upper bounds on sum_m v**(-2a) * r**(2(v-1)) at each eps = mant * 2**-k.
 
     v = v0 + gate*m, v0 = lo + j0 + 1, m < N = budget; eps = (mant, k) is
-    `_dyadic_eps` of the grid.  The terms decay by exp(-2 eps gate) per
-    position, so only the first _EXP_FLOOR / (2 eps gate) of them matter.
+    `_dyadic_eps` of the grid.
 
     A radius whose eps puts the block beyond exp(-_EXP_FLOOR) gives 0.  A
     radius past the block's flat point, k > k_flat, where 2*eps*v <
     2**-_TAIL_BITS at every position, is clamped to eps = 2**-k_flat,
     where every r**(2(v-1)) already rounds to 1; that radius is evaluated
-    once.  Every other radius takes one of three routes, each an array
-    expression over the radii that take it:
-
-    - alpha = 0: the geometric closed form, exp(-2 eps (v0-1)) times
-      expm1(-2 eps gate N) / expm1(-2 eps gate); both ends are that value.
-    - alpha > 0, at most _EXACT_TERMS terms matter: their float64 sum,
-      every such radius reading one array of position logarithms; both
-      ends are that value.
-    - alpha > 0, more terms: Euler-Maclaurin over m = 0 .. N-1.  The
-      terms are completely monotone in m, so the sum lies between the
-      partial sum through the f'/12 term (upper end) and that sum minus
-      the f'''/720 term (lower end), and above the lower end by at most
-      the f^(5)/30240 term.  The width, |f'''(0)| / 720, is about
-      c**4 / 720 of the sum while the terms fall by exp(-c) per
-      position, c = 2 eps gate + 2a gate / v0: below 2.5e-11 at the
-      crossover from the decay alone.  The end terms come from
-      `em_end_terms`, the integral from `_ln_block_integral`.
-
-    Every exponent is formed in log form from lo's bit length, so blocks
-    beyond 2**1024 give finite values; 2 eps (v0 - 1) scales mant by the
-    power of two 2**(e + 1 - k) exactly, 2**e <= lo < 2**(e + 1).  Each
-    radius gets the value it gets when evaluated alone.
+    once.  Every other radius is one item of one `ln_progression_sums`
+    call, with ln f in offset form, -2a w - 2 eps v0 expm1(w), w = ln(v /
+    v0), and the engine's v0**(-2a); its bracket is scaled back by
+    exp(-2 eps (v0 - 1)), formed from lo's bit length: it scales mant by
+    the power of two 2**(e + 1 - k) exactly, 2**e <= lo < 2**(e + 1).
+    Each radius gets the value it gets when evaluated alone.
     """
     mant, k = eps
     e = lo.bit_length() - 1
@@ -456,80 +429,17 @@ def _position_sums(
     two_eps = np.ldexp(mant, 1 - k)
     shift = np.ldexp(mant, e + 1 - k) * (lo / (1 << e)) + two_eps * j0  # 2 eps (v0 - 1)
     a = shift + two_eps  # 2 eps v0
-    lam_gate = a * (gate / v0)  # 2 eps gate
-    ln_v0 = e * _LN2 + math.log1p((v0 - (1 << e)) / (1 << e))
-    if alpha == 0.0:
-        lower = upper = _geometric_sum(shift, lam_gate, a * (gate * budget / v0), budget)
-    else:
-        lower, upper = np.empty(at.size), np.empty(at.size)
-        ln_mcut = math.log(_EXP_FLOOR) - (np.log(mant) - k * _LN2 + _LN2 + math.log(gate))
-        short = np.minimum(math.log(budget), ln_mcut) <= math.log(_EXACT_TERMS)
-        exact, em = np.flatnonzero(short), np.flatnonzero(~short)
-        counts = [
-            budget if ln_mcut[i] >= math.log(budget) else min(budget, int(math.exp(ln_mcut[i])) + 2)
-            for i in exact
-        ]
-        m = np.arange(max(counts, default=0), dtype=np.float64)
-        lnv = e * _LN2 + np.log1p((v0 - (1 << e)) / (1 << e) + m * math.ldexp(gate, -e))
-        power = -2.0 * alpha * lnv
-        for i, count in zip(exact, counts):
-            lower[i] = upper[i] = np.exp(power[:count] - shift[i] - two_eps[i] * gate * m[:count]).sum()
-        if em.size:
-            z = 1.0 - 2.0 * alpha
-            n1 = budget - 1
-            x_end = gate * n1 / v0  # the last position's offset, in units of v0
-            ln_x = math.log(x_end) if x_end >= sys.float_info.min else math.log(gate * n1) - math.log(v0)
-            shift, a, lam_gate = shift[em], a[em], lam_gate[em]
-            ax = a * x_end  # 2 eps gate (N - 1)
-            # the integral of f over [0, N-1] is f(0) * (v0 / gate) * J
-            ln_j = _ln_block_integral(z, a, x_end, ln_x)
-            integral = np.exp(z * ln_v0 - math.log(gate) - shift + ln_j)
-            f0 = np.exp(-2.0 * alpha * ln_v0 - shift)
-            # f(N-1) / f0
-            rho = np.where(ax < _EXP_FLOOR, np.exp(-ax - 2.0 * alpha * math.log1p(x_end)), 0.0)
-            p = np.array([[gate / v0], [gate / (v0 + gate * n1)]])  # gate / v at both ends
-            through_f1, f3_term = em_end_terms(  # ln f = -2a ln v - 2 eps v in m
-                1.0, rho, -(2.0 * alpha * p + lam_gate), 2.0 * alpha * p * p, -4.0 * alpha * p**3
-            )
-            upper[em] = integral + f0 * through_f1
-            lower[em] = upper[em] - f0 * f3_term
+
+    def dphi(w, i):  # ln f - ln f(v0) = -2 alpha w - a expm1(w), w = ln(v / v0)
+        slope = a[i] * np.exp(w)
+        return -2.0 * alpha - slope, -slope, -slope
+
+    lower, upper, _ = ln_progression_sums(
+        lambda w, i: -2.0 * alpha * w - a[i] * np.expm1(w), dphi, v0, gate, budget, at.size, -2.0 * alpha
+    )
     out = np.zeros((2, flat.size))
-    out[:, at] = lower, upper
+    # alpha = 0: the closed form's one exponent, lower = upper; else e**-shift as a factor, since
+    # one exponent of its size would round at ulp(2 eps v0)
+    out[:, at] = np.exp(lower - shift) if alpha == 0.0 else np.exp(np.array([lower, upper])) * np.exp(-shift)
     out[:, flat_at] = out[:, at[live_at.size :]]
     return out[0], out[1]
-
-
-def _geometric_sum(shift: np.ndarray, lam: np.ndarray, lam_n: np.ndarray, budget: int) -> np.ndarray:
-    """exp(-shift) * (1 - q**N) / (1 - q), q = exp(-lam), lam_n = N lam, N = budget.
-
-    The quotient is N h(lam_n) / h(lam), h(y) = (1 - exp(-y)) / y, and the
-    product is formed in log form: lam may be subnormal or 0, N past the
-    float range, and exp(-shift) (1 - q**N) alone may underflow.  Both h
-    read 1 at 0: lam_n is a * (gate N / v0) with a <= 2 _EXP_FLOOR on every
-    radius evaluated, so it underflows to 0 only where its true value is
-    below about _EXP_FLOOR * 2**-1074, and there h(lam_n) = 1 to full
-    precision (0 < 1 - h(y) < y / 2).
-    """
-    h = np.divide(-np.expm1(-lam), lam, out=np.ones_like(lam), where=lam > 0.0)
-    h_n = np.divide(-np.expm1(-lam_n), lam_n, out=np.ones_like(lam_n), where=lam_n > 0.0)
-    return np.exp(math.log(budget) + np.log(h_n / h) - shift)
-
-
-def _ln_block_integral(z: float, a: np.ndarray, x: float, ln_x: float) -> np.ndarray:
-    """ln J at each a, J = integral from 0 to x of (1 + t)**(z-1) * exp(-a t) dt, z <= 1, a > 0.
-
-    J is the integral over s = ln(1 + t) in [0, s_top] of exp(z s - a
-    expm1(s)), whose log moves by at most |z| + a e**s_top per unit of s,
-    the rate `ln_panel_integrals` takes for every a at once.  The interval
-    is cut at t = c / a, c = 43 + (1 - z) ln 2 + max(0, -ln a): the tail
-    past the cut is below e**-c / a, and J >= min(1, 1/a) 2**(z-1) / e, the
-    integrand's floor on [0, min(1, 1/a)], which lies inside [0, x] wherever
-    the cut does; so the tail is at most e**(1-c) 2**(1-z) / min(1, a) <=
-    2**-60 of J.  An x below the float range gives ln J = ln_x: the
-    integrand is 1 to within (a + 1 - z) x there.
-    """
-    if x < sys.float_info.min:
-        return np.full(a.size, ln_x)
-    c = 43.0 + (1.0 - z) * _LN2 + np.maximum(0.0, -np.log(a))
-    s_top = np.log1p(np.minimum(x, c / a))
-    return ln_panel_integrals(lambda s, i: z * s - a[i] * np.expm1(s), s_top, abs(z) + a * np.exp(s_top))

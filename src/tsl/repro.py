@@ -313,7 +313,7 @@ def check_orbit_visits(seed: int = DEFAULT_SEED) -> dict[str, Any]:
     Both readings come from the sorted visit times.  The density is the
     maximum over built blocks of the visit set's weighted prefix ratio
     at the block's last visit, its last +1 slot; whether that reads the
-    limsup is still open (ROADMAP item 5).  The control is the first
+    limsup is still open.  The control is the first
     slot lo + gate*m of a built block that is no visit: the first -1 slot.
     """
     targets = visit_fixture_targets()

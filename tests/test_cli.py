@@ -49,6 +49,15 @@ FOUR_ROWS = "p,r,value,quadrature_size\n" + "".join(
 
 
 class TestExitCodes:
+    # FOUR_ROWS fits slope ln(4/3) / ln 2 = 0.415 on its upper half; gamma = 0.17 predicts 0.415
+    @pytest.mark.parametrize("gamma, code, verdict", [("0.17", 0, "PASS"), ("0", 2, "FAIL")])
+    def test_fit_exit_code_follows_the_verdict(self, tmp_path, capsys, gamma, code, verdict):
+        table, out = tmp_path / "means.csv", tmp_path / "fit.json"
+        table.write_text(FOUR_ROWS)
+        assert main(["fit", "--in", str(table), "--gamma", gamma, "--tol", "0.01", "--out", str(out)]) == code
+        assert capsys.readouterr().out.startswith(verdict + ":")
+        assert json.loads(out.read_text())["verdict"] == verdict
+
     def test_success(self, tmp_path):
         out = tmp_path / "density.csv"
         assert main(["density", "--gamma", "0.5", "--n-max", "4096", "--out", str(out)]) == 0
@@ -277,8 +286,8 @@ class TestPipeline:
         ]) == 0
         assert main(["means", "--in", str(paths["f.json"]), "--p", "1,2,inf",
                      "--out", str(paths["means.csv"])]) == 0
-        assert main(["fit", "--in", str(paths["means.csv"]), "--gamma", "0",
-                     "--out", str(paths["fit.json"])]) == 0
+        code = main(["fit", "--in", str(paths["means.csv"]), "--gamma", "0", "--out", str(paths["fit.json"])])
+        assert code == {"PASS": 0, "FAIL": 2}[json.loads(paths["fit.json"].read_text())["verdict"]]
 
         spec = ConstructionSpec(
             alpha=0.0, gamma=0.0, regime=Regime.RS, schedule=Schedule.DYADIC, max_degree=4096

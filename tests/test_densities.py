@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsl import densities
+from tsl import _util, densities
 from tsl.densities import (
     PrefixSet,
     log_weight_sum,
@@ -399,10 +399,26 @@ def _mp_prefix_sums(gamma):
     return out
 
 
+def _heads(gamma, horizons):
+    """First integer of each horizon's window and the terms after it that the engine sums one by one."""
+    horizons = np.array(horizons, dtype=np.int64)
+    seen = []
+
+    def spy(*args):
+        seen.append(_util.ln_progression_sums(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(densities, "ln_progression_sums", spy)
+        densities._log_weight_sums(gamma, horizons)
+    return densities._first_kept(gamma, horizons, horizons), seen[0][2]
+
+
 class TestClosedForm:
     # log_weight_sum sums a short exact head, then Euler-Maclaurin; at
-    # _EM_BITS = 40 the remainder bound is 2**-40 of the sum and the
-    # Euler-Maclaurin route starts below 2**13 at every gamma here
+    # _EM_BITS = 40 the remainder bound is 2**-40 of the sum, and from
+    # horizon 2**13 on the Euler-Maclaurin route starts below 2**13 or at
+    # the window's first integer, at every gamma here
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         gamma=st.sampled_from([1e-5, 0.01, 0.3, 0.5, 0.7]),
@@ -410,8 +426,10 @@ class TestClosedForm:
     )
     def test_matches_high_precision_sums(self, gamma, horizons):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(densities, "_EM_BITS", 40)
-            assert densities._em_start(gamma) < 1 << 13
+            patch.setattr(_util, "_EM_BITS", 40)
+            first, head = _heads(gamma, [1 << 13, 1 << 14])
+            assert (head < (1 << np.array([13, 14])) - first + 1).all()
+            assert (first + head <= np.maximum(first, 1 << 13)).all()
             rows = prefix_density_profile(PrefixSet([], 1 << 14), gamma, horizons)
             singles = [log_weight_sum(n, gamma) for n in horizons]
         sums = _mp_prefix_sums(gamma)
@@ -432,9 +450,31 @@ class TestClosedForm:
         for n, _, log_num, log_den in prefix_density_profile(everything, gamma, horizons):
             assert abs(log_den - log_num) <= 1e-13 * abs(log_num), n
 
-    @pytest.mark.parametrize("gamma, n", [(0.9, 1 << 54), (0.9, (1 << 60) + 12345), (0.99, 1 << 55)])
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.7, 0.95])
+    def test_default_bits_match_40_digit_sums(self, gamma):
+        # at 2**-56, through every route: whole windows summed, exact heads then Euler-Maclaurin,
+        # and Euler-Maclaurin from the window's first integer; horizons past 2**14 against
+        # windowed 40-digit sums, below each window every term weighs under e**-50 / n of the top
+        horizons = [1 << 10, 3000, 1 << 12, 5000, 1 << 13, 12345, 1 << 14]
+        horizons += [1 << 20] * (gamma >= 0.7) + [1 << 30] * (gamma >= 0.95)  # windows of 6,000 and 200 terms
+        got = densities._log_weight_sums(gamma, np.array(horizons, dtype=np.int64))
+        sums = _mp_prefix_sums(gamma)
+        with mp.workdps(40):
+            for n, value in zip(horizons, got.tolist()):
+                if n <= 1 << 14:
+                    exact = mp.log(sums[n - 1])
+                else:
+                    span = int((50.0 + math.log(n)) / (gamma * n ** (gamma - 1.0))) + 1
+                    top = mp.mpf(n) ** gamma
+                    exact = top + mp.log(mp.fsum(mp.exp(mp.mpf(k) ** gamma - top) for k in range(n - span, n + 1)))
+                assert abs(value - float(exact)) <= 4 * math.ulp(value), n
+
+    @pytest.mark.parametrize(
+        "gamma, n", [(0.9, 1 << 54), (0.9, (1 << 60) + 12345), (0.99, 1 << 55), (0.95, (1 << 63) - 1)]
+    )
     def test_past_2_53_matches_50_digit_sums(self, gamma, n):
-        # past 2**53 float64 skips integers, so the exact head must count them in int64
+        # past 2**53 float64 skips integers, so the exact head must count them in int64; at
+        # 2**63 - 1 and gamma = 0.95 the summed window's terms span more than e**709
         got = log_weight_sum(n, gamma)
         # below n - span each term weighs under e**-50 / n of the top one
         span = int((50.0 + math.log(n)) / (gamma * n ** (gamma - 1.0))) + 1
@@ -468,8 +508,8 @@ class TestWeightSumsPerHorizon:
     @pytest.mark.parametrize("gamma", [1e-5, 0.3, 0.5, 0.7])
     def test_head_only_and_tail_rows_in_one_call(self, gamma):
         horizons = np.array([1 << 40, 2, 1 << 12, 10**6, 2, (1 << 63) - 1, 7], dtype=np.int64)
-        first = densities._first_kept(gamma, horizons, horizons)
-        tail = np.maximum(first, densities._em_start(gamma)) < horizons
+        first, head = _heads(gamma, horizons)
+        tail = head < horizons - first + 1
         assert tail.any() and not tail.all()
         _assert_each_horizon_alone(gamma, horizons)
 
@@ -527,17 +567,33 @@ class TestDenominatorMemo:
             prefix_density_profile(s, 0.5, list(range(1, 11)))  # more misses than the bound holds
             assert len(densities._weight_sums) == 4
 
-    def test_clear_memo_empties_both_caches(self):
-        densities.clear_memo()  # a cold memo: the profile calls the engine, which fills both
-        prefix_density_profile(PrefixSet([], 1 << 20), 0.5, [1 << 20])
-        assert densities._weight_sums and densities._em_start_at.cache_info().currsize
+    def test_clear_memo_empties_the_memo(self):
+        calls = []
+
+        def counting(gamma, horizons):
+            calls.append(horizons.size)
+            return engine(gamma, horizons)
+
+        engine = densities._log_weight_sums
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(densities, "_log_weight_sums", counting)
+            densities.clear_memo()  # a cold memo: the profile calls the engine and fills it
+            prefix_density_profile(PrefixSet([], 1 << 20), 0.5, [1 << 20])
+            assert densities._weight_sums and calls == [1]
+            prefix_density_profile(PrefixSet([], 1 << 20), 0.5, [1 << 20])
+            assert calls == [1]  # warm: read from the memo
+            densities.clear_memo()
+            assert not densities._weight_sums
+            prefix_density_profile(PrefixSet([], 1 << 20), 0.5, [1 << 20])
+            assert calls == [1, 1]
         densities.clear_memo()
-        assert not densities._weight_sums and not densities._em_start_at.cache_info().currsize
 
     @pytest.mark.parametrize("patched_first", [True, False])
     def test_patched_em_bits_leave_no_stale_values(self, patched_first):
-        # at gamma = 0.7 the Euler-Maclaurin start is 5,793 for 2**-40 and 2,493,949 for
-        # 2**-56, and the two routes differ in the last bits at 2**14 and 2**20
+        # at gamma = 0.7 a remainder bound of 2**-40 lets horizon 5,813 sum exactly up to
+        # 5,793 (the first quarter-octave position past the bound) and 2**14 and 2**20 take
+        # Euler-Maclaurin from their first integer, where 2**-56 sums their every term;
+        # the two routes differ in the last bits at 2**14 and 2**20
         horizons = [1 << 14, 1 << 20, 1 << 12]
         s = PrefixSet([], 1 << 20)
 
@@ -547,12 +603,15 @@ class TestDenominatorMemo:
 
         def patched():
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(densities, "_EM_BITS", 40)
-                assert densities._em_start(0.7) == 5793
+                patch.setattr(_util, "_EM_BITS", 40)
+                first, head = _heads(0.7, [5813, 1 << 14, 1 << 20])
+                assert (first + head).tolist() == [5793, 15092, 1043652]
                 return profile_is_the_engines()
 
         def unpatched():
-            assert densities._em_start(0.7) == 2493949
+            first, head = _heads(0.7, [1 << 14, 1 << 20, 2_500_000])
+            assert head.tolist() == [1293, 4925, 0]  # every term, every term, none
+            assert (first + head).tolist()[:2] == [(1 << 14) + 1, (1 << 20) + 1]
             return profile_is_the_engines()
 
         densities.clear_memo()
@@ -563,6 +622,13 @@ class TestDenominatorMemo:
         assert at_40 != at_56
         assert unpatched() == at_56 and patched() == at_40
 
+    @pytest.mark.parametrize("gamma, horizons, start", [(0.5, [4140, 8000, 12466], 4096), (0.6, [46415], 46341)])
+    def test_head_ends_at_the_first_ladder_position_past_the_bound(self, gamma, horizons, start):
+        # at 2**-56 these windows start below the bound's crossing and end past it; their exact
+        # heads end at the first quarter-octave position where the remainder bound holds
+        first, head = _heads(gamma, horizons)
+        assert (0 < head).all() and (head < np.array(horizons) - first + 1).all()
+        assert (first + head == start).all()
 
 def _elementwise_gamma_zero_masses(cuts, members):
     """The gamma = 0 numerators term by term: each piece sums exp(x**0 - 1) as an array."""

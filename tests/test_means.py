@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsl import means as means_module
+from tsl._util import panel_means
 from tsl.cli import main
 from tsl.constructor import (
     ConstructionSpec,
@@ -22,7 +23,6 @@ from tsl.errors import DomainError
 from tsl.means import (
     RadialMeansTable,
     _dyadic_eps,
-    _ln_block_integral,
     _position_sums,
     _support,
     circle_mean,
@@ -587,6 +587,23 @@ def _oracle_ln_block_integral(z, a, x):
         return float(mp.log(mp.quad(lambda t: (1 + t) ** (z - 1) * mp.exp(-a * t), pieces)))
 
 
+def _panel_ln_block_integral(z, a, x):
+    """ln of the integral from 0 to x of (1 + t)**(z-1) e**(-a t) dt, for each a, by the one panel rule.
+
+    In s = ln(1 + t) the integrand is exp(z s - a expm1(s)).  Like the
+    progression engine on terms that decay, the integral stops C / kappa
+    past 0, kappa = (1 - z) / (1 + x) + a the decay at x and C = 60 ln 2 + 1
+    + max(0, ln((1 - z + a) / kappa)); the panels take the largest rate of
+    the log of the integrand at the ends, |z - a (1 + t)|.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    kappa = (1.0 - z) / (1.0 + x) + a
+    cut = (60.0 * math.log(2.0) + 1.0 + np.log(np.maximum((1.0 - z + a) / kappa, 1.0))) / kappa
+    s_top = np.log1p(np.minimum(x, cut))
+    rate = np.maximum(np.abs(z - a), np.abs(z - a * np.exp(s_top)))
+    return np.log(s_top * panel_means(lambda s, i: z * s - a[i] * np.expm1(s), s_top, rate))
+
+
 def _oracle_eps(j):
     """eps = -ln(1 - 2**-j) at 50 digits, from j alone."""
     with mp.workdps(50):
@@ -838,6 +855,25 @@ class TestPlannedMean:
         _assert_brackets(lower, upper, exact, _rounding_allowance(lo, 0, alpha, float(eps)))
         assert abs(lower - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("gate", [1, 4, 200])
+    @pytest.mark.parametrize("alpha", [0.125, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("decay", [1e-4, 1e-2, 1.0])
+    def test_head_and_tail_match_mpmath(self, gate, alpha, decay, monkeypatch):
+        # lo = 1: the first terms fall steeply, so an exact head precedes the Euler-Maclaurin
+        # tail; the per-position decay 2 eps gate runs from about 1e-4 to 1.  The reference
+        # takes the engine's own eps, so the tolerance reads the engine, not eps's rounding.
+        # 2**-49: a sum near e**6.6 in log form has a resolution of 2**-50 itself
+        j = max(1, round(math.log2(2.0 * gate / decay)))
+        eps = _dyadic_eps([j])
+        engine, heads = means_module.ln_progression_sums, []
+        monkeypatch.setattr(means_module, "ln_progression_sums", lambda *a: heads.append(engine(*a)) or heads[-1])
+        (lower,), (upper,) = _position_sums(1, gate, 1 << 20, 0, alpha, eps)
+        assert 0 < heads[0][2][0] < 1 << 20
+        exact_eps = mp.ldexp(mp.mpf(float(eps[0][0])), -int(eps[1][0]))
+        exact = _oracle_position_sum(1, gate, 1 << 20, 0, alpha, exact_eps)
+        _assert_brackets(lower, upper, exact, _rounding_allowance(1, 0, alpha, float(exact_eps)))
+        assert abs(lower - exact) <= 2.0**-49 * exact
+
     @pytest.mark.parametrize("alpha", (-0.25, math.nan, math.inf))
     def test_profile_rejects_alpha_outside_domain(self, alpha):
         # the bracket's direction needs terms that fall with the position
@@ -862,7 +898,7 @@ class TestPlannedMean:
         ],
     )
     def test_block_integral_matches_quadrature(self, z, a, x):
-        (ln_j,) = _ln_block_integral(z, np.array([a]), x, math.log(x))
+        (ln_j,) = _panel_ln_block_integral(z, [a], x)
         assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -873,16 +909,16 @@ class TestPlannedMean:
     )
     def test_block_integral_property(self, z, log_a, log_x):
         a, x = 10.0**log_a, 10.0**log_x
-        (ln_j,) = _ln_block_integral(z, np.array([a]), x, math.log(x))
+        (ln_j,) = _panel_ln_block_integral(z, [a], x)
         assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
 
     def test_block_integral_ragged_panels_in_one_array(self):
         # one call lays out every a's panels, from one at a = 1e-3 to 52 at a = 100
         z, x = 0.5, 0.9
         a = np.array([1e-3, 0.5, 1.0, 1.0 / 0.9, 1.2, 5.0, 100.0, 1e3])
-        ln_j = _ln_block_integral(z, a, x, math.log(x))
+        ln_j = _panel_ln_block_integral(z, a, x)
         for value, a_i in zip(ln_j, a):
-            assert value == _ln_block_integral(z, np.array([a_i]), x, math.log(x))[0]
+            assert value == _panel_ln_block_integral(z, [a_i], x)[0]
             assert abs(value - _oracle_ln_block_integral(z, a_i, x)) <= 1e-14
 
     @pytest.mark.parametrize(
