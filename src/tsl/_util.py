@@ -37,23 +37,18 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
-
-    Newton's method on the Legendre polynomial P_n from the usual cosine
-    guesses, all roots at once (numpy.linalg is not loaded for this).
-    """
-    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(6):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        slope = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / slope
-    return (1.0 - x) / 2.0, 1.0 / ((1.0 - x * x) * slope * slope)
-
-
-GL_NODES, GL_WEIGHTS = gauss_legendre(20)  # the package's one quadrature rule
+# The package's one quadrature rule: the 20-point Gauss-Legendre rule on [0, 1], symmetric about 1/2.
+# Its lower ten (node, weight) pairs, correctly rounded from a 60-digit Newton iteration on P_20; a
+# float64 Newton iteration leaves weights up to 8e-15 off, which every panel integral inherits.
+_GL_HALF = np.array([
+    (0.0034357004074525377, 0.008807003569576059), (0.018014036361043106, 0.02030071490019347),
+    (0.04388278587433705, 0.031336024167054534), (0.0804415140888906, 0.04163837078835238),
+    (0.1268340467699246, 0.05096505990862022), (0.1819731596367425, 0.059097265980759206),
+    (0.24456649902458646, 0.06584431922458832), (0.3131469556422902, 0.07104805465919102),
+    (0.38610707442917747, 0.07458649323630187), (0.46173673943325133, 0.07637669356536292),
+])
+GL_NODES = np.concatenate([_GL_HALF[:, 0], 1.0 - _GL_HALF[::-1, 0]])
+GL_WEIGHTS = np.concatenate([_GL_HALF[:, 1], _GL_HALF[::-1, 1]])
 
 
 def panel_means(log_f, s_top: np.ndarray, rate: np.ndarray) -> np.ndarray:
@@ -69,8 +64,6 @@ def panel_means(log_f, s_top: np.ndarray, rate: np.ndarray) -> np.ndarray:
     product's order of summation would depend on the row count).
     """
     panels = np.maximum(1.0, np.ceil(s_top * rate / 4.0)).astype(np.int64)
-    if panels.max() == 1:
-        return (np.exp(log_f(s_top[:, None] * GL_NODES, np.arange(s_top.size)[:, None])) * GL_WEIGHTS).sum(axis=1)
     first = np.cumsum(panels) - panels
     item = np.repeat(np.arange(panels.size), panels)
     width = s_top / panels
@@ -99,121 +92,126 @@ def _sixth_bound(p: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return p**6 * (u * (u + 4.0) * (u + 6.0))
 
 
-def _ln_geometric_sums(peak: np.ndarray, lam: np.ndarray, lam_n: np.ndarray, ln_n) -> np.ndarray:
+def ln_geometric_sums(peak: np.ndarray, lam: np.ndarray, lam_n: np.ndarray, ln_n) -> np.ndarray:
     """ln(exp(peak) (1 - r**N) / (1 - r)), r = exp(-lam), lam_n = N lam, ln_n = ln N.
 
-    As N h(lam_n) / h(lam), h(y) = (1 - exp(-y)) / y, in log form: lam may be 0 or subnormal and
-    N past the float range; h reads 1 at 0, exact to rounding where lam_n underflows (y / 2 > 1 - h).
+    The sum of N terms whose log is linear, exp(peak) the largest.  As N h(lam_n) / h(lam),
+    h(y) = (1 - exp(-y)) / y, in log form: lam may be 0 or subnormal and N past the float range;
+    h reads 1 at 0, exact to rounding where lam_n underflows (y / 2 > 1 - h).
     """
     h = np.divide(-np.expm1(-lam), lam, out=np.ones_like(lam), where=lam > 0.0)
     h_n = np.divide(-np.expm1(-lam_n), lam_n, out=np.ones_like(lam_n), where=lam_n > 0.0)
     return ln_n + np.log(h_n / h) + peak
 
 
-def ln_progression_sums(phi, dphi, v0, gate: int, count, size: int, power: float = 0.0):
-    """ln of v0**power times the sum of f_i(v0 + gate m) / f_i(v0) over m < N: (lower, upper, head).
+def progression_sums(phi, dphi, v0, gate: int, count, size: int, power: float = 0.0):
+    """v0**power times the sum of f_i(v0 + gate m) / f_i(v0) over m < N, as (unit, total, bound, head).
 
-    f_i comes in offset form, phi(w, i) = ln f_i(v0 e**w) - ln f_i(v0) with w = ln(v / v0),
+    The sum lies within exp(unit) total (1 -/+ bound), and `head` counts the terms summed one by
+    one.  f_i comes in offset form, phi(w, i) = ln f_i(v0 e**w) - ln f_i(v0) with w = ln(v / v0),
     and dphi(w, i) gives phi', phi'', phi'''.  v0 and N are one Python integer for all `size`
-    items, or int64 arrays with one per item.  The terms must be monotone and, with p = gate / v,
-    p |phi'| must not grow along the progression, the k-th derivative of ln f in m be at most
-    p |phi'| (k-1)! p**(k-1) and f^(6) keep one sign: true of v**(-s) exp(-lam v) and of
-    exp(v**gamma), 0 < gamma < 1.
+    items, or int64 arrays with one per item.  ln f must not be linear in m (that sum is
+    `ln_geometric_sums`), the terms must be monotone and, with p = gate / v, p |phi'| must not
+    grow along the progression, the k-th derivative of ln f in m be at most p |phi'| (k-1)!
+    p**(k-1) and f^(6) keep one sign: true of v**(-s) exp(-lam v) and of exp(v**gamma),
+    0 < gamma < 1.
 
-    Where ln f is linear in m, the geometric closed form gives both ends.  Otherwise the head
-    m < a is summed term by term, relative to its largest term, and m = a .. N-1 by
-    Euler-Maclaurin through f''' (the one panel integral, `em_end_terms`), whose remainder is
-    below B(a) rho(a) / 30240 of the sum: B the `_sixth_bound`, rho = min(1, f(a) min(1 / c,
-    N-1-a) / f(0)) where the terms fall by c per step at N-1, else 1.  Both fall along the
-    progression, so the head ends at the first a with B(a) rho(a) <= 30240 * 2**-_EM_BITS: 0,
-    else a point of `_LADDER` in offsets a where the terms fall and in positions v0 + gate a
-    where they grow, else N; that bound widens the bracket.  Where the terms fall, the integral
-    stops C / kappa past x(a), x = v / v0 - 1, kappa their decay per unit of x at N-1 and C =
-    60 ln 2 + 1 + max(0, ln(|phi'(0)| / kappa)), and drops less than 2**-60 of itself.  Where
-    power is not 0 and the span x(N-1) - x(a) is a normal float, the tail's unit is (power + 1)
-    ln v0 - ln gate + ln(span), so no exponent as large as ln v0 rounds it.  Each item gets the
-    bits it gets alone.
+    The head m < a is summed term by term, relative to its largest term exp(top), and m = a ..
+    N-1 by Euler-Maclaurin through f''' (the one panel integral, `em_end_terms`), whose
+    remainder is below B(a) rho(a) / 30240 of the sum: B the `_sixth_bound`, rho = min(1, f(a)
+    min(1 / c, N-1-a) / f(0)) where the terms fall by c per step at N-1, else 1.  Both fall
+    along the progression, so the head ends at the first a with B(a) rho(a) <= 30240 *
+    2**-_EM_BITS: 0, else a point of `_LADDER` in offsets a where the terms fall and in
+    positions v0 + gate a where they grow, else N.  Where the terms fall, the integral stops
+    C / kappa past x(a), x = v / v0 - 1, kappa their decay per unit of x at N-1 and C = 60 ln 2
+    + 1 + max(0, ln(|phi'(0)| / kappa)), and drops less than 2**-60 of itself.  A tail alone
+    has unit ln(N-1-a) + its larger end's ln f, plus power ln v0, or, where the span x(N-1) -
+    x(a) is a normal float, (power + 1) ln v0 - ln gate + ln(span), so no exponent as large as
+    ln v0 rounds it; after a head it joins the head's unit, top + power ln v0, in linear form.
+    Each item gets the bits it gets alone.
     """
-    one = isinstance(v0, int)  # one Python v0 and N for every item, of any size
-    q, x_end = gate / v0, gate * (count - 1) / v0
-    ends = np.reshape([0.0 * x_end, np.log1p(x_end)], (2, -1))
-    d1, d2, d3 = dphi(ends, _ALL)
-    ln_v0 = (math.log(v0) if one else np.log(v0)) if power else 0.0
-    if (d2 == d1).all() and (d3 == d1).all():  # ln f linear in m, phi = phi'(0) x: the geometric closed form
-        lam, ln_n, peak = np.abs(d1[0]), math.log(count) if one else np.log(count), np.maximum(d1[0] * x_end, 0.0)
-        ln_sums = _ln_geometric_sums(peak, lam * q, lam * (gate * count / v0), ln_n) + power * ln_v0
-        return ln_sums, ln_sums, np.zeros(size)
-    phi_end = phi(ends[1], _ALL)
-    if one:  # every item's copy
-        row = [q, x_end, float(min(count - 1, _BIG)), min(v0, _BIG) / gate, ln_v0, math.log(count - 1 or 1)]
-        q, x_end, last, start, ln_v0, ln_last = np.full((size, 6), row).T
+    if isinstance(v0, int):  # one v0 and N for every item, Python integers of any size
+        row = [gate / v0, gate * (count - 1) / v0, float(min(count - 1, _BIG)), min(v0, _BIG) / gate, math.log(v0)]
+        q, x_end, last, start, ln_v0 = np.full((size, 5), row).T
     else:
-        last, start = (count - 1).astype(np.float64), v0 / gate
-        ln_last = np.log(np.maximum(count - 1, 1))
+        q, x_end, last, start = gate / v0, gate * (count - 1) / v0, (count - 1).astype(np.float64), v0 / gate
+        ln_v0 = np.log(v0) if power else None
+    x = np.zeros((2, size))  # the offsets of m = 0 and N-1
+    x[1] = x_end
+    d1 = dphi(np.log1p(x), _ALL)[0]
     threshold = 30240.0 * 2.0**-_EM_BITS
-    head, bound = np.zeros(size), _sixth_bound(q, d1[0])
-    search = ((bound > threshold) & (last >= 2.0)).nonzero()[0]
+    bound, least = _sixth_bound(q / (1.0 + x), d1)
+    head = np.where((d1[1] > 0.0) & (least > threshold) | (last < 2.0), _BIG, 0.0)  # growing: B is least at N-1
+    search = ((bound > threshold) & (head == 0.0)).nonzero()[0]
     if search.size:  # the candidates on `_LADDER`, each row's last column N-2
-        rows, fall = search[:, None], d1[1, search] < 0.0
-        start, final = start[search] * (d1[1, search] > 0.0), last[rows] - 1.0
+        rows, grow = search[:, None], d1[1, search] > 0.0
+        start, final = start[search] * grow, last[search] - 1.0
         lowest = np.searchsorted(_LADDER, start, "right")
-        cols = lowest[:, None] + np.arange((np.searchsorted(_LADDER, start + final[:, 0]) - lowest).max() + 1)
-        m = np.minimum(np.ceil(_LADDER[np.minimum(cols, _LADDER.size - 1)] - start[:, None]), final)
-        x = q[rows] * m
-        w = np.log1p(x)
-        value = _sixth_bound(q[rows] / (1.0 + x), dphi(w, rows)[0])
-        if fall.any():  # rho = f(a) min(1 / c, N-1-a) / f(0), c the decay per step at N-1
+        cols = lowest[:, None] + np.arange((np.searchsorted(_LADDER, start + final) - lowest).max() + 1)
+        m = np.minimum(np.ceil(_LADDER[np.minimum(cols, _LADDER.size - 1)] - start[:, None]), final[:, None])
+        offsets = q[rows] * m
+        w = np.log1p(offsets)
+        value = _sixth_bound(q[rows] / (1.0 + offsets), dphi(w, rows)[0])
+        if not grow.all():  # rho = f(a) min(1 / c, N-1-a) / f(0), c the decay per step at N-1
+            fall = ~grow
             c = -(d1[1] * q / (1.0 + x_end))[rows[fall]]
             ln_rho = phi(w[fall], rows[fall]) + np.log(np.minimum(1.0 / c, last[rows[fall]] - m[fall]))
             value[fall] *= np.exp(np.minimum(ln_rho, 0.0))
         best = (np.arange(search.size), np.minimum((value > threshold).sum(axis=1), m.shape[1] - 1))  # value falls
         head[search], bound[search] = m[best], value[best]
     whole = head >= last - 1.0  # a tail of one or two terms is summed too
-    head[whole], bound[whole] = last[whole] + 1.0, 0.0
-    ln_sums, total, top = np.zeros(size), np.zeros(size), np.zeros(size)  # a head sums to exp(top) total
+    head, bound = np.where(whole, last + 1.0, head), np.where(whole, 0.0, bound)
+    unit, total, top = np.zeros((3, size))
     summed = head.nonzero()[0]
     if summed.size:
         terms = head[summed].astype(np.int64)
         first = np.cumsum(terms) - terms
-        at, m = np.repeat(summed, terms), np.arange(terms.sum()) - first.repeat(terms)
         top[summed] = np.maximum(phi(np.log1p(q[summed] * (terms - 1)), summed), 0.0)  # monotone: an end's term
-        ln_terms = phi(np.log1p(np.repeat(q[summed], terms) * m), at) - np.repeat(top[summed], terms)
+        m = np.arange(first[-1] + terms[-1]) - np.repeat(first, terms)
+        w = np.log1p(np.repeat(q[summed], terms) * m)
+        ln_terms = phi(w, np.repeat(summed, terms)) - np.repeat(top[summed], terms)
         total[summed] = np.add.reduceat(np.exp(ln_terms), first)
+        unit[summed] = top[summed] + power * ln_v0[summed] if power else top[summed]
     tail = (head <= last).nonzero()[0]
     if tail.size:  # m = a .. N-1 by Euler-Maclaurin
-        a, span, ln_tail, qt, xt, dt = head[tail], x_end[tail], ln_last[tail], q[tail], x_end[tail], d1[:, tail]
-        moved = a.nonzero()[0]
-        if moved.size and one:  # the tail's length N-1-a, from the integers
-            n = [count - 1 - int(k) for k in a[moved].tolist()]
-            span[moved], ln_tail[moved] = [gate * k / v0 for k in n], [math.log(k) for k in n]
-        elif moved.size:
-            n = count[tail[moved]] - 1 - a[moved].astype(np.int64)
-            span[moved], ln_tail[moved] = gate * n / v0[tail[moved]], np.log(n)
-        x_a, kappa = qt * a, -dt[1] / (1.0 + xt)
+        a, q_t, x = head[tail], q[tail], np.empty((2, tail.size))  # the offsets of a and N-1
+        x[0], x[1] = q_t * a, x_end[tail]
+        if isinstance(v0, int):  # the span and ln(N-1-a) from the integers
+            span, ln_n = x[1].copy(), np.full(tail.size, math.log(count - 1))
+            for i in a.nonzero()[0].tolist():
+                n = count - 1 - int(a[i])
+                span[i], ln_n[i] = gate * n / v0, math.log(n)
+        else:
+            n = count[tail] - 1 - a.astype(np.int64)
+            span, ln_n = gate * n / v0[tail], np.log(n)
+        normal = span >= sys.float_info.min  # else the offsets round to 0, the terms are equal and the
+        span = np.maximum(span, sys.float_info.min)  # integral over a span this small is its length
+        kappa = -d1[1, tail] / (1.0 + x[1])
         width, cut = span, (kappa * span > 60.0 * _LN2 + 1.0).nonzero()[0]
         if cut.size:  # the terms fall, and past C / kappa they weigh nothing
-            c = 60.0 * _LN2 + 1.0 + np.log(np.maximum(-dt[0, cut] / kappa[cut], 1.0))
+            c = 60.0 * _LN2 + 1.0 + np.log(np.maximum(-d1[0, tail[cut]] / kappa[cut], 1.0))
             width = span.copy()
             width[cut] = np.minimum(span[cut], c / kappa[cut])
-        w_a, s_top = np.log1p(x_a), np.log1p(width / (1.0 + x_a))
-        e1, e2, e3 = dphi(np.array([w_a, np.log1p(xt), w_a + s_top]), tail)
-        phi_a = phi(w_a, tail) if moved.size else np.zeros(tail.size)
-        ref = np.maximum(phi_a, phi_end[tail])
-        rate = np.abs(1.0 + e1[::2]).max(axis=0)  # log f e**s moves fastest at an end
-        mean = panel_means(lambda s, j: phi(w_a[j] + s, tail[j]) - ref[j] + s, s_top, rate)
-        f = np.exp(np.array([phi_a, phi_end[tail]]) - ref)
-        edges = em_end_terms(f, qt / (1.0 + np.array([x_a, xt])), e1[:2], e2[:2], e3[:2])
-        ratio = np.divide(s_top * (1.0 + x_a), span, out=np.ones(tail.size), where=span > 0.0)  # 1 if span underflows
-        per_unit = ratio * mean + edges * np.exp(-ln_tail)
-        unit = ln_tail + ref  # ln(N-1-a) + ref
+        w = np.empty((3, tail.size))  # ln(v / v0) at a, at N-1 and at the integral's top
+        w[:2], s_top = np.log1p(x), np.log1p(width / (1.0 + x[0]))
+        w[2] = w[0] + s_top
+        e1, e2, e3 = dphi(w, tail)
+        phi_ends = phi(w[:2], tail)
+        ref = np.maximum(phi_ends[0], phi_ends[1])
+        rate = np.maximum(np.abs(1.0 + e1[0]), np.abs(1.0 + e1[2]))  # log f e**s moves fastest at an end
+        mean = panel_means(lambda s, j: phi(w[0, j] + s, tail[j]) - ref[j] + s, s_top, rate)
+        edges = em_end_terms(np.exp(phi_ends - ref), q_t / (1.0 + x), e1[:2], e2[:2], e3[:2])
+        per_unit = s_top * (1.0 + x[0]) / span * mean + edges * np.exp(-ln_n)  # in units of (N-1-a) e**ref
+        tail_unit = ln_n + ref
         if power:  # times v0**power, whose ln v0 enters once where the span is a normal float
-            normal = span >= sys.float_info.min
-            unit += power * ln_v0[tail]
-            unit[normal] = (power + 1.0) * ln_v0[tail][normal] - math.log(gate) + np.log(span[normal]) + ref[normal]
-        if moved.size:  # after a head, in its unit
-            total[tail[moved]] += np.exp(ln_tail[moved] + ref[moved] - top[tail[moved]]) * per_unit[moved]
-            tail, unit, per_unit = tail[a == 0.0], unit[a == 0.0], per_unit[a == 0.0]
-        ln_sums[tail] = unit + np.log(per_unit)
-    ln_sums[summed] = top[summed] + np.log(total[summed]) + (power * ln_v0[summed] if power else 0.0)
-    bound /= 30240.0
-    return ln_sums - bound, ln_sums + bound, head
+            tail_unit += power * ln_v0[tail]
+            span_unit = (power + 1.0) * ln_v0[tail] - math.log(gate) + np.log(span) + ref
+            tail_unit[normal] = span_unit[normal]
+        joined = a.nonzero()[0]
+        if joined.size:  # after a head, in its unit: e**(ref - top) times (v0 / gate) the integral plus the end terms
+            i = tail[joined]
+            integral = (1.0 + x[0, joined]) * s_top[joined] * mean[joined] / q[i]
+            per_unit[joined], tail_unit[joined] = np.exp(ref[joined] - top[i]) * (integral + edges[joined]), unit[i]
+        total[tail] += per_unit
+        unit[tail] = tail_unit
+    return unit, total, bound / 30240.0, head

@@ -14,10 +14,9 @@ than e**-40, below one ulp of any result.  Two routes sum that window.
 
 - The integers 1..N, behind every denominator and `log_weight_sum`,
   go to the progression-sum engine that the planned mean uses too
-  (`tsl._util.ln_progression_sums`): the geometric closed form at
-  gamma = 0 and 1, else an exact head and Euler-Maclaurin with a
-  remainder below 2**-56 of the sum (`_util._EM_BITS`), at a cost that
-  does not grow with N; against 40-digit sums it is a few ulps off at most.
+  (`tsl._util`): the closed form `ln_geometric_sums` at gamma = 0 and 1,
+  else `progression_sums`, an exact head and Euler-Maclaurin with a
+  remainder below 2**-56 of the sum, at a cost that does not grow with N.
 - The members of a set, behind every numerator, take the windowed
   engine `_log_masses`, which walks a profile's cuts in increasing
   order: a cut whose window starts inside the previous cut's terms
@@ -42,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tsl import _util
-from tsl._util import ln_progression_sums
+from tsl._util import ln_geometric_sums, progression_sums
 from tsl.errors import DomainError
 
 _CHUNK = 1 << 22
@@ -75,7 +74,7 @@ def _integers(values: object, what: str) -> np.ndarray:
         )
     if not integral:
         raise DomainError(f"{what} must be integral")
-    if not np.all((arr >= -_INT64_LIMIT) & (arr < _INT64_LIMIT)):
+    if arr.dtype != np.int64 and not np.all((arr >= -_INT64_LIMIT) & (arr < _INT64_LIMIT)):  # int64 always fits
         raise DomainError(f"{what} must lie in [-2**63, 2**63), the int64 range")
     return arr.astype(np.int64)
 
@@ -116,7 +115,7 @@ def _first_kept(gamma: float, x: np.ndarray, c: np.ndarray) -> np.ndarray:
     root = np.maximum(x_f**gamma - 40.0 - np.log(c), 0.0) ** (1.0 / gamma)
     inside = root < x_f
     first = np.where(inside, root, 0.0).astype(np.int64) - 2
-    return np.where(inside, np.clip(first, 1, x), x)
+    return np.where(inside, np.minimum(np.maximum(first, 1), x), x)
 
 
 def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -161,11 +160,15 @@ def _log_masses(gamma: float, cuts: np.ndarray, members: np.ndarray) -> np.ndarr
 def _log_weight_sums(gamma: float, horizons: np.ndarray) -> np.ndarray:
     """log of the sum of exp(k**gamma) over k = 1..N, for each int64 horizon N >= 1.
 
-    Horizon n sums first = `_first_kept` .. n as one item of one
-    `ln_progression_sums` call, in offset form: t**gamma - first**gamma =
-    first**gamma expm1(gamma w), w = ln(t / first), so no two large powers
-    are subtracted.
+    At gamma = 0 and 1 ln f is linear: `ln_geometric_sums` sums all N terms,
+    e**1 each or e**N times the geometric series in e**-1.  Otherwise horizon
+    n sums first = `_first_kept` .. n as one item of one `progression_sums`
+    call in offset form, t**gamma - first**gamma = first**gamma expm1(gamma
+    w), w = ln(t / first), so no two large powers are subtracted.
     """
+    if gamma in (0.0, 1.0):
+        n = horizons.astype(np.float64)
+        return ln_geometric_sums(n**gamma, np.full(n.size, gamma), gamma * n, np.log(n))
     first = _first_kept(gamma, horizons, horizons)
     base = first.astype(np.float64) ** gamma
 
@@ -176,8 +179,8 @@ def _log_weight_sums(gamma: float, horizons: np.ndarray) -> np.ndarray:
         slope = gamma * base[i] * np.exp(gamma * w)
         return slope, gamma * slope, gamma * gamma * slope
 
-    lower, upper, _ = ln_progression_sums(phi, dphi, first, 1, horizons - first + 1, horizons.size)
-    return base + (lower + upper) / 2.0
+    unit, total, _, _ = progression_sums(phi, dphi, first, 1, horizons - first + 1, horizons.size)
+    return base + (unit + np.log(total))
 
 
 def _denominators(gamma: float, horizons: np.ndarray) -> np.ndarray:

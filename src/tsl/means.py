@@ -30,10 +30,10 @@ astronomically large degrees remain measurable.  It makes one pass over
 the blocks, each block answering the whole j grid in array expressions
 (`_position_sums`).  Each position sum, the sum over v = v0, v0 + gate,
 ... of v**(-2 alpha) r**(2(v-1)), comes from the progression-sum engine
-that the density weight sums use too (`tsl._util.ln_progression_sums`):
-the geometric closed form at alpha = 0, else an exact head of at most a
-few hundred terms and Euler-Maclaurin with a remainder below 2**-56 of
-the sum.  The profile reports the lower end of the engine's bracket.
+that the density weight sums use too (`tsl._util`): the geometric closed
+form `ln_geometric_sums` at alpha = 0, else `progression_sums`, an exact
+head of at most a few hundred terms and Euler-Maclaurin with a remainder
+below 2**-56 of the sum.  The profile reports the lower end of the bracket.
 eps = -ln r is carried as mant * 2**-j (`_dyadic_eps`), every power of
 two applied exactly, and the terms go to the engine in offset form, so
 blocks past 2**1024 give finite sums.  Radii past a block's flat point,
@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from tsl._util import fmt17, ln_progression_sums
+from tsl._util import fmt17, ln_geometric_sums, progression_sums
 from tsl.constructor import BlockLedger
 from tsl.errors import DomainError
 from tsl.polybank import TargetEnumeration, index_weighted
@@ -409,11 +409,12 @@ def _position_sums(
     radius past the block's flat point, k > k_flat, where 2*eps*v <
     2**-_TAIL_BITS at every position, is clamped to eps = 2**-k_flat,
     where every r**(2(v-1)) already rounds to 1; that radius is evaluated
-    once.  Every other radius is one item of one `ln_progression_sums`
-    call, with ln f in offset form, -2a w - 2 eps v0 expm1(w), w = ln(v /
-    v0), and the engine's v0**(-2a); its bracket is scaled back by
-    exp(-2 eps (v0 - 1)), formed from lo's bit length: it scales mant by
-    the power of two 2**(e + 1 - k) exactly, 2**e <= lo < 2**(e + 1).
+    once.  Every other radius takes the closed form at alpha = 0, else is
+    one item of one `progression_sums` call, with ln f in offset form,
+    -2a w - 2 eps v0 expm1(w), w = ln(v / v0), and the engine's v0**(-2a).
+    Either is scaled back by exp(-2 eps (v0 - 1)), formed from lo's bit
+    length: it scales mant by the power of two 2**(e + 1 - k) exactly,
+    2**e <= lo < 2**(e + 1).
     Each radius gets the value it gets when evaluated alone.
     """
     mant, k = eps
@@ -429,17 +430,17 @@ def _position_sums(
     two_eps = np.ldexp(mant, 1 - k)
     shift = np.ldexp(mant, e + 1 - k) * (lo / (1 << e)) + two_eps * j0  # 2 eps (v0 - 1)
     a = shift + two_eps  # 2 eps v0
-
-    def dphi(w, i):  # ln f - ln f(v0) = -2 alpha w - a expm1(w), w = ln(v / v0)
-        slope = a[i] * np.exp(w)
-        return -2.0 * alpha - slope, -slope, -slope
-
-    lower, upper, _ = ln_progression_sums(
-        lambda w, i: -2.0 * alpha * w - a[i] * np.expm1(w), dphi, v0, gate, budget, at.size, -2.0 * alpha
-    )
     out = np.zeros((2, flat.size))
-    # alpha = 0: the closed form's one exponent, lower = upper; else e**-shift as a factor, since
-    # one exponent of its size would round at ulp(2 eps v0)
-    out[:, at] = np.exp(lower - shift) if alpha == 0.0 else np.exp(np.array([lower, upper])) * np.exp(-shift)
+    if alpha == 0.0:  # r**(2 (v-1)) alone: one exponent, lower = upper
+        out[:, at] = np.exp(ln_geometric_sums(-shift, a * (gate / v0), a * (gate * budget / v0), math.log(budget)))
+    else:  # e**-shift as a factor: one exponent of its size would round at ulp(2 eps v0)
+        def dphi(w, i):  # ln f - ln f(v0) = -2 alpha w - a expm1(w), w = ln(v / v0)
+            slope = a[i] * np.exp(w)
+            return -2.0 * alpha - slope, -slope, -slope
+
+        unit, total, bound, _ = progression_sums(
+            lambda w, i: -2.0 * alpha * w - a[i] * np.expm1(w), dphi, v0, gate, budget, at.size, -2.0 * alpha
+        )
+        out[:, at] = np.exp(unit) * np.exp(-shift) * total * (1.0 + np.array([[-1.0], [1.0]]) * bound)
     out[:, flat_at] = out[:, at[live_at.size :]]
     return out[0], out[1]

@@ -405,13 +405,13 @@ def _heads(gamma, horizons):
     seen = []
 
     def spy(*args):
-        seen.append(_util.ln_progression_sums(*args))
+        seen.append(_util.progression_sums(*args))
         return seen[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(densities, "ln_progression_sums", spy)
+        patch.setattr(densities, "progression_sums", spy)
         densities._log_weight_sums(gamma, horizons)
-    return densities._first_kept(gamma, horizons, horizons), seen[0][2]
+    return densities._first_kept(gamma, horizons, horizons), seen[0][3]
 
 
 class TestClosedForm:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tsl import _util
 from tsl import means as means_module
-from tsl._util import panel_means
+from tsl._util import progression_sums
 from tsl.cli import main
 from tsl.constructor import (
     ConstructionSpec,
@@ -587,21 +588,30 @@ def _oracle_ln_block_integral(z, a, x):
         return float(mp.log(mp.quad(lambda t: (1 + t) ** (z - 1) * mp.exp(-a * t), pieces)))
 
 
-def _panel_ln_block_integral(z, a, x):
-    """ln of the integral from 0 to x of (1 + t)**(z-1) e**(-a t) dt, for each a, by the one panel rule.
+def _engine_ln_block_integral(z, a, x):
+    """ln J(z, a, x') for each a from the progression engine's integral alone, and x'.
 
-    In s = ln(1 + t) the integrand is exp(z s - a expm1(s)).  Like the
-    progression engine on terms that decay, the integral stops C / kappa
-    past 0, kappa = (1 - z) / (1 + x) + a the decay at x and C = 60 ln 2 + 1
-    + max(0, ln((1 - z + a) / kappa)); the panels take the largest rate of
-    the log of the integrand at the ends, |z - a (1 + t)|.
+    The engine sums (1 + t)**(z-1) e**(-a t) over v = 2**40 + m, t = m / 2**40, m < N,
+    N - 1 = round(x 2**40), with its end terms switched off: at gate / v0 = 2**-40 the
+    head is empty, so what it returns is its tail integral, 2**40 J over [0, x'],
+    x' = (N - 1) / 2**40.  The log is taken at 40 digits from the engine's unit and total.
     """
     a = np.asarray(a, dtype=np.float64)
-    kappa = (1.0 - z) / (1.0 + x) + a
-    cut = (60.0 * math.log(2.0) + 1.0 + np.log(np.maximum((1.0 - z + a) / kappa, 1.0))) / kappa
-    s_top = np.log1p(np.minimum(x, cut))
-    rate = np.maximum(np.abs(z - a), np.abs(z - a * np.exp(s_top)))
-    return np.log(s_top * panel_means(lambda s, i: z * s - a[i] * np.expm1(s), s_top, rate))
+    v0, count = 1 << 40, round(x * 2.0**40) + 1
+
+    def dphi(w, i):
+        slope = a[i] * np.exp(w)
+        return (z - 1.0) - slope, -slope, -slope
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_util, "em_end_terms", lambda *args: 0.0)
+        unit, total, _, head = progression_sums(
+            lambda w, i: (z - 1.0) * w - a[i] * np.expm1(w), dphi, v0, 1, count, a.size
+        )
+    assert not head.any()
+    with mp.workdps(40):
+        ln_j = [float(mp.mpf(u) + mp.log(t) - 40 * mp.log(2)) for u, t in zip(unit.tolist(), total.tolist())]
+    return ln_j, (count - 1) / v0, (unit, total)
 
 
 def _oracle_eps(j):
@@ -862,17 +872,16 @@ class TestPlannedMean:
         # lo = 1: the first terms fall steeply, so an exact head precedes the Euler-Maclaurin
         # tail; the per-position decay 2 eps gate runs from about 1e-4 to 1.  The reference
         # takes the engine's own eps, so the tolerance reads the engine, not eps's rounding.
-        # 2**-49: a sum near e**6.6 in log form has a resolution of 2**-50 itself
         j = max(1, round(math.log2(2.0 * gate / decay)))
         eps = _dyadic_eps([j])
-        engine, heads = means_module.ln_progression_sums, []
-        monkeypatch.setattr(means_module, "ln_progression_sums", lambda *a: heads.append(engine(*a)) or heads[-1])
+        engine, heads = means_module.progression_sums, []
+        monkeypatch.setattr(means_module, "progression_sums", lambda *a: heads.append(engine(*a)) or heads[-1])
         (lower,), (upper,) = _position_sums(1, gate, 1 << 20, 0, alpha, eps)
-        assert 0 < heads[0][2][0] < 1 << 20
+        assert 0 < heads[0][3][0] < 1 << 20
         exact_eps = mp.ldexp(mp.mpf(float(eps[0][0])), -int(eps[1][0]))
         exact = _oracle_position_sum(1, gate, 1 << 20, 0, alpha, exact_eps)
         _assert_brackets(lower, upper, exact, _rounding_allowance(1, 0, alpha, float(exact_eps)))
-        assert abs(lower - exact) <= 2.0**-49 * exact
+        assert abs(lower - exact) <= 2.0**-50 * exact
 
     @pytest.mark.parametrize("alpha", (-0.25, math.nan, math.inf))
     def test_profile_rejects_alpha_outside_domain(self, alpha):
@@ -898,7 +907,7 @@ class TestPlannedMean:
         ],
     )
     def test_block_integral_matches_quadrature(self, z, a, x):
-        (ln_j,) = _panel_ln_block_integral(z, [a], x)
+        (ln_j,), x, _ = _engine_ln_block_integral(z, [a], x)
         assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -909,17 +918,18 @@ class TestPlannedMean:
     )
     def test_block_integral_property(self, z, log_a, log_x):
         a, x = 10.0**log_a, 10.0**log_x
-        (ln_j,) = _panel_ln_block_integral(z, [a], x)
+        (ln_j,), x, _ = _engine_ln_block_integral(z, [a], x)
         assert abs(ln_j - _oracle_ln_block_integral(z, a, x)) <= 1e-14
 
     def test_block_integral_ragged_panels_in_one_array(self):
-        # one call lays out every a's panels, from one at a = 1e-3 to 52 at a = 100
-        z, x = 0.5, 0.9
+        # one call lays out every a's panels, one each up to a = 1.2, then 2, 13 and 11
+        z = 0.5
         a = np.array([1e-3, 0.5, 1.0, 1.0 / 0.9, 1.2, 5.0, 100.0, 1e3])
-        ln_j = _panel_ln_block_integral(z, a, x)
-        for value, a_i in zip(ln_j, a):
-            assert value == _panel_ln_block_integral(z, [a_i], x)[0]
-            assert abs(value - _oracle_ln_block_integral(z, a_i, x)) <= 1e-14
+        ln_j, x, (unit, total) = _engine_ln_block_integral(z, a, 0.9)
+        for i, a_i in enumerate(a):
+            _, _, alone = _engine_ln_block_integral(z, [a_i], 0.9)
+            assert (unit[i], total[i]) == (alone[0][0], alone[1][0])
+            assert abs(ln_j[i] - _oracle_ln_block_integral(z, a_i, x)) <= 1e-14
 
     @pytest.mark.parametrize(
         "e, gate, budget_bits, j0, alpha, j", [(1100, 4, 17, 0, 0.01, 1100), (2100, 28, 18, 1, 0.1, 2101)]
